@@ -13,6 +13,8 @@ The usual entry points, bottom of the tower first:
 * `Form`, `wedge`: exterior algebra over a finite frame.
 * `validate_setup`: checks structure constants, splitting and fiber
   representation, returns a `HomogeneousSetup`.
+* `exterior_derivative`, `covariant_derivative_DX`: d and D on invariant
+  forms and equivariant letters, one antiderivation on the basic frame.
 * `generate_dictionary`, `completeness_check`, `differential_table`,
   `express_in_generators`: the dictionary engine.
 * `build_context`, `parse_form_expression`: the expression language.

@@ -363,7 +363,7 @@ def _subject(rc: RealizedConfig) -> dict:
 
 def _conventions(rc: RealizedConfig) -> dict:
     return {
-        "b_convention": rc.setup.b_convention,
+        "b_convention": "row",
         "warnings": list(rc.setup.warnings),
     }
 

@@ -396,7 +396,6 @@ class CompletenessReport:
 def completeness_check(
     setup: HomogeneousSetup,
     dictionary: Dictionary,
-    extra_group_elements: Sequence[tuple] = (),
 ) -> CompletenessReport:
     """Direct span of the dictionary images against the invariant dimensions
     at both stabilizers, cell by cell."""
@@ -419,8 +418,8 @@ def completeness_check(
             cell = (p, q)
             s0 = spans[cell][0].rank if cell in spans else 0
             sv = spans[cell][1].rank if cell in spans else 0
-            t0 = invariant_dimension(setup, cell, stab0, extra_group_elements)
-            tv = invariant_dimension(setup, cell, stabv, extra_group_elements)
+            t0 = invariant_dimension(setup, cell, stab0)
+            tv = invariant_dimension(setup, cell, stabv)
             cells.append(
                 CompletenessCell(
                     bidegree=cell,

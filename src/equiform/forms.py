@@ -5,15 +5,13 @@ with a kind:
 
 * horizontal: pullbacks of coframe elements on the base,
 * vertical: the covariant fiber coframe b_1..b_k,
-* gauge: connection directions (only meaningful on the extended frame),
-* raw_vertical: the plain fiber differentials da_1..da_k.
+* gauge: connection directions, which basic forms never use.
 
 A Form is a map from basis words (bitmasks over the generators) to Scalar
 coefficients.  Wedge signs come from sorting concatenated words; the interior
 product is the graded antiderivation dropping one generator.  Bidegrees count
-(horizontal, vertical) with raw_vertical counting as vertical; gauge
-generators carry no bidegree and bidegree_split refuses forms containing
-them.
+(horizontal, vertical); gauge generators carry no bidegree and
+bidegree_split refuses forms containing them.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from typing import Iterable, Mapping
 from equiform.numberfield import FieldElement
 from equiform.scalars import Point, Ring, Scalar
 
-KINDS = ("horizontal", "vertical", "gauge", "raw_vertical")
+KINDS = ("horizontal", "vertical", "gauge")
 
 
 class FrameError(ValueError):
@@ -61,7 +59,6 @@ class Frame:
         self.horizontal_mask = self._mask_of_kind("horizontal")
         self.vertical_mask = self._mask_of_kind("vertical")
         self.gauge_mask = self._mask_of_kind("gauge")
-        self.raw_mask = self._mask_of_kind("raw_vertical")
 
     def _mask_of_kind(self, kind: str) -> int:
         m = 0
@@ -130,7 +127,7 @@ class Frame:
         if mask & self.gauge_mask:
             raise FrameError("basis word contains gauge generators")
         p = (mask & self.horizontal_mask).bit_count()
-        q = (mask & (self.vertical_mask | self.raw_mask)).bit_count()
+        q = (mask & self.vertical_mask).bit_count()
         return p, q
 
 

@@ -1,4 +1,4 @@
-"""Homogeneous-space setup: validation, vertical frame, exterior derivative.
+"""Homogeneous-space setup: validation, basic frame, exterior derivative.
 
 The input data is a Lie algebra with structure constants in Maurer-Cartan
 form (d e^i = sum_{j<k} c^i_jk e^j e^k, equivalently [e_j, e_k] =
@@ -6,12 +6,12 @@ form (d e^i = sum_{j<k} c^i_jk e^j e^k, equivalently [e_j, e_k] =
 part T and a gauge subalgebra, and a skew representation of the gauge part
 on the fiber V.
 
-All forms live on one extended frame per setup: horizontal e^i, covariant
-vertical b_i, gauge e^A and raw fiber differentials da_i, in that order.
-Basic forms use only the first two kinds.  The exterior derivative pulls a
-basic form back to the raw frame, differentiates there (structure constants
-on e^i, nothing on da_i, scalar derivatives on coefficients), and rewrites
-the fiber differentials back through b_i = da_i + (rho_A)_ij a_j e^A.
+All forms live on one frame per setup: horizontal e^i, covariant vertical
+b_i and gauge e^A, in that order.  Basic forms use only the first two kinds.
+On invariant basic forms d is the covariant derivative on tensorial forms,
+a single antiderivation of the basic subalgebra: e^t goes to the gauge-free
+part (d e^t)_hh of its structure 2-form, b_i to sum_A (rho_A a)_i (d e^A)_hh,
+and a coefficient f to sum_i (df/da_i) b_i.
 """
 
 from __future__ import annotations
@@ -150,34 +150,10 @@ def _mat_is_zero(m) -> bool:
     return all(x.is_zero for row in m for x in row)
 
 
-def _identity(field, n):
-    return tuple(
-        tuple(field.one if i == j else field.zero for j in range(n))
-        for i in range(n)
-    )
-
-
-def _minor_det(field, m, rows, cols):
-    """Determinant of the submatrix m[rows][cols] (index tuples)."""
-    if not rows:
-        return field.one
-    total = field.zero
-    r0 = rows[0]
-    sign = 1
-    for pos, c in enumerate(cols):
-        entry = m[r0][c]
-        if not entry.is_zero:
-            sub = _minor_det(field, m, rows[1:], cols[:pos] + cols[pos + 1 :])
-            term = entry * sub
-            total = total + (term if sign > 0 else -term)
-        sign = -sign
-    return total
-
-
 class HomogeneousSetup:
     """Validated bundle data with its ring, frame and derived structures.
 
-    Immutable after construction; create via validate_setup.
+    Create via validate_setup; immutable once it returns.
     """
 
     def __init__(
@@ -187,10 +163,6 @@ class HomogeneousSetup:
         representation: Representation,
         ring: Ring,
         frame: Frame,
-        *,
-        ad_matrices: dict,
-        b_convention: str,
-        warnings: list[str],
     ):
         self.algebra = algebra
         self.splitting = splitting
@@ -200,19 +172,25 @@ class HomogeneousSetup:
         self.field = ring.field
         self.fiber_dim = representation.fiber_dimension
         self.horizontal_dim = len(splitting.horizontal)
-        self.ad_matrices = ad_matrices  # gauge index -> full n x n ad matrix
-        self.b_convention = b_convention
-        self.warnings = list(warnings)
+        self.warnings: list[str] = []
         self._ctable = algebra.table()
+        # gauge index -> full n x n ad matrix, ad(E_a)[i][k] = -c^i_ak
+        n = algebra.dimension
+        self.ad_matrices = {
+            a: tuple(
+                tuple(-self.c_signed(i, a, k) for k in range(1, n + 1))
+                for i in range(1, n + 1)
+            )
+            for a in splitting.gauge
+        }
         # frame positions
         self._pos_e = {}  # algebra index -> frame position
         for i in splitting.horizontal + splitting.gauge:
             self._pos_e[i] = frame.index[f"e{i}"]
         self._pos_b = [frame.index[f"b{i}"] for i in range(1, self.fiber_dim + 1)]
-        self._pos_da = [frame.index[f"da{i}"] for i in range(1, self.fiber_dim + 1)]
         self._avars = [ring.var(f"a{i}") for i in range(1, self.fiber_dim + 1)]
         self._structure_2form: dict[int, Form] = {}
-        self._b_forms: list[Form] | None = None
+        self._d_images: dict[int, Form] | None = None
 
     # -- coefficients and matrices ---------------------------------------
 
@@ -253,17 +231,13 @@ class HomogeneousSetup:
         hor = self.splitting.horizontal
         full = self.ad_matrices[a]
         return tuple(
-            tuple(full[self._alg_order(i)][self._alg_order(k)] for k in hor)
-            for i in hor
+            tuple(full[i - 1][k - 1] for k in hor) for i in hor
         )
-
-    def _alg_order(self, i: int) -> int:
-        return i - 1
 
     # -- structure forms ---------------------------------------------------
 
     def structure_derivative(self, algebra_index: int) -> Form:
-        """d e^i as a 2-form over the extended frame."""
+        """d e^i as a 2-form over the frame."""
         if algebra_index not in self._structure_2form:
             terms: dict[int, Scalar] = {}
             for (j, k), c in self._ctable.get(algebra_index, {}).items():
@@ -279,23 +253,29 @@ class HomogeneousSetup:
             self._structure_2form[algebra_index] = Form(self.frame, terms)
         return self._structure_2form[algebra_index]
 
-    def b_forms(self) -> list[Form]:
-        """The covariant vertical frame in the raw extended frame."""
-        if self._b_forms is None:
-            out = []
+    def basic_derivative_images(self) -> dict[int, Form]:
+        """Images of e^t and b_i under d on basic forms, by frame position."""
+        if self._d_images is None:
+            gauge = self.frame.gauge_mask
+
+            def hh(i: int) -> Form:
+                f = self.structure_derivative(i)
+                return Form(
+                    self.frame, {m: c for m, c in f.terms.items() if not m & gauge}
+                )
+
+            images = {self._pos_e[t]: hh(t) for t in self.splitting.horizontal}
+            twists = [
+                (self.rho_apply(a, self._avars), hh(a)) for a in self.splitting.gauge
+            ]
             for i in range(self.fiber_dim):
-                f = self.frame.generator(f"da{i + 1}")
-                for a in self.splitting.gauge:
-                    m = self.rho(a)
-                    coeff = self.ring.zero
-                    for j in range(self.fiber_dim):
-                        if not m[i][j].is_zero:
-                            coeff = coeff + m[i][j] * self._avars[j]
-                    if not coeff.is_zero:
-                        f = f + coeff * self.frame.generator(f"e{a}")
-                out.append(f)
-            self._b_forms = out
-        return self._b_forms
+                img = self.frame.zero
+                for rho_a_on_coords, curvature in twists:
+                    if not rho_a_on_coords[i].is_zero:
+                        img = img + rho_a_on_coords[i] * curvature
+                images[self._pos_b[i]] = img
+            self._d_images = images
+        return self._d_images
 
     def generic_point_vector(self) -> list[FieldElement]:
         v = [self.field.zero] * self.fiber_dim
@@ -333,7 +313,6 @@ def validate_setup(
     on.  Raises SetupError listing all violated axioms.
     """
     issues: list[str] = []
-    warnings: list[str] = []
     n = algebra.dimension
     # splitting partitions 1..n
     declared = sorted(splitting.horizontal + splitting.gauge)
@@ -380,53 +359,18 @@ def validate_setup(
             issues.append("structure constants must live in the declared field")
             raise SetupError(issues)
 
-    # frame: horizontal, vertical, gauge, raw
+    # frame: horizontal, vertical, gauge
     gens = [(f"e{i}", "horizontal") for i in splitting.horizontal]
     gens += [(f"b{i}", "vertical") for i in range(1, k + 1)]
     gens += [(f"e{i}", "gauge") for i in splitting.gauge]
-    gens += [(f"da{i}", "raw_vertical") for i in range(1, k + 1)]
     frame = Frame(ring, FrameSpec(generators=tuple(gens)))
-
-    ctable = algebra.table()
-
-    def c_signed(i, j, kk):
-        if j == kk:
-            return field.zero
-        if j < kk:
-            return ctable.get(i, {}).get((j, kk), field.zero)
-        return -ctable.get(i, {}).get((kk, j), field.zero)
+    setup = HomogeneousSetup(algebra, splitting, representation, ring, frame)
 
     # Jacobi: d(d e^i) = 0 with d e^i from the constants
-    pos = {i: frame.index[f"e{i}"] for i in range(1, n + 1)}
-    struct = {}
+    struct = {i: setup.structure_derivative(i) for i in range(1, n + 1)}
+    images = {setup._pos_e[i]: struct[i] for i in range(1, n + 1)}
     for i in range(1, n + 1):
-        terms: dict[int, Scalar] = {}
-        for (j, kk), c in ctable.get(i, {}).items():
-            mask = (1 << pos[j]) | (1 << pos[kk])
-            sign = 1 if pos[j] < pos[kk] else -1
-            val = ring.constant(c if sign > 0 else -c)
-            prev = terms.get(mask)
-            val = val if prev is None else prev + val
-            if val.is_zero:
-                terms.pop(mask, None)
-            else:
-                terms[mask] = val
-        struct[i] = Form(frame, terms)
-
-    for i in range(1, n + 1):
-        dd = frame.zero
-        for mask, c in struct[i].terms.items():
-            gen_positions = list(bits(mask))
-            for posn, g in enumerate(gen_positions):
-                alg_idx = next(
-                    idx for idx, p in pos.items() if p == g
-                )
-                rest = mask ^ (1 << g)
-                contrib = c * wedge(struct[alg_idx], Form(frame, {rest: ring.one}))
-                if posn % 2:
-                    contrib = -contrib
-                dd = dd + contrib
-        if not dd.is_zero:
+        if not _antiderivation(struct[i], lambda c: None, images).is_zero:
             issues.append(f"Jacobi identity fails: d(d e^{i}) != 0")
 
     # gauge part closed under bracket; reductivity
@@ -435,7 +379,7 @@ def validate_setup(
             if a >= b:
                 continue
             for t in splitting.horizontal:
-                if not c_signed(t, a, b).is_zero:
+                if not setup.c_signed(t, a, b).is_zero:
                     issues.append(
                         f"gauge indices are not a subalgebra: "
                         f"[e{a}, e{b}] has a horizontal component e{t}"
@@ -443,7 +387,7 @@ def validate_setup(
     for a in splitting.gauge:
         for t in splitting.horizontal:
             for g in splitting.gauge:
-                if not c_signed(g, a, t).is_zero:
+                if not setup.c_signed(g, a, t).is_zero:
                     issues.append(
                         f"splitting is not reductive: [e{a}, e{t}] has a "
                         f"gauge component e{g}"
@@ -466,7 +410,7 @@ def validate_setup(
             # [e_a, e_b] = -sum_g c^g_ab e_g
             expect = _mat_scale(field.zero, ma)
             for g in splitting.gauge:
-                c = c_signed(g, a, b)
+                c = setup.c_signed(g, a, b)
                 if not c.is_zero:
                     expect = _mat_add(expect, _mat_scale(-c, representation.matrix(g)))
             if not _mat_is_zero(_mat_sub(comm, expect)):
@@ -474,90 +418,21 @@ def validate_setup(
                     f"representation not a homomorphism on [e{a}, e{b}]"
                 )
 
-    # derived adjoint matrices: ad(E_a)[i][k] = -c^i_ak (0-based storage)
-    ad_matrices = {}
+    # the T-restriction of ad should be skew for an orthonormal horizontal basis
     for a in splitting.gauge:
-        ad_matrices[a] = tuple(
-            tuple(-c_signed(i, a, kk) for kk in range(1, n + 1))
-            for i in range(1, n + 1)
-        )
-    # the T-restriction should be skew for an orthonormal horizontal basis
-    for a in splitting.gauge:
-        hor = splitting.horizontal
-        sub = tuple(
-            tuple(ad_matrices[a][i - 1][j - 1] for j in hor) for i in hor
-        )
+        sub = setup.ad_on_horizontal(a)
         if not _mat_is_zero(_mat_add(sub, _mat_transpose(sub))):
-            warnings.append(
+            setup.warnings.append(
                 f"ad(e{a})|T is not skew; the declared horizontal basis is "
                 f"not orthonormal for an invariant metric"
             )
 
     if issues:
         raise SetupError(issues)
-
-    # fix the b-index convention operationally: the contraction test below
-    # must produce zero for every fundamental field
-    convention = None
-    for name, pick in (("row", lambda m: m), ("column", _mat_transpose)):
-        ok = True
-        for a in splitting.gauge:
-            rho_a = representation.matrix(a)
-            for i in range(k):
-                # iota_Y(da_i) + iota_Y(twist) = -(rho_a v)_i + (M_a v)_i
-                for j in range(k):
-                    if not (pick(rho_a)[i][j] - rho_a[i][j]).is_zero:
-                        ok = False
-        if ok:
-            convention = name if convention is None else "both"
-    if convention is None:
-        raise SetupError(
-            ["no index convention for b_i satisfies the basicness condition"]
-        )
-    if convention == "both":
-        convention = "row"
-
-    setup = HomogeneousSetup(
-        algebra,
-        splitting,
-        representation,
-        ring,
-        frame,
-        ad_matrices=ad_matrices,
-        b_convention=convention,
-        warnings=warnings,
-    )
-    # condition (2), verified honestly on the assembled frame
-    for a in splitting.gauge:
-        for i, b in enumerate(setup.b_forms()):
-            if not fundamental_contraction(setup, a, b).is_zero:
-                raise SetupError(
-                    [f"fundamental contraction of b{i + 1} along e{a} is nonzero"]
-                )
     return setup
 
 
-def build_vertical_frame(setup: HomogeneousSetup) -> list[Form]:
-    """The forms b_1..b_k over the raw extended frame."""
-    return list(setup.b_forms())
-
-
-# -- derivations over the extended frame ---------------------------------
-
-
-def _substitute_generator(x: Form, gen_pos: int, replacement: Form) -> Form:
-    bit = 1 << gen_pos
-    out = x.frame.zero
-    untouched: dict[int, Scalar] = {}
-    for mask, c in x.terms.items():
-        if not mask & bit:
-            untouched[mask] = c
-            continue
-        below = mask & (bit - 1)
-        sign = -1 if below.bit_count() & 1 else 1
-        rest = Form(x.frame, {mask ^ bit: c if sign > 0 else -c})
-        out = out + wedge(replacement, rest)
-    return out + Form(x.frame, untouched)
+# -- derivations on the frame ----------------------------------------------
 
 
 def _antiderivation(x: Form, coeff_rule, gen_images: dict[int, Form]) -> Form:
@@ -600,100 +475,40 @@ def _derivation(x: Form, coeff_rule, gen_images: dict[int, Form]) -> Form:
     return out
 
 
-def vertical_to_raw(setup: HomogeneousSetup, x: Form) -> Form:
-    """Rewrite every b_i through da_i plus the connection twist."""
-    for i, b in enumerate(setup.b_forms()):
-        pos = setup._pos_b[i]
-        if any(mask >> pos & 1 for mask in x.terms):
-            x = _substitute_generator(x, pos, b)
-    return x
-
-
-def raw_to_vertical(setup: HomogeneousSetup, x: Form) -> Form:
-    """Rewrite every da_i back through b_i minus the twist."""
-    for i in range(setup.fiber_dim):
-        pos = setup._pos_da[i]
-        if not any(mask >> pos & 1 for mask in x.terms):
-            continue
-        # da_i = b_i - sum_A (rho_A a)_i e^A
-        repl = setup.frame.generator(f"b{i + 1}")
-        for a in setup.splitting.gauge:
-            coeff = setup.rho_apply(a, setup._avars)[i]
-            if not coeff.is_zero:
-                repl = repl - coeff * setup.frame.generator(f"e{a}")
-        x = _substitute_generator(x, pos, repl)
-    return x
-
-
-def raw_derivative(setup: HomogeneousSetup, x: Form) -> Form:
-    """d over the raw frame: structure 2-forms on e generators, zero on
-    da generators, coefficient derivatives contributing da terms.  The
-    input must not contain b generators."""
-    if any(mask & setup.frame.vertical_mask for mask in x.terms):
-        raise SetupError(["raw derivative input still contains b generators"])
-    gen_images: dict[int, Form] = {}
-    for i in setup.splitting.horizontal + setup.splitting.gauge:
-        gen_images[setup._pos_e[i]] = setup.structure_derivative(i)
+def basic_derivative(setup: HomogeneousSetup, x: Form) -> Form:
+    """d on the subalgebra generated by e^t, b_i and functions of a, with
+    gauge terms dropped.  Equals d on invariant basic forms; unchecked."""
+    frame = setup.frame
 
     def dcoeff(c: Scalar) -> Form:
-        out = setup.frame.zero
-        for i in range(setup.fiber_dim):
+        terms = {}
+        for i, pos in enumerate(setup._pos_b):
             dci = c.differentiate(f"a{i + 1}")
             if not dci.is_zero:
-                out = out + dci * setup.frame.generator(f"da{i + 1}")
-        return out
+                terms[1 << pos] = dci
+        return Form(frame, terms)
 
-    return _antiderivation(x, dcoeff, gen_images)
+    return _antiderivation(x, dcoeff, setup.basic_derivative_images())
 
 
 def exterior_derivative(setup: HomogeneousSetup, x: Form) -> Form:
-    """d on basic forms, computed through the raw frame.
+    """d on invariant basic forms.
 
-    Raises if the input uses gauge or raw generators, or if the result
-    fails to be basic (which signals a non-invariant input).
+    Raises if the input is not invariant and basic, since its derivative
+    would then not be basic.
     """
     if x.frame != setup.frame:
         raise SetupError(["form does not belong to this setup's frame"])
-    bad = setup.frame.gauge_mask | setup.frame.raw_mask
-    if any(mask & bad for mask in x.terms):
-        raise SetupError(["input not basic: uses gauge or raw generators"])
-    raw = vertical_to_raw(setup, x)
-    differentiated = raw_derivative(setup, raw)
-    result = raw_to_vertical(setup, differentiated)
-    if any(mask & setup.frame.gauge_mask for mask in result.terms):
-        raise SetupError(["result not basic"])
-    return result
-
-
-def fundamental_contraction(setup: HomogeneousSetup, a: int, x: Form) -> Form:
-    """Interior product with the fundamental vertical field of gauge index a.
-
-    Values on generators: matching gauge e^a gives 1, other e give 0, da_i
-    gives -(rho_a applied to the fiber coordinates)_i, b_i gives 0 by the
-    construction that validate_setup verifies.
-    """
-    if a not in setup.splitting.gauge:
-        raise SetupError([f"{a} is not a gauge index"])
-    rho_a_on_coords = setup.rho_apply(a, setup._avars)
-    values: dict[int, Scalar] = {setup._pos_e[a]: setup.ring.one}
-    for i in range(setup.fiber_dim):
-        values[setup._pos_da[i]] = -rho_a_on_coords[i]
-    out = x.frame.zero
-    for mask, c in x.terms.items():
-        for posn, g in enumerate(bits(mask)):
-            val = values.get(g)
-            if val is None or val.is_zero:
-                continue
-            coeff = c * val
-            if posn % 2:
-                coeff = -coeff
-            out = out + Form(x.frame, {mask ^ (1 << g): coeff})
-    return out
+    if not is_invariant(setup, x):
+        raise SetupError(
+            ["input not invariant and basic, so its derivative is not basic"]
+        )
+    return basic_derivative(setup, x)
 
 
 def gauge_variation(setup: HomogeneousSetup, a: int, x: Form) -> Form:
     """Infinitesimal gauge action (Lie derivative along the fundamental
-    field of e_a) on a form over the extended frame."""
+    field of e_a) on a form over the frame."""
     if a not in setup.splitting.gauge:
         raise SetupError([f"{a} is not a gauge index"])
     rho_a = setup.rho(a)
@@ -710,14 +525,11 @@ def gauge_variation(setup: HomogeneousSetup, a: int, x: Form) -> Form:
         gen_images[setup._pos_e[i]] = img
     for i in range(setup.fiber_dim):
         img_b = setup.frame.zero
-        img_da = setup.frame.zero
         for j in range(setup.fiber_dim):
             c = rho_a[i][j]
             if not c.is_zero:
                 img_b = img_b - c * setup.frame.generator(f"b{j + 1}")
-                img_da = img_da - c * setup.frame.generator(f"da{j + 1}")
         gen_images[setup._pos_b[i]] = img_b
-        gen_images[setup._pos_da[i]] = img_da
 
     def dcoeff(c: Scalar) -> Form:
         out = setup.ring.zero
@@ -731,11 +543,7 @@ def gauge_variation(setup: HomogeneousSetup, a: int, x: Form) -> Form:
 
 
 def is_basic(setup: HomogeneousSetup, x: Form) -> bool:
-    if any(mask & setup.frame.gauge_mask for mask in x.terms):
-        return False
-    return all(
-        fundamental_contraction(setup, a, x).is_zero for a in setup.splitting.gauge
-    )
+    return not any(mask & setup.frame.gauge_mask for mask in x.terms)
 
 
 def is_invariant(setup: HomogeneousSetup, x: Form) -> bool:
@@ -830,28 +638,14 @@ def _derivation_equations(field, m_t, m_v, p: int, q: int):
     return basis, mat
 
 
-def _wedge_matrix(field, g, masks):
-    """Action of a matrix on a wedge power, entry [tgt][src] a minor det."""
-    return tuple(
-        tuple(
-            _minor_det(field, g, tuple(bits(m_tgt)), tuple(bits(m_src)))
-            for m_src in masks
-        )
-        for m_tgt in masks
-    )
-
-
 def invariant_dimension(
     setup: HomogeneousSetup,
     bidegree: tuple[int, int],
     stab_basis: Sequence[Sequence[FieldElement]],
-    extra_group_elements: Sequence[tuple] = (),
 ) -> int:
     """Dimension of the stabilizer-invariant subspace of Lambda^p T x Lambda^q V.
 
-    stab_basis holds coefficient vectors over the gauge basis; extra group
-    elements are (matrix on T, matrix on V) pairs for components not seen by
-    the Lie algebra.
+    stab_basis holds coefficient vectors over the gauge basis.
     """
     p, q = bidegree
     field = setup.field
@@ -879,25 +673,6 @@ def invariant_dimension(
             continue
         _, eqs = _derivation_equations(field, m_t, m_v, p, q)
         stacked.extend(eqs)
-    for g_t, g_v in extra_group_elements:
-        for g, sz, label in ((g_t, nt, "T"), (g_v, nv, "V")):
-            gt = _mat_transpose(g)
-            if not _mat_is_zero(_mat_sub(_mat_mul(field, gt, g), _identity(field, sz))):
-                raise SetupError(
-                    [f"extra group element matrix on {label} is not orthogonal"]
-                )
-        w_t = _wedge_matrix(field, g_t, basis_t)
-        w_v = _wedge_matrix(field, g_v, basis_v)
-        # fixed-point equations (W - I) x = 0 for the Kronecker action
-        for it in range(len(basis_t)):
-            for iv in range(len(basis_v)):
-                row = [
-                    w_t[it][jt] * w_v[iv][jv]
-                    for jt in range(len(basis_t))
-                    for jv in range(len(basis_v))
-                ]
-                row[it * len(basis_v) + iv] = row[it * len(basis_v) + iv] - field.one
-                stacked.append(row)
     if not stacked:
         return nbasis
     return nbasis - matrix_rank(field, stacked)

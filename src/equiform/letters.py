@@ -18,11 +18,9 @@ from typing import Mapping, Sequence
 from equiform.forms import Form, bidegree_split, wedge
 from equiform.homogeneous import (
     HomogeneousSetup,
+    basic_derivative,
     gauge_variation,
     is_basic,
-    raw_derivative,
-    raw_to_vertical,
-    vertical_to_raw,
 )
 from equiform.numberfield import FieldElement
 
@@ -112,6 +110,13 @@ def make_letter(
         if not is_basic(setup, c):
             raise LetterError(f"component {i + 1} of {name} is not basic")
     bidegree = _component_bidegree(comps)
+    _check_equivariant(setup, name, comps)
+    return Letter(name=name, bidegree=bidegree, components=comps)
+
+
+def _check_equivariant(
+    setup: HomogeneousSetup, name: str, comps: Sequence[Form]
+) -> None:
     for a in setup.splitting.gauge:
         rho_a = setup.rho(a)
         for i in range(setup.fiber_dim):
@@ -122,7 +127,6 @@ def make_letter(
                     resid = resid + c * comps[j]
             if not resid.is_zero:
                 raise LetterError(f"letter {name} is not equivariant along e{a}")
-    return Letter(name=name, bidegree=bidegree, components=comps)
 
 
 def letter_a(setup: HomogeneousSetup) -> Letter:
@@ -276,26 +280,10 @@ def contract_syllable(m: Contraction, letters: Sequence[Letter]) -> Form:
 def covariant_derivative_DX(setup: HomogeneousSetup, letter: Letter) -> Letter:
     """Componentwise exterior derivative plus the representation twist.
 
-    Computed over the raw frame: pull each component back, differentiate,
-    add rho(connection) wedge the components, push back to the basic frame.
+    The twist rho(connection) X carries a gauge generator, so on the basic
+    frame DX is the basic derivative of each component.  That result is
+    basic exactly when the letter is equivariant, which is checked first.
     """
-    k = setup.fiber_dim
-    raws = [vertical_to_raw(setup, c) for c in letter.components]
-    out = []
-    for i in range(k):
-        total = raw_derivative(setup, raws[i])
-        for a in setup.splitting.gauge:
-            rho_a = setup.rho(a)
-            ea = setup.frame.generator(f"e{a}")
-            for j in range(k):
-                c = rho_a[i][j]
-                if not c.is_zero:
-                    total = total + c * wedge(ea, raws[j])
-        basic = raw_to_vertical(setup, total)
-        if any(mask & setup.frame.gauge_mask for mask in basic.terms):
-            raise LetterError(
-                f"covariant derivative of {letter.name} is not basic; "
-                f"component {i + 1} kept gauge terms"
-            )
-        out.append(basic)
+    _check_equivariant(setup, letter.name, letter.components)
+    out = [basic_derivative(setup, c) for c in letter.components]
     return make_letter(setup, f"DX({letter.name})", out)

@@ -1,4 +1,8 @@
-"""Setup validation, vertical frame, d, contractions, invariant dimensions."""
+"""Setup validation, vertical frame, d, contractions, invariant dimensions.
+
+The vertical frame and the fundamental contraction live on the raw extended
+frame, which only the oracle in raw_frame_oracle.py builds now.
+"""
 
 import pytest
 
@@ -6,9 +10,7 @@ from equiform.forms import bidegree_split, wedge
 from equiform.homogeneous import (
     SetupError,
     Splitting,
-    build_vertical_frame,
     exterior_derivative,
-    fundamental_contraction,
     gauge_variation,
     invariant_dimension,
     is_basic,
@@ -21,6 +23,7 @@ from equiform.homogeneous import (
 )
 
 from conftest import su2_raw, su2_ring_spec, su3_raw, su3_ring_spec
+from raw_frame_oracle import RawFrame
 
 
 # -- validation --------------------------------------------------------------
@@ -28,7 +31,6 @@ from conftest import su2_raw, su2_ring_spec, su3_raw, su3_ring_spec
 
 def test_su3_setup_validates(su3_setup):
     assert su3_setup.warnings == []
-    assert su3_setup.b_convention == "row"
     assert su3_setup.fiber_dim == 4
     assert su3_setup.horizontal_dim == 4
 
@@ -103,8 +105,9 @@ def test_non_homomorphism_rejected():
 
 
 def test_su2_vertical_frame_explicit(su2_setup):
-    b1, b2 = build_vertical_frame(su2_setup)
-    frame = su2_setup.frame
+    raw = RawFrame(su2_setup)
+    b1, b2 = raw.b_forms()
+    frame = raw.frame
     ring = su2_setup.ring
     a1, a2 = ring.var("a1"), ring.var("a2")
     da1, da2 = frame.generator("da1"), frame.generator("da2")
@@ -114,9 +117,10 @@ def test_su2_vertical_frame_explicit(su2_setup):
 
 
 def test_vertical_frame_contraction_vanishes(su3_setup):
-    for b in build_vertical_frame(su3_setup):
+    raw = RawFrame(su3_setup)
+    for b in raw.b_forms():
         for a in su3_setup.splitting.gauge:
-            assert fundamental_contraction(su3_setup, a, b).is_zero
+            assert raw.fundamental_contraction(a, b).is_zero
 
 
 # -- exterior derivative ------------------------------------------------------
@@ -155,7 +159,15 @@ def test_d_of_single_coframe_is_not_basic(su3_setup):
 
 def test_d_rejects_raw_input(su3_setup):
     with pytest.raises(SetupError):
-        exterior_derivative(su3_setup, su3_setup.frame.generator("da1"))
+        exterior_derivative(su3_setup, RawFrame(su3_setup).gen("da1"))
+
+
+@pytest.mark.parametrize("name", ["b1", "e8"])
+def test_d_rejects_non_invariant_input(su3_setup, name):
+    # b1 is basic but not invariant, like e2 above; e8 is a gauge generator
+    with pytest.raises(SetupError) as err:
+        exterior_derivative(su3_setup, su3_setup.frame.generator(name))
+    assert "not basic" in str(err.value)
 
 
 def sigma_ab(setup):
@@ -191,23 +203,23 @@ def test_d_squared_on_su2(su2_setup):
 
 
 def test_fundamental_contraction_examples(su3_setup):
-    frame = su3_setup.frame
-    c = fundamental_contraction(su3_setup, 8, frame.generator("e8"))
+    raw = RawFrame(su3_setup)
+    frame = raw.frame
+    c = raw.fundamental_contraction(8, frame.generator("e8"))
     assert c == frame.one
-    assert fundamental_contraction(su3_setup, 8, frame.generator("e2")).is_zero
+    assert raw.fundamental_contraction(8, frame.generator("e2")).is_zero
     for i in range(1, 5):
-        assert fundamental_contraction(
-            su3_setup, 8, frame.generator(f"b{i}")
-        ).is_zero
+        assert raw.fundamental_contraction(8, frame.generator(f"b{i}")).is_zero
 
 
 def test_contraction_is_antiderivation(su3_setup):
-    frame = su3_setup.frame
+    raw = RawFrame(su3_setup)
+    frame = raw.frame
     x = wedge(frame.generator("e8"), frame.generator("e2"))
-    c = fundamental_contraction(su3_setup, 8, x)
+    c = raw.fundamental_contraction(8, x)
     assert c == frame.generator("e2")
     y = wedge(frame.generator("e2"), frame.generator("e8"))
-    assert fundamental_contraction(su3_setup, 8, y) == -frame.generator("e2")
+    assert raw.fundamental_contraction(8, y) == -frame.generator("e2")
 
 
 def test_basic_and_invariant_flags(su3_setup):
@@ -216,7 +228,7 @@ def test_basic_and_invariant_flags(su3_setup):
     b1 = frame.generator("b1")
     assert is_basic(su3_setup, b1)
     assert not is_invariant(su3_setup, b1)
-    assert not is_basic(su3_setup, frame.generator("da1"))
+    assert not is_basic(su3_setup, frame.generator("e8"))
     ab = frame.zero
     for i in range(1, 5):
         ab = ab + ring.var(f"a{i}") * frame.generator(f"b{i}")
@@ -324,36 +336,3 @@ def test_invariant_dimension_table_principal_stabilizer(su3_setup):
                 f"cell ({p},{q})"
             )
     assert sum(dims.values()) == 96
-
-
-def test_invariant_dimension_rejects_non_orthogonal_extra(su3_setup):
-    field = su3_setup.field
-    z, one = field.zero, field.one
-    m_t = [[2 * one if i == j else z for j in range(4)] for i in range(4)]
-    m_v = [[one if i == j else z for j in range(4)] for i in range(4)]
-    with pytest.raises(SetupError) as err:
-        invariant_dimension(
-            su3_setup, (1, 1), full_gauge_basis(su3_setup), [(m_t, m_v)]
-        )
-    assert "not orthogonal" in str(err.value)
-
-
-def test_invariant_dimension_extra_identity_is_neutral(su3_setup):
-    field = su3_setup.field
-    z, one = field.zero, field.one
-    ident = [[one if i == j else z for j in range(4)] for i in range(4)]
-    full = full_gauge_basis(su3_setup)
-    base = invariant_dimension(su3_setup, (1, 1), full)
-    assert invariant_dimension(su3_setup, (1, 1), full, [(ident, ident)]) == base
-
-
-def test_invariant_dimension_extra_reflection_cuts(su2_setup):
-    """A reflection on the fiber kills the orientation class in degree (0,2)."""
-    field = su2_setup.field
-    z, one = field.zero, field.one
-    refl = [[one, z], [z, -one]]
-    ident_t = [[one, z], [z, one]]
-    with_refl = invariant_dimension(su2_setup, (0, 2), [], [(ident_t, refl)])
-    without = invariant_dimension(su2_setup, (0, 2), [])
-    assert without == 1
-    assert with_refl == 0

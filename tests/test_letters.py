@@ -5,6 +5,7 @@ import pytest
 from equiform.forms import bidegree_split, evaluate_form, wedge
 from equiform.homogeneous import exterior_derivative, is_invariant
 from equiform.letters import (
+    Letter,
     LetterError,
     contract_syllable,
     covariant_derivative_DX,
@@ -224,3 +225,18 @@ def test_su2_leibniz_bridge(su2_setup, su2_alphabet):
                 else:
                     rhs = rhs + second
                 assert lhs == rhs, f"{cname}({n1},{n2})"
+
+
+def test_DX_rejects_non_equivariant_letter(su3_setup):
+    """A constant fiber vector is not equivariant, so DX of it is not basic.
+    Its components have zero derivative, so only the equivariance check on
+    the input can refuse it."""
+    frame = su3_setup.frame
+    constant = Letter(
+        name="v1",
+        bidegree=(0, 0),
+        components=(frame.one, frame.zero, frame.zero, frame.zero),
+    )
+    with pytest.raises(LetterError) as err:
+        covariant_derivative_DX(su3_setup, constant)
+    assert "letter v1 is not equivariant" in str(err.value)
