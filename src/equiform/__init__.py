@@ -43,7 +43,6 @@ from equiform.dictionary import (
     differential_table,
     express_in_generators,
     generate_dictionary,
-    translate_word,
 )
 from equiform.expressions import (
     ExpressionContext,
@@ -173,7 +172,6 @@ __all__ = [
     "realize_config",
     "sphere_reduce",
     "stabilizer_of_vector",
-    "translate_word",
     "validate_setup",
     "vanishes_on_sphere",
     "verify_closed",

@@ -30,7 +30,6 @@ from equiform.config import (
     realize_config,
 )
 from equiform.dictionary import (
-    DictionaryOptions,
     EngineError,
     completeness_check,
     differential_table,

@@ -3,24 +3,26 @@
 A document has exactly seven sections: ring, lie_algebra, splitting,
 representation, letters, contractions, tasks.  Validation is eager and
 unknown keys are rejected with the offending path, so a typo cannot
-silently change what gets computed.  Numeric entries (structure constants,
-representation matrices, contraction tensors) are written as exact value
-strings over the declared square roots, for example "-1/2" or "2*sqrt3";
-radical squares are scalar strings such as "k+aa".
+silently change what gets computed.  Literals are parsed by the expression
+parser of equiform.expressions, each in a context that binds a restricted
+set of names and has no d(...).  Field constants (structure constants,
+representation cells, contraction entries) may use numbers and the declared
+sqrtN, for example "-1/2", "2*sqrt3" or "sqrt3^2"; radical squares may also
+use the fiber coordinates a1..ak, the params and aa, for example "k+aa".
 
-parse_config only checks structure and literals.  realize_config actually
-builds the validated setup, the letters and the contractions, and is the
-step that can reject a config on mathematical grounds (Jacobi failure,
-non-equivariant letter, and so on).
+parse_config checks the structure and evaluates every literal, once.
+realize_config builds the validated setup, the letters and the
+contractions, and is the step that can reject a config on mathematical
+grounds (Jacobi failure, non-equivariant letter, asymmetric contraction,
+and so on).
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Mapping, Sequence
 
 from equiform.dictionary import DictionaryOptions, generate_dictionary
 from equiform.expressions import (
@@ -28,8 +30,9 @@ from equiform.expressions import (
     ExpressionError,
     build_context,
     parse_form_expression,
-    tokenize,
+    scalar_bindings,
 )
+from equiform.forms import Frame, FrameSpec
 from equiform.homogeneous import (
     HomogeneousSetup,
     Splitting,
@@ -49,7 +52,7 @@ from equiform.letters import (
     make_letter,
 )
 from equiform.numberfield import FieldElement, NumberField
-from equiform.scalars import RadicalSpec, Ring, RingSpec
+from equiform.scalars import RadicalSpec, Ring, RingSpec, Scalar
 
 
 class ConfigError(ValueError):
@@ -58,7 +61,6 @@ class ConfigError(ValueError):
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _TASK_NAME = re.compile(r"[A-Za-z0-9_\-]+\Z")
-_SQRT_NAME = re.compile(r"sqrt([0-9]+)\Z")
 
 TASK_KINDS = (
     "generate",
@@ -107,7 +109,7 @@ class RingSection:
 @dataclass(frozen=True)
 class ContractionSection:
     symmetry: str
-    entries: tuple[tuple[tuple[int, ...], str], ...]
+    entries: tuple[tuple[tuple[int, ...], FieldElement], ...]
 
 
 @dataclass(frozen=True)
@@ -127,12 +129,14 @@ class TaskSpec:
 
 @dataclass(frozen=True)
 class ConfigDocument:
-    ring: RingSection
+    """A validated config with every literal already evaluated."""
+
+    ring: RingSpec
     dimension: int
-    constants: tuple[tuple[int, int, int, str], ...]
+    constants: tuple[tuple[int, int, int, FieldElement], ...]
     horizontal: tuple[int, ...]
     gauge: tuple[int, ...]
-    representation: tuple[tuple[int, tuple[tuple[str, ...], ...]], ...]
+    representation: tuple[tuple[int, tuple[tuple[FieldElement, ...], ...]], ...]
     letters: tuple[tuple[str, object], ...] = field(repr=False, default=())
     contractions: tuple[tuple[str, object], ...] = field(repr=False, default=())
     tasks: tuple[TaskSpec, ...] = ()
@@ -206,140 +210,52 @@ def _digit_indices(s: str, where: str, top: int) -> tuple[int, ...]:
 # -- exact literal parsing ---------------------------------------------------
 
 
-class _ValueParser:
-    """Sums, differences and products of atoms, with parentheses.
-
-    The atom callback turns a number or name token into a value; the value
-    type only needs +, - and *.  Used for field constants (values are field
-    elements) and for radical squares (values are ring scalars).
-    """
-
-    def __init__(self, text: str, where: str, atom: Callable):
-        self.where = where
-        try:
-            self.toks = tokenize(text)
-        except ExpressionError as e:
-            raise ConfigError(f"{where}: {e}") from None
-        self.k = 0
-        self.atom = atom
-
-    def peek(self):
-        return self.toks[self.k]
-
-    def take(self):
-        tok = self.toks[self.k]
-        if tok.kind != "end":
-            self.k += 1
-        return tok
-
-    def parse(self):
-        val = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ConfigError(
-                f"{self.where}: unexpected trailing input {tok.text!r}"
-            )
-        return val
-
-    def expr(self):
-        tok = self.peek()
-        negate = False
-        if tok.kind in ("+", "-"):
-            self.take()
-            negate = tok.kind == "-"
-        left = self.term()
-        if negate:
-            left = -left
-        while self.peek().kind in ("+", "-"):
-            op = self.take()
-            right = self.term()
-            left = left - right if op.kind == "-" else left + right
-        return left
-
-    def term(self):
-        left = self.factor()
-        while self.peek().kind == "*":
-            self.take()
-            left = left * self.factor()
-        return left
-
-    def factor(self):
-        tok = self.peek()
-        if tok.kind == "(":
-            self.take()
-            inner = self.expr()
-            if self.peek().kind != ")":
-                raise ConfigError(f"{self.where}: missing ')'")
-            self.take()
-            return inner
-        if tok.kind in ("number", "name"):
-            self.take()
-            try:
-                return self.atom(tok)
-            except ZeroDivisionError:
-                raise ConfigError(
-                    f"{self.where}: zero denominator in {tok.text!r}"
-                ) from None
-            except ValueError as e:
-                raise ConfigError(f"{self.where}: {e}") from None
-        raise ConfigError(
-            f"{self.where}: expected a value, found {tok.text!r}"
-        )
+def _literal_context(ring: Ring, scalars: Mapping[str, Scalar]) -> ExpressionContext:
+    """Scalar names only, over a frame with no generators and without d."""
+    return ExpressionContext(
+        frame=Frame(ring, FrameSpec(())), letters={}, contractions={}, scalars=scalars
+    )
 
 
-def _field_atom(field: NumberField) -> Callable:
-    def atom(tok):
-        if tok.kind == "number":
-            return field.rational(Fraction(tok.text))
-        m = _SQRT_NAME.match(tok.text)
-        if m:
-            d = int(m.group(1))
-            if d not in field.radicands:
-                raise ValueError(
-                    f"sqrt{d} is not declared in ring.sqrt_constants"
-                )
-            return field.sqrt_radicand(d)
-        raise ValueError(f"cannot use {tok.text!r} in an exact constant")
-
-    return atom
+def constant_context(sqrt_constants: Sequence[int]) -> ExpressionContext:
+    """Field constants: numbers and the declared sqrtN, over a ring with no
+    variables.  Raises ValueError for unusable sqrt_constants."""
+    ring = Ring(RingSpec(field_radicands=tuple(sqrt_constants), fiber=()))
+    return _literal_context(
+        ring, {f"sqrt{d}": ring.sqrt_constant(d) for d in ring.field.radicands}
+    )
 
 
-def parse_field_constant(field: NumberField, text: str, where: str) -> FieldElement:
-    return _ValueParser(text, where, _field_atom(field)).parse()
+def _parse_literal(ctx: ExpressionContext, text: str, where: str, what: str):
+    try:
+        form = parse_form_expression(text, ctx)
+    except ExpressionError as e:
+        raise ConfigError(f"{where}: bad {what} {text!r}: {e}") from None
+    return form.terms.get(0, ctx.frame.ring.zero)
 
 
-def _square_atom(ring: Ring) -> Callable:
-    names = set(ring.fiber) | set(ring.params)
-
-    def atom(tok):
-        if tok.kind == "number":
-            return ring.constant(Fraction(tok.text))
-        if tok.text == "aa":
-            out = ring.zero
-            for n in ring.fiber:
-                v = ring.var(n)
-                out = out + v * v
-            return out
-        if tok.text in names:
-            return ring.var(tok.text)
-        m = _SQRT_NAME.match(tok.text)
-        if m:
-            d = int(m.group(1))
-            if d not in ring.field.radicands:
-                raise ValueError(
-                    f"sqrt{d} is not declared in ring.sqrt_constants"
-                )
-            return ring.sqrt_constant(d)
-        raise ValueError(f"cannot use {tok.text!r} in a radical square")
-
-    return atom
+def parse_field_constant(
+    ctx: ExpressionContext, text: str, where: str
+) -> FieldElement:
+    """An exact constant in the context made by constant_context."""
+    return _parse_literal(ctx, text, where, "exact constant").constant_term()
 
 
-def parse_radical_square(base_ring: Ring, text: str, where: str):
+def parse_radical_square(ctx: ExpressionContext, text: str, where: str):
     """Square of a radical over the radical-free ring, as RadicalSpec rows."""
-    scalar = _ValueParser(text, where, _square_atom(base_ring)).parse()
+    scalar = _parse_literal(ctx, text, where, "radical square")
     if scalar.is_zero:
         raise ConfigError(f"{where}: a radical square must be nonzero")
+    if scalar.is_constant:
+        raise ConfigError(
+            f"{where}: a radical square must not be constant; declare constant "
+            "roots in ring.sqrt_constants"
+        )
+    if any(e < 0 for mono in scalar.coeffs for e in mono):
+        raise ConfigError(
+            f"{where}: a radical square must be a polynomial, with no negative "
+            "powers"
+        )
     return tuple(sorted(scalar.coeffs.items()))
 
 
@@ -376,7 +292,7 @@ def _parse_ring_section(raw) -> RingSection:
     )
 
 
-def _parse_constants(raw, where: str, dimension: int, field: NumberField):
+def _parse_constants(raw, where: str, dimension: int, ctx: ExpressionContext):
     if not isinstance(raw, list):
         raise ConfigError(f"{where}: expected a list of [i, \"jk\", value] triples")
     out = []
@@ -395,8 +311,8 @@ def _parse_constants(raw, where: str, dimension: int, field: NumberField):
             raise ConfigError(
                 f"{at}[1]: indices must be increasing, got {pair!r}"
             )
-        value = _as_str(triple[2], f"{at}[2]")
-        parse_field_constant(field, value, f"{at}[2]")
+        text = _as_str(triple[2], f"{at}[2]")
+        value = parse_field_constant(ctx, text, f"{at}[2]")
         if (i, j, k) in seen:
             raise ConfigError(f"{at}: duplicate constant for ({i}, {j}{k})")
         seen.add((i, j, k))
@@ -404,7 +320,7 @@ def _parse_constants(raw, where: str, dimension: int, field: NumberField):
     return tuple(out)
 
 
-def _parse_representation(raw, gauge: tuple[int, ...], field: NumberField):
+def _parse_representation(raw, gauge: tuple[int, ...], ctx: ExpressionContext):
     if not isinstance(raw, dict) or not raw:
         raise ConfigError(
             "representation: expected an object keyed by gauge index"
@@ -424,12 +340,11 @@ def _parse_representation(raw, gauge: tuple[int, ...], field: NumberField):
         for r, row in enumerate(matrix):
             if not isinstance(row, list) or len(row) != k:
                 raise ConfigError(f"{where}[{r}]: expected {k} entries")
-            cells = tuple(
-                _as_str(cell, f"{where}[{r}][{c}]") for c, cell in enumerate(row)
-            )
-            for c, cell in enumerate(cells):
-                parse_field_constant(field, cell, f"{where}[{r}][{c}]")
-            rows.append(cells)
+            cells = []
+            for c, cell in enumerate(row):
+                at = f"{where}[{r}][{c}]"
+                cells.append(parse_field_constant(ctx, _as_str(cell, at), at))
+            rows.append(tuple(cells))
         entries[idx] = tuple(rows)
     missing = [a for a in gauge if a not in entries]
     if missing:
@@ -467,7 +382,7 @@ def _parse_letters(raw, fiber_dim: int):
     return tuple(out)
 
 
-def _parse_contractions(raw, fiber_dim: int, field: NumberField):
+def _parse_contractions(raw, fiber_dim: int, ctx: ExpressionContext):
     if not isinstance(raw, dict) or not raw:
         raise ConfigError("contractions: expected a nonempty object")
     out = []
@@ -504,8 +419,7 @@ def _parse_contractions(raw, fiber_dim: int, field: NumberField):
                 raise ConfigError(f"{at}: duplicate index {pair[0]!r}")
             seen.add(idx)
             value = _as_str(pair[1], f"{at}[1]")
-            parse_field_constant(field, value, f"{at}[1]")
-            entries.append((idx, value))
+            entries.append((idx, parse_field_constant(ctx, value, f"{at}[1]")))
         out.append((name, ContractionSection(symmetry, tuple(entries))))
     return tuple(out)
 
@@ -591,7 +505,28 @@ def _parse_tasks(raw) -> tuple[TaskSpec, ...]:
     return tuple(out)
 
 
+def _check_ring_names(section: RingSection, dimension: int, fiber_dim: int) -> None:
+    """Params and radicals may not reuse a name that is already bound."""
+    taken = {f"e{i + 1}": "a coframe generator" for i in range(dimension)}
+    taken.update({f"b{i + 1}": "a coframe generator" for i in range(fiber_dim)})
+    taken.update({f"a{i + 1}": "a fiber coordinate" for i in range(fiber_dim)})
+    taken.update(aa="the radial square", d="the exterior derivative")
+    taken.update({f"sqrt{d}": "a field constant" for d in section.sqrt_constants})
+    named = [
+        (f"ring.params[{i}]", p, "a parameter") for i, p in enumerate(section.params)
+    ]
+    named += [
+        (f"ring.radicals[{i}].name", r.name, "a radical")
+        for i, r in enumerate(section.radicals)
+    ]
+    for where, name, what in named:
+        if name in taken:
+            raise ConfigError(f"{where}: {name!r} is already {taken[name]}")
+        taken[name] = what
+
+
 def _base_ring(section: RingSection, fiber_dim: int) -> Ring:
+    """The radical-free ring that radical squares are written over."""
     return Ring(
         RingSpec(
             field_radicands=section.sqrt_constants,
@@ -602,7 +537,8 @@ def _base_ring(section: RingSection, fiber_dim: int) -> Ring:
 
 
 def parse_config(text: str) -> ConfigDocument:
-    """Validate structure and literals; raises ConfigError with a path."""
+    """Validate the structure and evaluate the literals; raises ConfigError
+    with a path."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
@@ -624,7 +560,7 @@ def parse_config(text: str) -> ConfigDocument:
     )
     ring = _parse_ring_section(raw["ring"])
     try:
-        field = NumberField(ring.sqrt_constants)
+        constants_ctx = constant_context(ring.sqrt_constants)
     except ValueError as e:
         raise ConfigError(f"ring.sqrt_constants: {e}") from None
 
@@ -632,7 +568,7 @@ def parse_config(text: str) -> ConfigDocument:
     _check_keys(la, "lie_algebra", {"dimension", "constants"})
     dimension = _as_int(la["dimension"], "lie_algebra.dimension", low=1, high=9)
     constants = _parse_constants(
-        la["constants"], "lie_algebra.constants", dimension, field
+        la["constants"], "lie_algebra.constants", dimension, constants_ctx
     )
 
     sp = raw["splitting"]
@@ -649,19 +585,31 @@ def parse_config(text: str) -> ConfigDocument:
         )
 
     representation, fiber_dim = _parse_representation(
-        raw["representation"], gauge, field
+        raw["representation"], gauge, constants_ctx
     )
 
+    _check_ring_names(ring, dimension, fiber_dim)
     base = _base_ring(ring, fiber_dim)
-    for i, rad in enumerate(ring.radicals):
-        parse_radical_square(base, rad.square, f"ring.radicals[{i}].square")
+    # radical squares: a1..ak, the params, aa and sqrtN
+    squares_ctx = _literal_context(base, scalar_bindings(base))
+    radicals = tuple(
+        RadicalSpec(
+            name=rad.name,
+            square=parse_radical_square(
+                squares_ctx, rad.square, f"ring.radicals[{i}].square"
+            ),
+        )
+        for i, rad in enumerate(ring.radicals)
+    )
 
     letters = _parse_letters(raw["letters"], fiber_dim)
-    contractions = _parse_contractions(raw["contractions"], fiber_dim, field)
+    contractions = _parse_contractions(
+        raw["contractions"], fiber_dim, constants_ctx
+    )
     tasks = _parse_tasks(raw["tasks"])
 
     return ConfigDocument(
-        ring=ring,
+        ring=replace(base.spec, radicals=radicals),
         dimension=dimension,
         constants=constants,
         horizontal=horizontal,
@@ -721,51 +669,15 @@ class RealizedConfig:
 def realize_config(document: ConfigDocument) -> RealizedConfig:
     """Build the setup, letters and contractions; errors name their section.
 
-    Raises ConfigError for anything wrong with letters, contractions or
-    ring literals; lets SetupError through untouched so callers can show
-    the full issue list from the structural validator.
+    Raises ConfigError for anything wrong with letters or contractions; lets
+    SetupError through untouched so callers can show the full issue list
+    from the structural validator.
     """
-    ring = document.ring
-    field = NumberField(ring.sqrt_constants)
-    algebra = make_algebra(
-        field,
-        document.dimension,
-        [
-            (i, j, k, parse_field_constant(field, v, "lie_algebra.constants"))
-            for i, j, k, v in document.constants
-        ],
-    )
+    field = NumberField(document.ring.field_radicands)
+    algebra = make_algebra(field, document.dimension, document.constants)
     splitting = Splitting(horizontal=document.horizontal, gauge=document.gauge)
-    representation = make_representation(
-        field,
-        {
-            idx: [
-                [
-                    parse_field_constant(field, cell, f"representation.{idx}")
-                    for cell in row
-                ]
-                for row in rows
-            ]
-            for idx, rows in document.representation
-        },
-    )
-    base = _base_ring(ring, document.fiber_dim)
-    radicals = tuple(
-        RadicalSpec(
-            name=rad.name,
-            square=parse_radical_square(
-                base, rad.square, f"ring.radicals[{i}].square"
-            ),
-        )
-        for i, rad in enumerate(ring.radicals)
-    )
-    ring_spec = RingSpec(
-        field_radicands=ring.sqrt_constants,
-        fiber=tuple(f"a{i + 1}" for i in range(document.fiber_dim)),
-        params=ring.params,
-        radicals=radicals,
-    )
-    setup = validate_setup(algebra, splitting, representation, ring_spec)
+    representation = make_representation(field, dict(document.representation))
+    setup = validate_setup(algebra, splitting, representation, document.ring)
 
     bare = build_context(setup)
     letters: dict[str, Letter] = {}
@@ -794,10 +706,7 @@ def realize_config(document: ConfigDocument) -> RealizedConfig:
                 )
             else:
                 entries = {
-                    tuple(i - 1 for i in idx): parse_field_constant(
-                        field, value, where
-                    )
-                    for idx, value in spec.entries
+                    tuple(i - 1 for i in idx): value for idx, value in spec.entries
                 }
                 contractions[name] = make_contraction(
                     setup, name, entries, symmetry=spec.symmetry

@@ -17,9 +17,9 @@ are Laurent polynomials in the radial square root.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 from equiform.forms import Form, bidegree_split, evaluate_to_vector, wedge
 from equiform.homogeneous import (
@@ -146,11 +146,6 @@ class Alphabet:
             if out.is_zero:
                 return out
         return out
-
-
-def translate_word(alphabet: Alphabet, word: Word) -> Form:
-    """Wedge of the syllable translations, in sequence order."""
-    return alphabet.translate(word)
 
 
 @dataclass
@@ -500,20 +495,11 @@ def _radial_powers(setup: HomogeneousSetup, lo: int, hi: int):
     """Available powers of the radial invariant: s^e when the ring declares
     a radical with square |a|^2, else even powers of |a|^2 with e >= 0."""
     ring = setup.ring
-    aa_mono = None
-    radial_name = None
-    # the polynomial sum a_i^2 over internal-width monomials
-    aa = ring.zero
-    for i in range(setup.fiber_dim):
-        v = ring.var(f"a{i + 1}")
-        aa = aa + v * v
-    for j, name in enumerate(ring.radical_names):
-        if ring.radical_squares[j] == aa.coeffs:
-            radial_name = name
-            break
+    aa = ring.radial_square
+    radial = ring.radicals_squaring_to(aa)
     powers = []
-    if radial_name is not None:
-        s = ring.var(radial_name)
+    if radial:
+        s = ring.var(radial[0])
         for e in range(lo, hi + 1):
             powers.append((e, s**e))
     else:
@@ -624,7 +610,8 @@ def differential_table(
     allow_triples: bool = False,
 ) -> list[TableRow]:
     """d of the radial invariant and of every generator of total degree up
-    to max_degree, expressed over the dictionary."""
+    to max_degree, expressed over the dictionary.  A row with no expression
+    within the bounds is kept, with a residual combination."""
     rows: list[TableRow] = []
     jobs: list[tuple[str, Word, Form]] = []
     if dictionary.radial is not None:
@@ -637,10 +624,5 @@ def differential_table(
         comb = express_in_generators(
             setup, dictionary, d, degree_bounds, allow_triples
         )
-        if comb.residual:
-            raise EngineError(
-                f"differential of {word.render()} has no expression over the "
-                f"dictionary within bounds {degree_bounds}"
-            )
         rows.append(TableRow(kind=kind, word=word, differential=comb))
     return rows

@@ -20,10 +20,12 @@ degree.  Numbers are exact; "1/2" and "0.5" both mean one half.  A bare
 name resolves to a scalar (fiber coordinate, parameter, radical, or the
 squared-radius shorthand "aa") or to a frame generator; letter names are
 only legal as arguments of a contraction call such as dot(a,b).  The call
-d(...) applies the exterior derivative to any subexpression.  "^" raises
-to any integer power; a half-integer power is accepted exactly when some
-declared radical squares to the base, so aa^(1/2) names that radical.
-The unicode minus sign U+2212 is treated as "-".
+d(...) applies the exterior derivative to any subexpression; it needs a
+setup, so a context without one (the config literals) rejects it.  "^"
+raises to an integer power of size at most MAX_EXPONENT; a half-integer
+power is accepted exactly when some declared radical squares to the base,
+so aa^(1/2) names that radical.  The unicode minus sign U+2212 is treated
+as "-".
 """
 
 from __future__ import annotations
@@ -33,14 +35,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from equiform.forms import Form
-from equiform.homogeneous import (
-    HomogeneousSetup,
-    exterior_derivative,
-    radial_square,
-)
+from equiform.forms import Form, Frame
+from equiform.homogeneous import HomogeneousSetup, exterior_derivative
 from equiform.letters import Contraction, Letter, contract_syllable
-from equiform.scalars import RingError, Scalar
+from equiform.scalars import Ring, RingError, Scalar
+
+MAX_EXPONENT = 32
 
 
 class ExpressionError(ValueError):
@@ -54,6 +54,7 @@ class _Token:
     pos: int
 
 
+_SQRT_NAME = re.compile(r"sqrt[0-9]+\Z")
 _TOKEN = re.compile(
     r"(?P<ws>\s+)"
     r"|(?P<number>\d+(?:/\d+|\.\d+)?)"
@@ -63,7 +64,7 @@ _TOKEN = re.compile(
 
 
 def tokenize(text: str) -> list[_Token]:
-    """Token stream for the grammar above; also reused by config literals."""
+    """Token stream for the grammar above."""
     out: list[_Token] = []
     i = 0
     while i < len(text):
@@ -89,15 +90,27 @@ def tokenize(text: str) -> list[_Token]:
 class ExpressionContext:
     """Name bindings an expression is evaluated against.
 
-    scalars maps names to ring elements, letters and contractions carry the
-    alphabet, and frame_atoms lists generator names usable as raw one-forms.
+    Expressions evaluate to forms over frame.  scalars maps names to ring
+    elements, letters and contractions carry the alphabet, and frame_atoms
+    lists generator names usable as one-forms.  setup is needed only by
+    d(...), which is an error without one.
     """
 
-    setup: HomogeneousSetup
+    frame: Frame
     letters: Mapping[str, Letter]
     contractions: Mapping[str, Contraction]
     scalars: Mapping[str, Scalar]
     frame_atoms: frozenset = field(default_factory=frozenset)
+    setup: HomogeneousSetup | None = None
+
+
+def scalar_bindings(ring: Ring) -> dict[str, Scalar]:
+    """The ring's variables, the radial square aa and the sqrtN constants."""
+    scalars = {n: ring.var(n) for n in ring.fiber + ring.params + ring.radical_names}
+    scalars["aa"] = ring.radial_square
+    for d in ring.field.radicands:
+        scalars[f"sqrt{d}"] = ring.sqrt_constant(d)
+    return scalars
 
 
 def build_context(
@@ -117,13 +130,7 @@ def build_context(
             raise ExpressionError(f"duplicate contraction name {m.name!r}")
         contraction_map[m.name] = m
 
-    ring = setup.ring
-    scalars: dict[str, Scalar] = {}
-    for name in ring.fiber + ring.params + ring.radical_names:
-        scalars[name] = ring.var(name)
-    scalars["aa"] = radial_square(setup)
-    for d in setup.field.radicands:
-        scalars[f"sqrt{d}"] = ring.sqrt_constant(d)
+    scalars = scalar_bindings(setup.ring)
     frame_atoms = frozenset(setup.frame.names)
 
     taken: dict[str, str] = {"d": "the exterior derivative"}
@@ -140,11 +147,12 @@ def build_context(
                 )
             taken[name] = what
     return ExpressionContext(
-        setup=setup,
+        frame=setup.frame,
         letters=letter_map,
         contractions=contraction_map,
         scalars=scalars,
         frame_atoms=frame_atoms,
+        setup=setup,
     )
 
 
@@ -166,7 +174,12 @@ def _as_scalar(x: Form) -> Scalar | None:
 
 
 def _power(ctx: ExpressionContext, base: Form, num: Fraction, pos: int) -> Form:
-    frame = ctx.setup.frame
+    frame = ctx.frame
+    if abs(num) > MAX_EXPONENT:
+        raise ExpressionError(
+            f"exponent {num} exceeds the bound {MAX_EXPONENT} in size at "
+            f"position {pos + 1}"
+        )
     if num.denominator == 1:
         n = int(num)
         if n >= 0:
@@ -188,10 +201,9 @@ def _power(ctx: ExpressionContext, base: Form, num: Fraction, pos: int) -> Form:
     if num.denominator == 2:
         s = _as_scalar(base)
         if s is not None:
-            ring = ctx.setup.ring
-            for j, name in enumerate(ring.radical_names):
-                if ring.radical_squares[j] == s.coeffs:
-                    return frame.scalar_form(ring.var(name) ** int(num * 2))
+            names = frame.ring.radicals_squaring_to(s)
+            if names:
+                return frame.scalar_form(frame.ring.var(names[0]) ** int(num * 2))
     raise ExpressionError(
         f"fractional exponent {num} without a declared radical for the base "
         f"at position {pos + 1}"
@@ -287,7 +299,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "number":
             self.take()
-            return self.ctx.setup.frame.scalar_form(_fraction(tok))
+            return self.ctx.frame.scalar_form(_fraction(tok))
         if tok.kind == "(":
             self.take()
             inner = self.expr()
@@ -306,6 +318,10 @@ class _Parser:
         name = tok.text
         self.expect("(")
         if name == "d":
+            if self.ctx.setup is None:
+                raise ExpressionError(
+                    f"d(...) is not available here, at position {tok.pos + 1}"
+                )
             arg = self.expr()
             if self.peek().kind == ",":
                 raise ExpressionError(
@@ -355,9 +371,9 @@ class _Parser:
         name = tok.text
         s = self.ctx.scalars.get(name)
         if s is not None:
-            return self.ctx.setup.frame.scalar_form(s)
+            return self.ctx.frame.scalar_form(s)
         if name in self.ctx.frame_atoms:
-            return self.ctx.setup.frame.generator(name)
+            return self.ctx.frame.generator(name)
         if name in self.ctx.letters:
             raise ExpressionError(
                 f"letter '{name}' can only appear inside a contraction, at "
@@ -367,6 +383,11 @@ class _Parser:
             raise ExpressionError(
                 f"contraction '{name}' must be applied to letters, at "
                 f"position {tok.pos + 1}"
+            )
+        if _SQRT_NAME.match(name):
+            raise ExpressionError(
+                f"{name} is not declared in ring.sqrt_constants, at position "
+                f"{tok.pos + 1}"
             )
         raise ExpressionError(f"unknown name '{name}' at position {tok.pos + 1}")
 

@@ -183,9 +183,6 @@ class Form:
     def degrees(self) -> set[int]:
         return {m.bit_count() for m in self.terms}
 
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
-
     def degree(self) -> int:
         degs = self.degrees()
         if not degs:
@@ -193,10 +190,6 @@ class Form:
         if len(degs) > 1:
             raise FrameError(f"form mixes degrees {sorted(degs)}")
         return degs.pop()
-
-    def uses_kind(self, kind: str) -> bool:
-        mask = self.frame._mask_of_kind(kind)
-        return any(m & mask for m in self.terms)
 
     # -- linear structure -------------------------------------------------
 

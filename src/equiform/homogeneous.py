@@ -142,12 +142,14 @@ def _mat_add(m1, m2):
     )
 
 
-def _mat_transpose(m):
-    return tuple(tuple(row[i] for row in m) for i in range(len(m[0])))
-
-
 def _mat_is_zero(m) -> bool:
     return all(x.is_zero for row in m for x in row)
+
+
+def _is_skew(m) -> bool:
+    return all(
+        (m[i][j] + m[j][i]).is_zero for i in range(len(m)) for j in range(i + 1)
+    )
 
 
 class HomogeneousSetup:
@@ -399,7 +401,7 @@ def validate_setup(
         if len(m) != k or any(len(row) != k for row in m):
             issues.append(f"representation matrix for e{a} is not {k}x{k}")
             raise SetupError(issues)
-        if not _mat_is_zero(_mat_add(m, _mat_transpose(m))):
+        if not _is_skew(m):
             issues.append(f"representation not orthogonal: rho(e{a}) is not skew")
     for a in splitting.gauge:
         for b in splitting.gauge:
@@ -421,7 +423,7 @@ def validate_setup(
     # the T-restriction of ad should be skew for an orthonormal horizontal basis
     for a in splitting.gauge:
         sub = setup.ad_on_horizontal(a)
-        if not _mat_is_zero(_mat_add(sub, _mat_transpose(sub))):
+        if not _is_skew(sub):
             setup.warnings.append(
                 f"ad(e{a})|T is not skew; the declared horizontal basis is "
                 f"not orthonormal for an invariant metric"
@@ -556,10 +558,7 @@ def is_invariant(setup: HomogeneousSetup, x: Form) -> bool:
 
 def radial_square(setup: HomogeneousSetup) -> Scalar:
     """The squared fiber radius as a ring element."""
-    out = setup.ring.zero
-    for v in setup._avars:
-        out = out + v * v
-    return out
+    return setup.ring.radial_square
 
 
 # -- stabilizers and invariant dimensions ---------------------------------

@@ -64,10 +64,6 @@ class Contraction:
     name: str
     arity: int
     entries: tuple[tuple[tuple[int, ...], FieldElement], ...]
-    symmetry: str = "none"
-
-    def coefficient_map(self) -> dict[tuple[int, ...], FieldElement]:
-        return dict(self.entries)
 
     def __eq__(self, other) -> bool:
         return (
@@ -186,13 +182,19 @@ def letter_from_bilinear_map(
     return make_letter(setup, name, comps)
 
 
+def _digits(idx: tuple[int, ...]) -> str:
+    """An index tuple as the config writes it: 1-based digits."""
+    return "".join(str(i + 1) for i in idx)
+
+
 def make_contraction(
     setup: HomogeneousSetup,
     name: str,
     entries: Mapping[tuple[int, ...], object],
     symmetry: str = "none",
 ) -> Contraction:
-    """Validate invariance of the coefficient tensor and wrap it."""
+    """Validate the declared symmetry and the invariance of the coefficient
+    tensor, then wrap it."""
     field = setup.field
     k = setup.fiber_dim
     clean: dict[tuple[int, ...], FieldElement] = {}
@@ -210,6 +212,20 @@ def make_contraction(
             clean[idx] = ce
     if arity is None or not clean:
         raise LetterError(f"contraction {name} is identically zero")
+    if symmetry not in ("none", "symmetric", "antisymmetric"):
+        raise LetterError(f"contraction {name}: unknown symmetry {symmetry!r}")
+    # adjacent swaps generate every permutation of the slots
+    for idx, c in clean.items() if symmetry != "none" else ():
+        want = c if symmetry == "symmetric" else -c
+        for p in range(arity - 1):
+            swap = idx[:p] + (idx[p + 1], idx[p]) + idx[p + 2 :]
+            got = clean.get(swap, field.zero)
+            if got != want:
+                raise LetterError(
+                    f"contraction {name} is declared {symmetry}, but entry "
+                    f"{_digits(idx)} is {c} and the swapped entry "
+                    f"{_digits(swap)} is {got}"
+                )
     # infinitesimal invariance: sum over slots of the rho-twisted tensor
     for a in setup.splitting.gauge:
         rho_a = setup.rho(a)
@@ -230,7 +246,7 @@ def make_contraction(
         if resid:
             raise LetterError(f"contraction {name} is not invariant along e{a}")
     ordered = tuple(sorted(clean.items(), key=lambda kv: kv[0]))
-    return Contraction(name=name, arity=arity, entries=ordered, symmetry=symmetry)
+    return Contraction(name=name, arity=arity, entries=ordered)
 
 
 def dot_contraction(setup: HomogeneousSetup) -> Contraction:

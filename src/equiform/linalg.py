@@ -11,7 +11,7 @@ each row.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Sequence
 
 from equiform.numberfield import FieldElement, NumberField
 
@@ -58,10 +58,6 @@ class VectorSpan:
                 if combo is not None and rcombo is not None:
                     vec_iadd_scaled(combo, rcombo, -c)
         return vec
-
-    def residual(self, vec: SparseVec) -> SparseVec:
-        """The part of vec outside the span (empty dict if contained)."""
-        return self._reduce(vec, None)
 
     def contains(self, vec: SparseVec) -> bool:
         return not self._reduce(vec, None)
@@ -156,22 +152,3 @@ def nullspace_basis(
             vec[p] = -r[f]
         basis.append(vec)
     return basis
-
-
-def solve_dense(
-    field: NumberField,
-    matrix: Sequence[Sequence[FieldElement]],
-    rhs: Sequence[FieldElement],
-) -> list[FieldElement] | None:
-    """One solution of matrix * x = rhs with free variables set to zero."""
-    if not matrix:
-        return [] if all(b.is_zero for b in rhs) else None
-    ncols = len(matrix[0])
-    aug = [list(r) + [b] for r, b in zip(matrix, rhs)]
-    rows, pivots = rref(field, aug)
-    x = [field.zero] * ncols
-    for r, p in zip(rows, pivots):
-        if p == ncols:
-            return None
-        x[p] = r[ncols]
-    return x

@@ -141,8 +141,11 @@ def _detail_lines(task: TaskReport):
                     ",".join(str(n) for n in row) for row in grid
                 )
     elif task.kind == "d_table":
-        yield f"{d.get('rows', '?')} differentials expressed"
-        for row in d.get("failed_rows", []):
+        failed = d.get("failed_rows", [])
+        rows = d.get("rows")
+        expressed = "?" if rows is None else rows - len(failed)
+        yield f"{expressed} differentials expressed"
+        for row in failed:
             yield f"no expression for d({row})"
     elif task.kind in ("verify_closed", "verify_equation"):
         for v in d.get("verdicts", []):

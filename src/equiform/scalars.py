@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping
 
 from equiform.numberfield import FieldElement, NumberField
@@ -180,8 +181,22 @@ class Ring:
             return _finish(self, out)
         raise RingError(f"cannot normalize {raw!r} into the ring")
 
-    def point(self, values: Mapping[str, object]) -> "Point":
-        return Point(self, values)
+    @cached_property
+    def radial_square(self) -> "Scalar":
+        """The squared fiber radius a_1^2 + ... + a_k^2."""
+        out = self.zero
+        for name in self.fiber:
+            v = self.var(name)
+            out = out + v * v
+        return out
+
+    def radicals_squaring_to(self, s: "Scalar") -> tuple[str, ...]:
+        """Names of the declared radicals whose square is s, in order."""
+        return tuple(
+            name
+            for j, name in enumerate(self.radical_names)
+            if self.radical_squares[j] == s.coeffs
+        )
 
     # index helpers
     def is_fiber_index(self, i: int) -> bool:
@@ -560,24 +575,6 @@ class Scalar:
 
     # -- inspection ----------------------------------------------------------
 
-    def degree_in(self, var: str) -> int:
-        i = self.ring.index[var]
-        if i >= self.ring.nf + self.ring.np:
-            raise RingError("degree_in expects a fiber variable or parameter")
-        return max((m[i] for m in self.coeffs), default=0)
-
-    def uses_params(self) -> bool:
-        lo = self.ring.nf
-        hi = self.ring.nf + self.ring.np
-        return any(any(m[lo:hi]) for m in self.coeffs)
-
-    def uses_radicals(self) -> bool:
-        return any(
-            m[self.ring.radical_slot(j)] or m[self.ring.denominator_slot(j)]
-            for m in self.coeffs
-            for j in range(self.ring.nr)
-        )
-
     def constant_term(self) -> FieldElement:
         return self.coeffs.get((0,) * self.ring.width, self.ring.field.zero)
 
@@ -732,9 +729,6 @@ class Point:
                 )
             self._radical_values[j] = root
         return self._radical_values[j]
-
-    def radical_values(self) -> list[FieldElement]:
-        return [self.radical_value(j) for j in range(self.ring.nr)]
 
 
 def _field_pow(v: FieldElement, e: int, name: str) -> FieldElement:

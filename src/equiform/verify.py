@@ -17,25 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from equiform.forms import Form, wedge
-from equiform.homogeneous import (
-    HomogeneousSetup,
-    exterior_derivative,
-    radial_square,
-)
+from equiform.homogeneous import HomogeneousSetup, exterior_derivative
 
 
 class VerifyError(ValueError):
     pass
-
-
-def _radial_radical_names(setup: HomogeneousSetup) -> list[str]:
-    ring = setup.ring
-    aa = radial_square(setup)
-    return [
-        name
-        for j, name in enumerate(ring.radical_names)
-        if ring.radical_squares[j] == aa.coeffs
-    ]
 
 
 def sphere_reduce(setup: HomogeneousSetup, x: Form) -> Form:
@@ -47,7 +33,7 @@ def sphere_reduce(setup: HomogeneousSetup, x: Form) -> Form:
     ring element.
     """
     ring = setup.ring
-    radial_names = set(_radial_radical_names(setup))
+    radial_names = ring.radicals_squaring_to(ring.radial_square)
     first = ring.fiber[0]
     replacement = ring.one
     for name in ring.fiber[1:]:
@@ -78,7 +64,9 @@ def vanishes_on_sphere(setup: HomogeneousSetup, x: Form) -> bool:
     """Whether the pullback of x to the unit sphere of the fiber is zero."""
     if x.is_zero:
         return True
-    d_aa = exterior_derivative(setup, setup.frame.scalar_form(radial_square(setup)))
+    d_aa = exterior_derivative(
+        setup, setup.frame.scalar_form(setup.ring.radial_square)
+    )
     return sphere_reduce(setup, wedge(d_aa, x)).is_zero
 
 

@@ -6,6 +6,7 @@ the acceptance suite.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -89,6 +90,40 @@ class TestExitStatus:
         path = write_config(tmp_path, doc)
         assert main(["run", "--config", path]) == 2
         assert "setup rejected" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "ring, needle",
+        [
+            ({"params": ["a1"]}, "ring.params[0]"),
+            ({"radicals": [{"name": "u", "square": "4"}]}, "ring.radicals[0].square"),
+        ],
+    )
+    def test_ring_error_exits_two(self, tmp_path, capsys, ring, needle):
+        doc = small_doc([])
+        doc["ring"] = ring
+        path = write_config(tmp_path, doc)
+        assert main(["validate", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert needle in err
+        assert "Traceback" not in err
+
+    def test_inexpressible_differential_exits_one(self, capsys):
+        assert main([
+            "d_table", "--config", "su2_ts2", "--max-degree", "2",
+            "--laurent-bounds=1,1", "--format", "json",
+        ]) == 1
+        (task,) = json.loads(capsys.readouterr().out)["tasks"]
+        assert task["status"] == "fail"
+        assert "dot(a,a)" in task["details"]["failed_rows"]
+
+    def test_bundled_report_matches_golden(self, tmp_path):
+        # captured from `equiform run --config su2_ts2 --format json`
+        out = tmp_path / "report.json"
+        assert main([
+            "run", "--config", "su2_ts2", "--format", "json", "--output", str(out),
+        ]) == 0
+        golden = Path(__file__).parent / "golden" / "su2_ts2.json"
+        assert out.read_bytes() == golden.read_bytes()
 
     def test_missing_config_exits_two(self, capsys):
         assert main(["run", "--config", "no_such_thing"]) == 2

@@ -10,7 +10,9 @@ import pytest
 
 from equiform.config import (
     ConfigError,
+    constant_context,
     parse_config,
+    parse_field_constant,
     realize_config,
 )
 from equiform.expressions import parse_form_expression
@@ -150,6 +152,50 @@ class TestParse:
                 ring={"radicals": [{"name": "u", "square": "aa-aa"}]}
             )
 
+    @pytest.mark.parametrize(
+        "square, needle",
+        [
+            ("4", r"ring\.radicals\[0\]\.square: .* not be constant"),
+            ("k^-1+aa", "no negative powers"),
+            ("(k+aa)^400", "exceeds the bound 32"),
+        ],
+    )
+    def test_radical_square_rejected(self, square, needle):
+        ring = {"params": ["k"], "radicals": [{"name": "u", "square": square}]}
+        with pytest.raises(ConfigError, match=needle):
+            parse_patched(ring=ring)
+
+    @pytest.mark.parametrize(
+        "ring, needle",
+        [
+            ({"params": ["a1"]}, r"ring\.params\[0\]: 'a1' is already a fiber"),
+            (
+                {"params": ["k"], "radicals": [{"name": "k", "square": "aa"}]},
+                r"ring\.radicals\[0\]\.name: 'k' is already a parameter",
+            ),
+            ({"params": ["aa"]}, r"ring\.params\[0\]: 'aa' is already the radial"),
+            ({"params": ["e1"]}, r"ring\.params\[0\]: 'e1' is already a coframe"),
+            (
+                {"sqrt_constants": [2], "params": ["sqrt2"]},
+                r"ring\.params\[0\]: 'sqrt2' is already a field constant",
+            ),
+        ],
+    )
+    def test_ring_name_already_taken(self, ring, needle):
+        with pytest.raises(ConfigError, match=needle):
+            parse_patched(ring=ring)
+
+    def test_literals_use_the_expression_language(self):
+        ctx = constant_context((3,))
+        assert parse_field_constant(ctx, "sqrt3^2", "x") == 3
+        assert parse_field_constant(ctx, "(1-sqrt3)*(1+sqrt3)", "x") == -2
+
+    def test_constant_rejects_d(self):
+        doc = small_doc()
+        doc["lie_algebra"]["constants"][0] = [1, "23", "d(1)"]
+        with pytest.raises(ConfigError, match=r"constants\[0\]\[2\]: .*d\(\.\.\.\)"):
+            parse_config(json.dumps(doc))
+
     def test_builtin_letters_limited(self):
         doc = small_doc()
         doc["letters"]["q"] = "builtin"
@@ -279,6 +325,17 @@ class TestRealize:
         doc["contractions"]["q"] = {"entries": [["11", "1"]]}
         with pytest.raises(ConfigError, match="contractions.q"):
             realize_config(parse_config(json.dumps(doc)))
+
+    def test_contraction_symmetry_is_checked(self):
+        doc = small_doc()
+        doc["contractions"]["q"] = {
+            "symmetry": "antisymmetric",
+            "entries": [["11", "1"], ["22", "1"]],
+        }
+        with pytest.raises(ConfigError, match="contractions.q: .*antisymmetric"):
+            realize_config(parse_config(json.dumps(doc)))
+        doc["contractions"]["q"]["symmetry"] = "symmetric"
+        assert "q" in realize_config(parse_config(json.dumps(doc))).contractions
 
     def test_setup_error_passes_through(self):
         doc = small_doc()

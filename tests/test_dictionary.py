@@ -21,7 +21,6 @@ from equiform.dictionary import (
     differential_table,
     express_in_generators,
     generate_dictionary,
-    translate_word,
 )
 from equiform.forms import wedge
 from equiform.homogeneous import (
@@ -188,7 +187,7 @@ def test_word_order_soundness(su3_dictionary):
     for _ in range(100):
         k = rng.randint(2, 4)
         chosen = [rng.choice(sylls) for _ in range(k)]
-        scrambled = translate_word(alphabet, Word(tuple(chosen)))
+        scrambled = alphabet.translate(Word(tuple(chosen)))
         sign = 1
         order = list(chosen)
         for i in range(len(order)):
@@ -197,7 +196,7 @@ def test_word_order_soundness(su3_dictionary):
                     if (order[j].degree * order[j + 1].degree) % 2:
                         sign = -sign
                     order[j], order[j + 1] = order[j + 1], order[j]
-        sorted_form = translate_word(alphabet, Word(tuple(order)))
+        sorted_form = alphabet.translate(Word(tuple(order)))
         assert scrambled == sign * sorted_form
 
 

@@ -10,9 +10,9 @@ from equiform.expressions import (
     ExpressionError,
     build_context,
     parse_form_expression,
-    radial_square,
 )
 from equiform.forms import wedge
+from equiform.homogeneous import radial_square
 from equiform.letters import contract_syllable
 
 
@@ -165,6 +165,9 @@ def test_exterior_derivative_call(su2_context):
         ("2 3", "unexpected trailing input"),
         ("dot(a,b) @", "unexpected character '@'"),
         ("aa^", "expected a numeric exponent"),
+        ("sqrt5*dot(a,b)", "sqrt5 is not declared in ring.sqrt_constants"),
+        ("2^33", "exceeds the bound 32"),
+        ("aa^(-65/2)", "exceeds the bound 32"),
     ],
 )
 def test_rejections(su3_context, text, needle):
@@ -172,6 +175,14 @@ def test_rejections(su3_context, text, needle):
         parse(su3_context, text)
     assert needle in str(err.value)
     assert "position" in str(err.value) or "@" in text
+
+
+def test_exponent_bound(su2_context):
+    # the bound is checked before any product is formed, so a large power
+    # is refused at once instead of expanding (k+aa)^400
+    assert parse(su2_context, "2^32") == su2_context.frame.scalar_form(2**32)
+    with pytest.raises(ExpressionError, match="exceeds the bound 32.*position 7"):
+        parse(su2_context, "(k+aa)^400*det(b,b)")
 
 
 def test_error_positions_point_at_the_offender(su3_context):

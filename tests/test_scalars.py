@@ -64,6 +64,24 @@ def test_duplicate_names_rejected():
         Ring(RingSpec(field_radicands=(), fiber=("a", "a")))
 
 
+def test_radicals_squaring_to():
+    aa = (((2, 0), 1), ((0, 2), 1))
+    spec = RingSpec(
+        field_radicands=(),
+        fiber=("a1", "a2"),
+        radicals=(
+            RadicalSpec(name="s", square=aa),
+            RadicalSpec(name="t", square=(((2, 0), 1),)),
+            RadicalSpec(name="r", square=aa),
+        ),
+    )
+    ring = Ring(spec)
+    assert ring.radial_square == ring.var("a1") ** 2 + ring.var("a2") ** 2
+    assert ring.radicals_squaring_to(ring.radial_square) == ("s", "r")
+    assert ring.radicals_squaring_to(ring.var("a1") ** 2) == ("t",)
+    assert ring.radicals_squaring_to(ring.one) == ()
+
+
 def test_differentiate_radical():
     # du/da1 = a1/u when u^2 = k + a1^2 + a2^2
     ring = shifted_ring()

@@ -7,9 +7,9 @@ pin both directions on forms whose restriction is known by hand.
 
 import pytest
 
-from equiform.expressions import parse_form_expression, radial_square
+from equiform.expressions import parse_form_expression
 from equiform.forms import wedge
-from equiform.homogeneous import exterior_derivative
+from equiform.homogeneous import exterior_derivative, radial_square
 from equiform.verify import (
     VerifyError,
     sphere_reduce,
