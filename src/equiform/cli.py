@@ -36,11 +36,7 @@ from equiform.dictionary import (
     express_in_generators,
 )
 from equiform.expressions import ExpressionError, parse_form_expression
-from equiform.homogeneous import (
-    SetupError,
-    invariant_dimension,
-    stabilizer_of_vector,
-)
+from equiform.homogeneous import SetupError
 from equiform.report import ReportDocument, TaskReport
 
 DEFAULT_BOUNDS = (4, -2)  # engine order: highest power, lowest power
@@ -162,7 +158,7 @@ def _duality_classes(n: int) -> list[list[int]]:
     return out
 
 
-def _grouped(grid: list[list[int]], cp, cq) -> dict:
+def _grouped(grid: tuple[tuple[int, ...], ...], cp, cq) -> dict:
     table = []
     constant = True
     for rows in cp:
@@ -185,30 +181,16 @@ def _grouped(grid: list[list[int]], cp, cq) -> dict:
 
 def _run_dim_table(rc: RealizedConfig, task: TaskSpec, ov: Overrides) -> TaskReport:
     setup = rc.setup
-    field = setup.field
-    k = setup.fiber_dim
-    origin = [field.zero] * k
-    generic = [field.one] + [field.zero] * (k - 1)
-    stab0 = stabilizer_of_vector(setup, origin)
-    stabv = stabilizer_of_vector(setup, generic)
-    grids = {}
-    for label, stab in (("origin", stab0), ("generic", stabv)):
-        grids[label] = [
-            [
-                invariant_dimension(setup, (p, q), stab)
-                for q in range(setup.fiber_dim + 1)
-            ]
-            for p in range(setup.horizontal_dim + 1)
-        ]
+    tables = setup.invariant_dimension_tables()
     cp = _duality_classes(setup.horizontal_dim)
     cq = _duality_classes(setup.fiber_dim)
     details = {
-        "origin": grids["origin"],
-        "generic": grids["generic"],
-        "stabilizer_dim_origin": len(stab0),
-        "stabilizer_dim_generic": len(stabv),
-        "grouped_origin": _grouped(grids["origin"], cp, cq),
-        "grouped_generic": _grouped(grids["generic"], cp, cq),
+        "origin": tables.origin,
+        "generic": tables.generic,
+        "stabilizer_dim_origin": tables.stabilizer_dim_origin,
+        "stabilizer_dim_generic": tables.stabilizer_dim_generic,
+        "grouped_origin": _grouped(tables.origin, cp, cq),
+        "grouped_generic": _grouped(tables.generic, cp, cq),
     }
     return TaskReport(name=task.name, kind=task.kind, status="pass", details=details)
 

@@ -18,6 +18,7 @@ are Laurent polynomials in the radial square root.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations_with_replacement
 from typing import Sequence
 
@@ -27,7 +28,6 @@ from equiform.homogeneous import (
     exterior_derivative,
     is_invariant,
     stabilizer_of_vector,
-    invariant_dimension,
 )
 from equiform.letters import Contraction, Letter, contract_syllable
 from equiform.linalg import VectorSpan
@@ -168,7 +168,6 @@ class Dictionary:
     entries: list[DictionaryEntry]
     radial: DictionaryEntry | None
     transcript: list[tuple[str, str, str]]
-    generic_point: list[FieldElement]
 
     def per_bidegree(self) -> dict[tuple[int, int], list[DictionaryEntry]]:
         out: dict[tuple[int, int], list[DictionaryEntry]] = {}
@@ -330,11 +329,8 @@ def generate_dictionary(
     options = options or DictionaryOptions()
     alphabet = Alphabet(setup, letters, contractions)
     _check_transitive_sphere(setup)
-    field = setup.field
-    k = setup.fiber_dim
-    origin_pt = setup.point([field.zero] * k)
-    v = setup.generic_point_vector()
-    v_pt = setup.point(v)
+    origin_pt = setup.point([setup.field.zero] * setup.fiber_dim)
+    v_pt = setup.point(setup.generic_point_vector())
     transcript: list[tuple[str, str, str]] = []
     c0, _ = _phase(
         alphabet, "origin", origin_pt, [], transcript, options.max_length, False
@@ -348,7 +344,6 @@ def generate_dictionary(
         entries=c0 + new,
         radial=radial,
         transcript=transcript,
-        generic_point=v,
     )
 
 
@@ -396,10 +391,9 @@ def completeness_check(
     at both stabilizers, cell by cell."""
     field = setup.field
     k = setup.fiber_dim
-    stab0 = stabilizer_of_vector(setup, [field.zero] * k)
-    stabv = stabilizer_of_vector(setup, dictionary.generic_point)
+    tables = setup.invariant_dimension_tables()
     origin_pt = setup.point([field.zero] * k)
-    v_pt = setup.point(dictionary.generic_point)
+    v_pt = setup.point(setup.generic_point_vector())
     spans: dict[tuple[int, int], tuple[VectorSpan, VectorSpan]] = {}
     for e in dictionary.entries:
         cell = e.bidegree
@@ -413,21 +407,19 @@ def completeness_check(
             cell = (p, q)
             s0 = spans[cell][0].rank if cell in spans else 0
             sv = spans[cell][1].rank if cell in spans else 0
-            t0 = invariant_dimension(setup, cell, stab0)
-            tv = invariant_dimension(setup, cell, stabv)
             cells.append(
                 CompletenessCell(
                     bidegree=cell,
                     span_origin=s0,
-                    target_origin=t0,
+                    target_origin=tables.origin[p][q],
                     span_generic=sv,
-                    target_generic=tv,
+                    target_generic=tables.generic[p][q],
                 )
             )
     return CompletenessReport(
         cells=tuple(cells),
-        stabilizer_dim_origin=len(stab0),
-        stabilizer_dim_generic=len(stabv),
+        stabilizer_dim_origin=tables.stabilizer_dim_origin,
+        stabilizer_dim_generic=tables.stabilizer_dim_generic,
     )
 
 
@@ -537,30 +529,17 @@ def express_in_generators(
         for i, e in enumerate(entries):
             if e.bidegree == cell:
                 candidates.append(((i,), e.translation))
-        for ai, (i, ei) in enumerate(positive):
-            for j, ej in positive[ai:]:
-                bp = ei.bidegree[0] + ej.bidegree[0]
-                bq = ei.bidegree[1] + ej.bidegree[1]
-                if (bp, bq) != cell:
+        for r in (2, 3) if allow_triples else (2,):
+            for factors in combinations_with_replacement(positive, r):
+                p = q = 0
+                for _, e in factors:
+                    p += e.bidegree[0]
+                    q += e.bidegree[1]
+                if (p, q) != cell:
                     continue
-                prod = wedge(ei.translation, ej.translation)
+                prod = reduce(wedge, (e.translation for _, e in factors))
                 if not prod.is_zero:
-                    candidates.append(((i, j), prod))
-        if allow_triples:
-            n = len(positive)
-            for ai in range(n):
-                i, ei = positive[ai]
-                for aj in range(ai, n):
-                    j, ej = positive[aj]
-                    for ak in range(aj, n):
-                        t, et = positive[ak]
-                        bp = ei.bidegree[0] + ej.bidegree[0] + et.bidegree[0]
-                        bq = ei.bidegree[1] + ej.bidegree[1] + et.bidegree[1]
-                        if (bp, bq) != cell:
-                            continue
-                        prod = wedge(wedge(ei.translation, ej.translation), et.translation)
-                        if not prod.is_zero:
-                            candidates.append(((i, j, t), prod))
+                    candidates.append((tuple(i for i, _ in factors), prod))
         span = VectorSpan(field, track=True)
         for tag, form in candidates:
             for ex, sc in powers:

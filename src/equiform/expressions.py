@@ -24,8 +24,10 @@ d(...) applies the exterior derivative to any subexpression; it needs a
 setup, so a context without one (the config literals) rejects it.  "^"
 raises to an integer power of size at most MAX_EXPONENT; a half-integer
 power is accepted exactly when some declared radical squares to the base,
-so aa^(1/2) names that radical.  The unicode minus sign U+2212 is treated
-as "-".
+so aa^(1/2) names that radical.  A product, at each "*" and each step of
+"^", is refused before it is formed when its operands' coefficient-term
+counts multiply to more than MAX_PRODUCT_TERMS.  The unicode minus sign
+U+2212 is treated as "-".
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from equiform.letters import Contraction, Letter, contract_syllable
 from equiform.scalars import Ring, RingError, Scalar
 
 MAX_EXPONENT = 32
+MAX_PRODUCT_TERMS = 2**14
 
 
 class ExpressionError(ValueError):
@@ -173,6 +176,22 @@ def _as_scalar(x: Form) -> Scalar | None:
     return None
 
 
+def _term_count(x: Form) -> int:
+    return sum(len(c.coeffs) for c in x.terms.values())
+
+
+def _product(left: Form, right: Form, pos: int) -> Form:
+    """left * right, refused before it is formed when the operands'
+    coefficient-term counts multiply to more than MAX_PRODUCT_TERMS."""
+    nl, nr = _term_count(left), _term_count(right)
+    if nl * nr > MAX_PRODUCT_TERMS:
+        raise ExpressionError(
+            f"product of {nl} and {nr} coefficient terms exceeds the bound "
+            f"{MAX_PRODUCT_TERMS} at position {pos + 1}"
+        )
+    return left * right
+
+
 def _power(ctx: ExpressionContext, base: Form, num: Fraction, pos: int) -> Form:
     frame = ctx.frame
     if abs(num) > MAX_EXPONENT:
@@ -185,7 +204,7 @@ def _power(ctx: ExpressionContext, base: Form, num: Fraction, pos: int) -> Form:
         if n >= 0:
             out = frame.one
             for _ in range(n):
-                out = out * base
+                out = _product(out, base, pos)
             return out
         s = _as_scalar(base)
         if s is None:
@@ -261,8 +280,8 @@ class _Parser:
     def term(self) -> Form:
         left = self.factor()
         while self.peek().kind == "*":
-            self.take()
-            left = left * self.factor()
+            op = self.take()
+            left = _product(left, self.factor(), op.pos)
         return left
 
     def factor(self) -> Form:

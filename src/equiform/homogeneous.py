@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Iterable, Mapping, Sequence
 
 from equiform.forms import Form, Frame, FrameSpec, bits, wedge
@@ -152,6 +153,16 @@ def _is_skew(m) -> bool:
     )
 
 
+@dataclass(frozen=True)
+class InvariantDimensionTables:
+    """Stabilizer dimensions and [p][q] invariant-dimension grids."""
+
+    stabilizer_dim_origin: int
+    stabilizer_dim_generic: int
+    origin: tuple[tuple[int, ...], ...]
+    generic: tuple[tuple[int, ...], ...]
+
+
 class HomogeneousSetup:
     """Validated bundle data with its ring, frame and derived structures.
 
@@ -193,6 +204,7 @@ class HomogeneousSetup:
         self._avars = [ring.var(f"a{i}") for i in range(1, self.fiber_dim + 1)]
         self._structure_2form: dict[int, Form] = {}
         self._d_images: dict[int, Form] | None = None
+        self._dim_tables: InvariantDimensionTables | None = None
 
     # -- coefficients and matrices ---------------------------------------
 
@@ -284,6 +296,22 @@ class HomogeneousSetup:
         v[0] = self.field.one
         return v
 
+    def invariant_dimension_tables(self) -> InvariantDimensionTables:
+        """Invariant dimensions at the origin and at generic_point_vector()."""
+        if self._dim_tables is None:
+            stab0 = stabilizer_of_vector(self, [self.field.zero] * self.fiber_dim)
+            stabv = stabilizer_of_vector(self, self.generic_point_vector())
+            qs = range(self.fiber_dim + 1)
+            grids = [
+                tuple(
+                    tuple(invariant_dimension(self, (p, q), stab) for q in qs)
+                    for p in range(self.horizontal_dim + 1)
+                )
+                for stab in (stab0, stabv)
+            ]
+            self._dim_tables = InvariantDimensionTables(len(stab0), len(stabv), *grids)
+        return self._dim_tables
+
     def point(self, fiber_values: Sequence, params: Mapping[str, object] | None = None):
         values = {
             f"a{i + 1}": v for i, v in enumerate(fiber_values)
@@ -372,7 +400,7 @@ def validate_setup(
     struct = {i: setup.structure_derivative(i) for i in range(1, n + 1)}
     images = {setup._pos_e[i]: struct[i] for i in range(1, n + 1)}
     for i in range(1, n + 1):
-        if not _antiderivation(struct[i], lambda c: None, images).is_zero:
+        if not _derivation(struct[i], lambda c: None, images).is_zero:
             issues.append(f"Jacobi identity fails: d(d e^{i}) != 0")
 
     # gauge part closed under bracket; reductivity
@@ -437,29 +465,15 @@ def validate_setup(
 # -- derivations on the frame ----------------------------------------------
 
 
-def _antiderivation(x: Form, coeff_rule, gen_images: dict[int, Form]) -> Form:
-    """Apply an odd derivation: coeff_rule(c) is a Form, gen_images maps
-    frame positions to the image form of that generator."""
-    out = x.frame.zero
-    for mask, c in x.terms.items():
-        word = Form(x.frame, {mask: x.ring.one})
-        dc = coeff_rule(c)
-        if dc is not None and not dc.is_zero:
-            out = out + wedge(dc, word)
-        for posn, g in enumerate(bits(mask)):
-            img = gen_images.get(g)
-            if img is None or img.is_zero:
-                continue
-            rest = Form(x.frame, {mask ^ (1 << g): c})
-            contrib = wedge(img, rest)
-            if posn % 2:
-                contrib = -contrib
-            out = out + contrib
-    return out
-
-
 def _derivation(x: Form, coeff_rule, gen_images: dict[int, Form]) -> Form:
-    """Apply an even derivation (degree 0): no position signs."""
+    """Apply a derivation of degree 0 or 1 on the frame: coeff_rule(c) is a
+    Form (or None), gen_images maps frame positions to generator images.
+
+    One walker serves both degrees.  Removing generator g from a word costs
+    the sign (-1)^(set bits below g) either way: an odd derivation takes it
+    from the graded Leibniz rule and puts its even image in front freely,
+    an even one moves its 1-form image in front past those generators.
+    """
     out = x.frame.zero
     for mask, c in x.terms.items():
         word = Form(x.frame, {mask: x.ring.one})
@@ -490,7 +504,7 @@ def basic_derivative(setup: HomogeneousSetup, x: Form) -> Form:
                 terms[1 << pos] = dci
         return Form(frame, terms)
 
-    return _antiderivation(x, dcoeff, setup.basic_derivative_images())
+    return _derivation(x, dcoeff, setup.basic_derivative_images())
 
 
 def exterior_derivative(setup: HomogeneousSetup, x: Form) -> Form:
@@ -652,11 +666,7 @@ def invariant_dimension(
     nv = setup.fiber_dim
     if p < 0 or q < 0 or p > nt or q > nv:
         return 0
-    basis_t = _wedge_power_basis(nt, p)
-    basis_v = _wedge_power_basis(nv, q)
-    nbasis = len(basis_t) * len(basis_v)
-    if nbasis == 0:
-        return 0
+    nbasis = comb(nt, p) * comb(nv, q)
     stacked: list[list[FieldElement]] = []
     for lam in stab_basis:
         m_t = None

@@ -1,8 +1,8 @@
 """End-to-end command line runs against the small bundled setup.
 
 The heavy eight-dimensional config only gets its cheap subcommands here
-(validate, the verification tasks); its dictionary tasks are covered by
-the acceptance suite.
+(validate, generate, dim_table); its differential table is covered by the
+acceptance suite.
 """
 
 import json
@@ -10,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from equiform.cli import main, resolve_config, UsageError
+from equiform import homogeneous
+from equiform.cli import Overrides, main, resolve_config, run_config, UsageError
+from equiform.config import TaskSpec, parse_config, realize_config
 from equiform.report import SCHEMA, ReportDocument
 
 
@@ -125,6 +127,27 @@ class TestExitStatus:
         golden = Path(__file__).parent / "golden" / "su2_ts2.json"
         assert out.read_bytes() == golden.read_bytes()
 
+    @pytest.mark.parametrize("kind", ["generate", "dim_table"])
+    def test_su3_report_matches_golden(self, tmp_path, kind):
+        # captured from `equiform <kind> --config su3_tcp2 --format json`
+        out = tmp_path / "report.json"
+        assert main([
+            kind, "--config", "su3_tcp2", "--format", "json", "--output", str(out),
+        ]) == 0
+        golden = Path(__file__).parent / "golden" / f"su3_tcp2-{kind}.json"
+        assert out.read_bytes() == golden.read_bytes()
+
+    def test_oversized_task_form_exits_two(self, tmp_path, capsys):
+        # (k+aa)^32 has 561 coefficient terms, so the product is refused
+        form = "(k+aa)^32*(k+aa)^32*det(b,b)"
+        path = write_config(
+            tmp_path, small_doc([{"kind": "verify_closed", "forms": [form]}])
+        )
+        assert main(["run", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "exceeds the bound 16384 at position 10" in err
+        assert "Traceback" not in err
+
     def test_missing_config_exits_two(self, capsys):
         assert main(["run", "--config", "no_such_thing"]) == 2
         assert "bundled" in capsys.readouterr().err
@@ -221,6 +244,21 @@ class TestReports:
         assert task.details["origin_entries"] == 6
         assert task.details["radial"] == "dot(a,a)"
         assert task.details["completeness"]["span_total"] == 16
+
+    def test_dimension_table_is_computed_once(self, monkeypatch):
+        calls = []
+        original = homogeneous.invariant_dimension
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(homogeneous, "invariant_dimension", counting)
+        rc = realize_config(parse_config(resolve_config("su3_tcp2")[1]))
+        tasks = [TaskSpec(kind=k, name=k) for k in ("generate", "dim_table")]
+        assert run_config(rc, "su3_tcp2", tasks, Overrides()).passed
+        # 5 x 5 cells at each of the two stabilizers, each computed once
+        assert len(calls) == 50
 
     def test_validate_reports_subject(self, capsys):
         assert main(["validate", "--config", "su3_tcp2"]) == 0

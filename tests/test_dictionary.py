@@ -22,6 +22,7 @@ from equiform.dictionary import (
     express_in_generators,
     generate_dictionary,
 )
+from equiform.expressions import parse_form_expression
 from equiform.forms import wedge
 from equiform.homogeneous import (
     Splitting,
@@ -341,6 +342,15 @@ def test_express_rejects_non_invariant_target(su3_setup, su3_dictionary):
         express_in_generators(
             su3_setup, su3_dictionary, su3_setup.frame.generator("e2")
         )
+
+
+def test_express_with_triples(su3_setup, su3_dictionary, su3_context):
+    target = parse_form_expression("d(sigma(a,b))*dot(a,b)", su3_context)
+    comb = express_in_generators(
+        su3_setup, su3_dictionary, target, allow_triples=True
+    )
+    assert not comb.residual
+    assert comb.as_form(su3_dictionary) == target
 
 
 # -- the differential table ----------------------------------------------------

@@ -1,11 +1,14 @@
 """The little ansatz language: lexing, precedence, name resolution, errors."""
 
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from equiform.cli import resolve_config
+from equiform.config import parse_config, realize_config
 from equiform.expressions import (
     ExpressionError,
     build_context,
@@ -183,6 +186,25 @@ def test_exponent_bound(su2_context):
     assert parse(su2_context, "2^32") == su2_context.frame.scalar_form(2**32)
     with pytest.raises(ExpressionError, match="exceeds the bound 32.*position 7"):
         parse(su2_context, "(k+aa)^400*det(b,b)")
+
+
+def test_product_term_bound():
+    # on the bundled su3_tcp2 context B+C+aa has 6 coefficient terms; its
+    # 10th power has 3003, so the 11th step of either power is refused
+    rc = realize_config(parse_config(resolve_config("su3_tcp2")[1]))
+    for text in (
+        "(B+C+aa)^16*dot(b,beta)",
+        "(B+C+aa)^16*(B+C+aa)^16*dot(b,beta)",
+    ):
+        start = time.process_time()
+        with pytest.raises(
+            ExpressionError,
+            match="product of 3003 and 6 coefficient terms exceeds the bound "
+            "16384 at position 9",
+        ):
+            parse(rc.context, text)
+        assert time.process_time() - start < 1.0
+    assert not parse(rc.context, "(B+C+aa)^8*dot(b,beta)").is_zero
 
 
 def test_error_positions_point_at_the_offender(su3_context):

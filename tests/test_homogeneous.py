@@ -336,3 +336,24 @@ def test_invariant_dimension_table_principal_stabilizer(su3_setup):
                 f"cell ({p},{q})"
             )
     assert sum(dims.values()) == 96
+
+
+@pytest.mark.parametrize("name", ["su3_setup", "su2_setup"])
+def test_invariant_dimension_tables_match_direct_grid(request, name):
+    setup = request.getfixturevalue(name)
+    tables = setup.invariant_dimension_tables()
+    assert setup.invariant_dimension_tables() is tables
+    z = setup.field.zero
+    for vec, grid, stab_dim in (
+        ([z] * setup.fiber_dim, tables.origin, tables.stabilizer_dim_origin),
+        (setup.generic_point_vector(), tables.generic, tables.stabilizer_dim_generic),
+    ):
+        stab = stabilizer_of_vector(setup, vec)
+        assert stab_dim == len(stab)
+        assert grid == tuple(
+            tuple(
+                invariant_dimension(setup, (p, q), stab)
+                for q in range(setup.fiber_dim + 1)
+            )
+            for p in range(setup.horizontal_dim + 1)
+        )
