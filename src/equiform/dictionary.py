@@ -22,6 +22,7 @@ from functools import reduce
 from itertools import combinations_with_replacement
 from typing import Sequence
 
+from equiform.expressions import MAX_EXPONENT
 from equiform.forms import Form, bidegree_split, evaluate_to_vector, wedge
 from equiform.homogeneous import (
     HomogeneousSetup,
@@ -485,10 +486,20 @@ def _form_to_vector(x: Form) -> dict:
 
 def _radial_powers(setup: HomogeneousSetup, lo: int, hi: int):
     """Available powers of the radial invariant: s^e when the ring declares
-    a radical with square |a|^2, else even powers of |a|^2 with e >= 0."""
+    a radical with square |a|^2, else even powers of |a|^2 with e >= 0.
+    The window must lie within the exponents the ring can represent."""
     ring = setup.ring
     aa = ring.radial_square
     radial = ring.radicals_squaring_to(aa)
+    if hi > MAX_EXPONENT:
+        raise EngineError(
+            f"Laurent bound {hi} exceeds the exponent bound {MAX_EXPONENT}"
+        )
+    if radial and lo < -ring.depth:
+        raise EngineError(
+            f"Laurent bound {lo} is below the depth bound -{ring.depth} "
+            f"of the radial radical {radial[0]}"
+        )
     powers = []
     if radial:
         s = ring.var(radial[0])

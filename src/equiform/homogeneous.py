@@ -22,7 +22,7 @@ from math import comb
 from typing import Iterable, Mapping, Sequence
 
 from equiform.forms import Form, Frame, FrameSpec, bits, wedge
-from equiform.linalg import matrix_rank, nullspace_basis
+from equiform.linalg import VectorSpan, nullspace_basis
 from equiform.numberfield import FieldElement, NumberField
 from equiform.scalars import Point, Ring, RingSpec, Scalar
 
@@ -586,18 +586,8 @@ def stabilizer_algebra(setup: HomogeneousSetup, pt: Point) -> list[list[FieldEle
 def stabilizer_of_vector(
     setup: HomogeneousSetup, vec: Sequence[FieldElement]
 ) -> list[list[FieldElement]]:
-    rows = []
-    for i in range(setup.fiber_dim):
-        row = []
-        for a in setup.splitting.gauge:
-            m = setup.rho(a)
-            acc = setup.field.zero
-            for j in range(setup.fiber_dim):
-                if not m[i][j].is_zero:
-                    acc = acc + m[i][j] * vec[j]
-            row.append(acc)
-        rows.append(row)
-    return nullspace_basis(setup.field, rows)
+    columns = [setup.rho_apply(a, vec) for a in setup.splitting.gauge]
+    return nullspace_basis(setup.field, list(zip(*columns)))
 
 
 def _wedge_power_basis(n: int, p: int) -> list[int]:
@@ -607,11 +597,11 @@ def _wedge_power_basis(n: int, p: int) -> list[int]:
     return out
 
 
-def _derivation_equations(field, m_t, m_v, p: int, q: int):
+def _derivation_equations(m_t, m_v, p: int, q: int) -> list[dict[int, FieldElement]]:
     """Equation rows of the induced derivation on Lambda^p T x Lambda^q V.
 
-    Row index runs over target basis elements, column over source, so
-    stacking the rows of several generators yields the joint kernel system.
+    One sparse row per target basis element, keyed by source index, so the
+    rows of several generators together span the joint kernel system.
     """
     nt = len(m_t) if m_t else 0
     nv = len(m_v) if m_v else 0
@@ -619,7 +609,7 @@ def _derivation_equations(field, m_t, m_v, p: int, q: int):
     basis_v = _wedge_power_basis(nv, q)
     basis = [(mt, mv) for mt in basis_t for mv in basis_v]
     index = {bm: i for i, bm in enumerate(basis)}
-    mat = [[field.zero] * len(basis) for _ in basis]
+    rows: list[dict[int, FieldElement]] = [{} for _ in basis]
     for src, (mt, mv) in enumerate(basis):
 
         def act(mask, m, which):
@@ -639,16 +629,17 @@ def _derivation_equations(field, m_t, m_v, p: int, q: int):
                         below_k = ((mask ^ (1 << i)) & ((1 << knew) - 1)).bit_count()
                         sign = -1 if (below_i + below_k) % 2 else 1
                     if which == "t":
-                        j = index[(tgt, mv)]
+                        row = rows[index[(tgt, mv)]]
                     else:
-                        j = index[(mt, tgt)]
-                    mat[j][src] = mat[j][src] + (c if sign > 0 else -c)
+                        row = rows[index[(mt, tgt)]]
+                    term = c if sign > 0 else -c
+                    row[src] = row[src] + term if src in row else term
 
         if m_t:
             act(mt, m_t, "t")
         if m_v:
             act(mv, m_v, "v")
-    return basis, mat
+    return [{j: c for j, c in row.items() if not c.is_zero} for row in rows]
 
 
 def invariant_dimension(
@@ -661,13 +652,11 @@ def invariant_dimension(
     stab_basis holds coefficient vectors over the gauge basis.
     """
     p, q = bidegree
-    field = setup.field
     nt = setup.horizontal_dim
     nv = setup.fiber_dim
     if p < 0 or q < 0 or p > nt or q > nv:
         return 0
-    nbasis = comb(nt, p) * comb(nv, q)
-    stacked: list[list[FieldElement]] = []
+    span = VectorSpan(setup.field)
     for lam in stab_basis:
         m_t = None
         m_v = None
@@ -680,8 +669,6 @@ def invariant_dimension(
             m_v = _mat_scale(c, rho_a) if m_v is None else _mat_add(m_v, _mat_scale(c, rho_a))
         if m_t is None:
             continue
-        _, eqs = _derivation_equations(field, m_t, m_v, p, q)
-        stacked.extend(eqs)
-    if not stacked:
-        return nbasis
-    return nbasis - matrix_rank(field, stacked)
+        for row in _derivation_equations(m_t, m_v, p, q):
+            span.add(row)
+    return comb(nt, p) * comb(nv, q) - span.rank

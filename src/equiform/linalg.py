@@ -1,12 +1,13 @@
-"""Small exact linear algebra toolkit over a NumberField.
+"""Exact linear algebra over a NumberField, with one elimination.
 
-Two flavours live here.  Dense routines (rref, rank, nullspace) work on lists
-of lists of FieldElement and are used for stabilizer kernels and invariant
-dimension counts.  The incremental VectorSpan works on sparse vectors, maps
-from sortable keys to FieldElement, and is the workhorse for dictionary
-elimination and for expressing forms in generators; it keeps an echelonized
-row list plus, optionally, the combination of input vectors that produced
-each row.
+VectorSpan is the only Gaussian elimination here.  It works on sparse
+vectors, maps from sortable keys to FieldElement, and keeps echelonized rows
+plus, optionally, the combination of added vectors behind each row.  It
+serves dictionary elimination, expressing forms in generators and invariant
+dimension counts (a rank is the span's row count).  rref and nullspace_basis
+are views over it for dense matrices, lists of lists of FieldElement: rref
+adds the columns to a tracked span, and nullspace_basis reads the kernel off
+the reduced form.
 """
 
 from __future__ import annotations
@@ -34,10 +35,10 @@ def vec_iadd_scaled(target: SparseVec, src: SparseVec, coeff: FieldElement) -> N
 class VectorSpan:
     """Incremental echelonized span of sparse vectors over a field.
 
-    Rows are kept with unit pivots at distinct keys, fully reduced against
-    each other is not required; reduction of an incoming vector walks rows in
+    Rows are kept with unit pivots at distinct keys but are not reduced
+    against each other; reducing an incoming vector walks the rows in
     insertion order.  With track=True every row remembers how it was built
-    from the added vectors, so reduce() can report the combination.
+    from the added vectors, so combination() can report the coefficients.
     """
 
     def __init__(self, field: NumberField, track: bool = False):
@@ -98,41 +99,31 @@ class VectorSpan:
         return True
 
 
-# -- dense routines ----------------------------------------------------------
+# -- matrix views ------------------------------------------------------------
 
 
 def rref(field: NumberField, matrix: Sequence[Sequence[FieldElement]]):
-    """Reduced row echelon form.  Returns (rows, pivot_columns)."""
-    rows = [list(r) for r in matrix]
-    if not rows:
+    """Reduced row echelon form.  Returns (rows, pivot_columns).
+
+    Column j is a pivot exactly when it is not in the span of the columns
+    before it; every other column's entries are its coefficients on the
+    pivot columns, which row reduction leaves unchanged.
+    """
+    if not matrix:
         return [], []
-    ncols = len(rows[0])
+    span = VectorSpan(field, track=True)
     pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        sel = None
-        for i in range(r, len(rows)):
-            if not rows[i][col].is_zero:
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        inv = rows[r][col].inverse()
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][col].is_zero:
-                c = rows[i][col]
-                rows[i] = [a - c * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
-
-
-def matrix_rank(field: NumberField, matrix: Sequence[Sequence[FieldElement]]) -> int:
-    return len(rref(field, matrix)[0])
+    columns: list[SparseVec] = []
+    for j in range(len(matrix[0])):
+        col = {i: row[j] for i, row in enumerate(matrix) if not row[j].is_zero}
+        combo = span.combination(col)
+        if combo is None:
+            combo = {len(pivots): field.one}
+            span.add(col, len(pivots))
+            pivots.append(j)
+        columns.append(combo)
+    rows = [[c.get(r, field.zero) for c in columns] for r in range(len(pivots))]
+    return rows, pivots
 
 
 def nullspace_basis(

@@ -148,6 +148,39 @@ class TestExitStatus:
         assert "exceeds the bound 16384 at position 10" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "config, bounds, needle",
+        [
+            ("su3_tcp2", "-6,4", "-6 is below the depth bound -4 of the radial radical s"),
+            ("su2_ts2", "0,2000", "2000 exceeds the exponent bound 32"),
+        ],
+    )
+    def test_laurent_flag_outside_ring_exits_two(self, capsys, config, bounds, needle):
+        assert main(["express", "--config", config, f"--laurent-bounds={bounds}"]) == 2
+        err = capsys.readouterr().err
+        assert needle in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "radical, bounds, needle",
+        [
+            ("aa", [-5, 0], "-5 is below the depth bound -4 of the radial radical u"),
+            ("k+aa", [0, 2000], "2000 exceeds the exponent bound 32"),
+        ],
+    )
+    def test_laurent_config_outside_ring_exits_two(
+        self, tmp_path, capsys, radical, bounds, needle
+    ):
+        doc = small_doc([
+            {"kind": "express", "expression": "d(det(b,b))", "laurent_bounds": bounds},
+        ])
+        doc["ring"]["radicals"][0]["square"] = radical
+        path = write_config(tmp_path, doc)
+        assert main(["run", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert needle in err
+        assert len(err.splitlines()) == 1
+
     def test_missing_config_exits_two(self, capsys):
         assert main(["run", "--config", "no_such_thing"]) == 2
         assert "bundled" in capsys.readouterr().err
