@@ -14,7 +14,8 @@ The usual entry points, bottom of the tower first:
 * `validate_setup`: checks structure constants, splitting and fiber
   representation, returns a `HomogeneousSetup`.
 * `exterior_derivative`, `covariant_derivative_DX`: d and D on invariant
-  forms and equivariant letters, one antiderivation on the basic frame.
+  forms and equivariant letters, one antiderivation on the frame whose
+  gauge terms decide invariance and equivariance.
 * `generate_dictionary`, `completeness_check`, `differential_table`,
   `express_in_generators`: the dictionary engine.
 * `build_context`, `parse_form_expression`: the expression language.

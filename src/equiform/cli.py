@@ -323,7 +323,7 @@ _RUNNERS = {
 def run_task(rc: RealizedConfig, task: TaskSpec, ov: Overrides) -> TaskReport:
     try:
         return _RUNNERS[task.kind](rc, task, ov)
-    except (EngineError, verify.VerifyError) as e:
+    except (EngineError, verify.VerifyError, SetupError) as e:
         raise UsageError(f"task {task.name}: {e}") from None
 
 
@@ -378,6 +378,12 @@ def _parse_bounds_flag(text: str) -> tuple[int, int]:
     if lo > hi:
         raise UsageError(f"--laurent-bounds: lo {lo} exceeds hi {hi}")
     return hi, lo
+
+
+def _positive_flag(flag: str, value: int | None) -> int | None:
+    if value is not None and value < 1:
+        raise UsageError(f"{flag}: value {value} is below 1")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -444,8 +450,8 @@ def main(argv=None) -> int:
         document = parse_config(text)
         rc = realize_config(document)
         ov = Overrides(
-            max_length=args.max_length,
-            max_degree=args.max_degree,
+            max_length=_positive_flag("--max-length", args.max_length),
+            max_degree=_positive_flag("--max-degree", args.max_degree),
             bounds=(
                 _parse_bounds_flag(args.laurent_bounds)
                 if args.laurent_bounds

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from equiform.numberfield import FieldElement
 from equiform.scalars import Point, Ring, Scalar
@@ -108,15 +108,6 @@ class Frame:
     def scalar_form(self, value) -> "Form":
         s = self.ring.normalize(value)
         return Form(self, {} if s.is_zero else {0: s})
-
-    def word_mask(self, names: Iterable[str]) -> int:
-        m = 0
-        for n in names:
-            i = self.index[n]
-            if m >> i & 1:
-                raise FrameError(f"repeated generator {n!r} in basis word")
-            m |= 1 << i
-        return m
 
     def render_mask(self, mask: int) -> str:
         if mask == 0:

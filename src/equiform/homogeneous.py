@@ -8,10 +8,12 @@ on the fiber V.
 
 All forms live on one frame per setup: horizontal e^i, covariant vertical
 b_i and gauge e^A, in that order.  Basic forms use only the first two kinds.
-On invariant basic forms d is the covariant derivative on tensorial forms,
-a single antiderivation of the basic subalgebra: e^t goes to the gauge-free
-part (d e^t)_hh of its structure 2-form, b_i to sum_A (rho_A a)_i (d e^A)_hh,
-and a coefficient f to sum_i (df/da_i) b_i.
+d is one antiderivation on the whole frame, gauge terms kept: e^i goes to
+its structure 2-form, b_i to d(rho(theta) a)_i, and a coefficient f to
+sum_i (df/da_i) da_i with da_i = b_i - sum_A (rho_A a)_i e^A.  For a basic
+form the gauge part of d is sum_A e^A ^ (its variation along e_A), so
+invariance is read off d itself: a basic form is invariant exactly when its
+d stays basic, and that d is the covariant derivative on tensorial forms.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Mapping, Sequence
 
-from equiform.forms import Form, Frame, FrameSpec, bits, wedge
+from equiform.forms import Form, Frame, FrameSpec, bits, merge_sign
 from equiform.linalg import VectorSpan, nullspace_basis
 from equiform.numberfield import FieldElement, NumberField
 from equiform.scalars import Point, Ring, RingSpec, Scalar
@@ -267,29 +269,45 @@ class HomogeneousSetup:
             self._structure_2form[algebra_index] = Form(self.frame, terms)
         return self._structure_2form[algebra_index]
 
-    def basic_derivative_images(self) -> dict[int, Form]:
-        """Images of e^t and b_i under d on basic forms, by frame position."""
+    def derivative_images(self) -> tuple[dict[int, Form], tuple[Form, ...]]:
+        """d of every frame generator, by frame position, and the connection
+        terms (rho(theta) a)_i = sum_A (rho_A a)_i e^A = b_i - da_i.
+
+        d e^i is the full structure 2-form, and d b_i = d(rho(theta) a)_i
+        because d da_i = 0.
+        """
         if self._d_images is None:
-            gauge = self.frame.gauge_mask
-
-            def hh(i: int) -> Form:
-                f = self.structure_derivative(i)
-                return Form(
-                    self.frame, {m: c for m, c in f.terms.items() if not m & gauge}
-                )
-
-            images = {self._pos_e[t]: hh(t) for t in self.splitting.horizontal}
+            frame = self.frame
+            images = {
+                pos: self.structure_derivative(i) for i, pos in self._pos_e.items()
+            }
             twists = [
-                (self.rho_apply(a, self._avars), hh(a)) for a in self.splitting.gauge
+                (self.rho_apply(a, self._avars), frame.generator(f"e{a}"))
+                for a in self.splitting.gauge
             ]
+            connection = []
             for i in range(self.fiber_dim):
-                img = self.frame.zero
-                for rho_a_on_coords, curvature in twists:
+                acc = frame.zero
+                for rho_a_on_coords, e_a in twists:
                     if not rho_a_on_coords[i].is_zero:
-                        img = img + rho_a_on_coords[i] * curvature
-                images[self._pos_b[i]] = img
-            self._d_images = images
+                        acc = acc + rho_a_on_coords[i] * e_a
+                connection.append(acc)
+            self._d_images = (images, tuple(connection))
+            for pos, acc in zip(self._pos_b, connection):
+                images[pos] = _derivation(acc, self._d_coefficient, images)
         return self._d_images
+
+    def _d_coefficient(self, c: Scalar) -> Form:
+        """df = sum_i (df/da_i) da_i, with da_i = b_i - (rho(theta) a)_i."""
+        connection = self.derivative_images()[1]
+        vertical = {}
+        gauge = self.frame.zero
+        for i, pos in enumerate(self._pos_b):
+            dci = c.differentiate(f"a{i + 1}")
+            if not dci.is_zero:
+                vertical[1 << pos] = dci
+                gauge = gauge - dci * connection[i]
+        return Form(self.frame, vertical) + gauge
 
     def generic_point_vector(self) -> list[FieldElement]:
         v = [self.field.zero] * self.fiber_dim
@@ -474,37 +492,46 @@ def _derivation(x: Form, coeff_rule, gen_images: dict[int, Form]) -> Form:
     from the graded Leibniz rule and puts its even image in front freely,
     an even one moves its 1-form image in front past those generators.
     """
-    out = x.frame.zero
+    out: dict[int, Scalar] = {}
+
+    def put(image: Form, word: int, c: Scalar | None, sign: int) -> None:
+        # out += sign * image ^ (c word), c None standing for 1
+        for m, s in image.terms.items():
+            if m & word:
+                continue
+            if c is not None:
+                s = s * c
+            if merge_sign(m, word) != sign:
+                s = -s
+            prev = out.get(m | word)
+            s = s if prev is None else prev + s
+            if s.is_zero:
+                out.pop(m | word, None)
+            else:
+                out[m | word] = s
+
     for mask, c in x.terms.items():
-        word = Form(x.frame, {mask: x.ring.one})
         dc = coeff_rule(c)
-        if dc is not None and not dc.is_zero:
-            out = out + wedge(dc, word)
+        if dc is not None:
+            put(dc, mask, None, 1)
         for g in bits(mask):
             img = gen_images.get(g)
-            if img is None or img.is_zero:
-                continue
-            below = mask & ((1 << g) - 1)
-            sign = -1 if below.bit_count() & 1 else 1
-            rest = Form(x.frame, {mask ^ (1 << g): c if sign > 0 else -c})
-            out = out + wedge(img, rest)
-    return out
+            if img is not None:
+                below = mask & ((1 << g) - 1)
+                put(img, mask ^ (1 << g), c, -1 if below.bit_count() & 1 else 1)
+    return Form(x.frame, out)
 
 
-def basic_derivative(setup: HomogeneousSetup, x: Form) -> Form:
-    """d on the subalgebra generated by e^t, b_i and functions of a, with
-    gauge terms dropped.  Equals d on invariant basic forms; unchecked."""
-    frame = setup.frame
+def frame_derivative(setup: HomogeneousSetup, x: Form) -> Form:
+    """d on the whole frame, gauge terms kept: one derivation pass.
 
-    def dcoeff(c: Scalar) -> Form:
-        terms = {}
-        for i, pos in enumerate(setup._pos_b):
-            dci = c.differentiate(f"a{i + 1}")
-            if not dci.is_zero:
-                terms[1 << pos] = dci
-        return Form(frame, terms)
-
-    return _derivation(x, dcoeff, setup.basic_derivative_images())
+    For basic x the gauge part is sum_A e^A ^ L_A x, L_A the Lie derivative
+    along the fundamental field dual to e^A (Cartan: L_A = i_A d on basic
+    forms), so x is invariant exactly when d x is basic.
+    """
+    if x.frame != setup.frame:
+        raise SetupError(["form does not belong to this setup's frame"])
+    return _derivation(x, setup._d_coefficient, setup.derivative_images()[0])
 
 
 def exterior_derivative(setup: HomogeneousSetup, x: Form) -> Form:
@@ -513,49 +540,12 @@ def exterior_derivative(setup: HomogeneousSetup, x: Form) -> Form:
     Raises if the input is not invariant and basic, since its derivative
     would then not be basic.
     """
-    if x.frame != setup.frame:
-        raise SetupError(["form does not belong to this setup's frame"])
-    if not is_invariant(setup, x):
+    dx = frame_derivative(setup, x)
+    if not (is_basic(setup, x) and is_basic(setup, dx)):
         raise SetupError(
             ["input not invariant and basic, so its derivative is not basic"]
         )
-    return basic_derivative(setup, x)
-
-
-def gauge_variation(setup: HomogeneousSetup, a: int, x: Form) -> Form:
-    """Infinitesimal gauge action (Lie derivative along the fundamental
-    field of e_a) on a form over the frame."""
-    if a not in setup.splitting.gauge:
-        raise SetupError([f"{a} is not a gauge index"])
-    rho_a = setup.rho(a)
-    rho_a_on_coords = setup.rho_apply(a, setup._avars)
-
-    gen_images: dict[int, Form] = {}
-    ad = setup.ad_matrices[a]
-    for i in setup.splitting.horizontal + setup.splitting.gauge:
-        img = setup.frame.zero
-        for kk in setup.splitting.horizontal + setup.splitting.gauge:
-            c = ad[i - 1][kk - 1]
-            if not c.is_zero:
-                img = img - c * setup.frame.generator(f"e{kk}")
-        gen_images[setup._pos_e[i]] = img
-    for i in range(setup.fiber_dim):
-        img_b = setup.frame.zero
-        for j in range(setup.fiber_dim):
-            c = rho_a[i][j]
-            if not c.is_zero:
-                img_b = img_b - c * setup.frame.generator(f"b{j + 1}")
-        gen_images[setup._pos_b[i]] = img_b
-
-    def dcoeff(c: Scalar) -> Form:
-        out = setup.ring.zero
-        for i in range(setup.fiber_dim):
-            dci = c.differentiate(f"a{i + 1}")
-            if not dci.is_zero:
-                out = out - rho_a_on_coords[i] * dci
-        return setup.frame.scalar_form(out)
-
-    return _derivation(x, dcoeff, gen_images)
+    return dx
 
 
 def is_basic(setup: HomogeneousSetup, x: Form) -> bool:
@@ -563,11 +553,7 @@ def is_basic(setup: HomogeneousSetup, x: Form) -> bool:
 
 
 def is_invariant(setup: HomogeneousSetup, x: Form) -> bool:
-    if not is_basic(setup, x):
-        return False
-    return all(
-        gauge_variation(setup, a, x).is_zero for a in setup.splitting.gauge
-    )
+    return is_basic(setup, x) and is_basic(setup, frame_derivative(setup, x))
 
 
 def radial_square(setup: HomogeneousSetup) -> Scalar:
@@ -576,11 +562,6 @@ def radial_square(setup: HomogeneousSetup) -> Scalar:
 
 
 # -- stabilizers and invariant dimensions ---------------------------------
-
-
-def stabilizer_algebra(setup: HomogeneousSetup, pt: Point) -> list[list[FieldElement]]:
-    """Basis of the gauge subalgebra annihilating the fiber point."""
-    return stabilizer_of_vector(setup, pt.fiber_vector())
 
 
 def stabilizer_of_vector(

@@ -3,9 +3,11 @@
 A letter is a V-valued form on the bundle, given by its k component forms
 in the basic frame.  The components must be basic and jointly equivariant,
 so that contracting r letters with an invariant r-tensor on V produces an
-invariant form.  The canonical letters are the fiber coordinates (a) and
-the covariant vertical frame (b); constant horizontal letters and letters
-induced by equivariant bilinear maps cover the rest of the examples.
+invariant form.  Equivariance is read off the gauge terms of one d pass:
+DX = dX + rho(theta) X is basic exactly when X is equivariant.  The
+canonical letters are the fiber coordinates (a) and the covariant vertical
+frame (b); constant horizontal letters and letters induced by equivariant
+bilinear maps cover the rest of the examples.
 """
 
 from __future__ import annotations
@@ -16,12 +18,7 @@ from itertools import permutations
 from typing import Mapping, Sequence
 
 from equiform.forms import Form, bidegree_split, wedge
-from equiform.homogeneous import (
-    HomogeneousSetup,
-    basic_derivative,
-    gauge_variation,
-    is_basic,
-)
+from equiform.homogeneous import HomogeneousSetup, frame_derivative, is_basic
 from equiform.numberfield import FieldElement
 
 
@@ -40,10 +37,6 @@ class Letter:
     @property
     def is_zero(self) -> bool:
         return all(c.is_zero for c in self.components)
-
-    @property
-    def total_degree(self) -> int:
-        return self.bidegree[0] + self.bidegree[1]
 
     def __eq__(self, other) -> bool:
         return (
@@ -112,17 +105,25 @@ def make_letter(
 
 def _check_equivariant(
     setup: HomogeneousSetup, name: str, comps: Sequence[Form]
-) -> None:
+) -> list[Form]:
+    """Refuse a non-equivariant letter and return DX = dX + rho(theta) X.
+
+    On basic components the e^A component of the gauge part of DX is the
+    variation of X along e_A plus rho_A X, so it vanishes exactly when X is
+    equivariant along e_A; DX is then basic."""
+    out = [frame_derivative(setup, c) for c in comps]
     for a in setup.splitting.gauge:
         rho_a = setup.rho(a)
+        e_a = setup.frame.generator(f"e{a}")
         for i in range(setup.fiber_dim):
-            resid = gauge_variation(setup, a, comps[i])
             for j in range(setup.fiber_dim):
-                c = rho_a[i][j]
-                if not c.is_zero:
-                    resid = resid + c * comps[j]
-            if not resid.is_zero:
-                raise LetterError(f"letter {name} is not equivariant along e{a}")
+                if not rho_a[i][j].is_zero:
+                    out[i] = out[i] + rho_a[i][j] * wedge(e_a, comps[j])
+    for a in setup.splitting.gauge:
+        bit = 1 << setup.frame.index[f"e{a}"]
+        if any(mask & bit for total in out for mask in total.terms):
+            raise LetterError(f"letter {name} is not equivariant along e{a}")
+    return out
 
 
 def letter_a(setup: HomogeneousSetup) -> Letter:
@@ -296,10 +297,8 @@ def contract_syllable(m: Contraction, letters: Sequence[Letter]) -> Form:
 def covariant_derivative_DX(setup: HomogeneousSetup, letter: Letter) -> Letter:
     """Componentwise exterior derivative plus the representation twist.
 
-    The twist rho(connection) X carries a gauge generator, so on the basic
-    frame DX is the basic derivative of each component.  That result is
-    basic exactly when the letter is equivariant, which is checked first.
+    One derivation pass gives DX with its gauge terms; the letter is refused
+    unless they vanish, and DX is the remaining basic part.
     """
-    _check_equivariant(setup, letter.name, letter.components)
-    out = [basic_derivative(setup, c) for c in letter.components]
+    out = _check_equivariant(setup, letter.name, letter.components)
     return make_letter(setup, f"DX({letter.name})", out)

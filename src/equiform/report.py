@@ -76,30 +76,6 @@ class ReportDocument:
         }
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
-    @classmethod
-    def from_json(cls, text: str) -> "ReportDocument":
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ReportError(f"not a report: {e.msg}") from None
-        if not isinstance(raw, dict) or raw.get("schema") != SCHEMA:
-            raise ReportError(f"unknown report schema {raw.get('schema')!r}")
-        tasks = tuple(
-            TaskReport(
-                name=t["name"],
-                kind=t["kind"],
-                status=t["status"],
-                details=t.get("details", {}),
-            )
-            for t in raw.get("tasks", [])
-        )
-        return cls(
-            source=raw.get("source", ""),
-            subject=raw.get("subject", {}),
-            conventions=raw.get("conventions", {}),
-            tasks=tasks,
-        )
-
     def render_text(self) -> str:
         lines = [f"report for {self.source}"]
         for key in sorted(self.subject):

@@ -143,9 +143,9 @@ class RawFrame:
         images = {}
         for i in range(1, self.setup.algebra.dimension + 1):
             images[self.frame.index[f"e{i}"]] = self.structure_derivative(i)
-        b_mask = self.frame.word_mask(
-            f"b{i}" for i in range(1, self.setup.fiber_dim + 1)
-        )
+        b_mask = 0
+        for i in range(1, self.setup.fiber_dim + 1):
+            b_mask |= 1 << self.frame.index[f"b{i}"]
         out = self.frame.zero
         for mask, c in x.terms.items():
             if mask & b_mask:

@@ -1,7 +1,8 @@
 """Setup validation, vertical frame, d, contractions, invariant dimensions.
 
 The vertical frame and the fundamental contraction live on the raw extended
-frame, which only the oracle in raw_frame_oracle.py builds now.
+frame, which only the oracle in raw_frame_oracle.py builds now.  The gauge
+variation lives in gauge_variation_oracle.py.
 """
 
 import pytest
@@ -11,18 +12,17 @@ from equiform.homogeneous import (
     SetupError,
     Splitting,
     exterior_derivative,
-    gauge_variation,
     invariant_dimension,
     is_basic,
     is_invariant,
     make_algebra,
     make_representation,
-    stabilizer_algebra,
     stabilizer_of_vector,
     validate_setup,
 )
 
 from conftest import su2_raw, su2_ring_spec, su3_raw, su3_ring_spec
+from gauge_variation_oracle import gauge_variation
 from raw_frame_oracle import RawFrame
 
 
@@ -262,7 +262,7 @@ def test_stabilizer_at_origin_is_full_gauge(su3_setup):
 def test_stabilizer_at_generic_point(su3_setup):
     field = su3_setup.field
     pt = su3_setup.point([1, 0, 0, 0])
-    stab = stabilizer_algebra(su3_setup, pt)
+    stab = stabilizer_of_vector(su3_setup, pt.fiber_vector())
     assert len(stab) == 1
     # kernel direction: lambda_7 = -sqrt(3) lambda_8, all others zero
     (vec,) = stab
@@ -275,7 +275,7 @@ def test_stabilizer_at_generic_point(su3_setup):
 
 def test_su2_stabilizer_trivial_at_generic_point(su2_setup):
     pt = su2_setup.point([1, 0])
-    assert stabilizer_algebra(su2_setup, pt) == []
+    assert stabilizer_of_vector(su2_setup, pt.fiber_vector()) == []
 
 
 # -- invariant dimensions -------------------------------------------------------
@@ -294,7 +294,7 @@ def test_invariant_dimension_pinned_cells(su3_setup):
     assert invariant_dimension(su3_setup, (0, 0), full) == 1
     assert invariant_dimension(su3_setup, (2, 2), full) == 4
     pt = su3_setup.point([1, 0, 0, 0])
-    stab = stabilizer_algebra(su3_setup, pt)
+    stab = stabilizer_of_vector(su3_setup, pt.fiber_vector())
     assert invariant_dimension(su3_setup, (1, 1), stab) == 6
 
 
@@ -318,7 +318,7 @@ def test_invariant_dimension_table_full_gauge(su3_setup):
 
 def test_invariant_dimension_table_principal_stabilizer(su3_setup):
     pt = su3_setup.point([1, 0, 0, 0])
-    stab = stabilizer_algebra(su3_setup, pt)
+    stab = stabilizer_of_vector(su3_setup, pt.fiber_vector())
     dims = {
         (p, q): invariant_dimension(su3_setup, (p, q), stab)
         for p in range(5)

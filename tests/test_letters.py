@@ -201,7 +201,7 @@ def test_leibniz_bridge_all_pairs(su3_setup, su3_alphabet):
                 lhs = exterior_derivative(su3_setup, syll)
                 rhs = contract_syllable(m, (dx[n1], l2))
                 second = contract_syllable(m, (l1, dx[n2]))
-                if l1.total_degree % 2:
+                if sum(l1.bidegree) % 2:
                     rhs = rhs - second
                 else:
                     rhs = rhs + second
@@ -220,7 +220,7 @@ def test_su2_leibniz_bridge(su2_setup, su2_alphabet):
                 lhs = exterior_derivative(su2_setup, syll)
                 rhs = contract_syllable(m, (dx[n1], l2))
                 second = contract_syllable(m, (l1, dx[n2]))
-                if l1.total_degree % 2:
+                if sum(l1.bidegree) % 2:
                     rhs = rhs - second
                 else:
                     rhs = rhs + second
