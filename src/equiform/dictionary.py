@@ -13,11 +13,23 @@ function evaluates to a constant at a single point, so the first nonzero
 word of bidegree (0,0) is recorded as the distinguished radial invariant
 instead of joining the partition.  Coefficients in expressed combinations
 are Laurent polynomials in the radial square root.
+
+Expressing a form solves one span system per bidegree cell, whose columns
+are a radial power times a generator or a product of generators.  Fiber
+dilation a -> la commutes with the gauge action and with d, so it grades
+those columns: a coordinate (word, monomial) weighs 1 per vertical
+generator and per fiber exponent, and a radical whose square is
+homogeneous of fiber degree w weighs w/2 per visible power.  When every
+generator and every radial power has a single weight, the system is
+block-diagonal, and only the columns whose weight the target carries are
+built.  A target that is expressed is invariant, being a sum of invariant
+generators times functions of the radius, so the full invariance check runs
+only on a target left residual.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from functools import reduce
 from itertools import combinations_with_replacement
 from typing import Sequence
@@ -27,6 +39,7 @@ from equiform.forms import Form, bidegree_split, evaluate_to_vector, wedge
 from equiform.homogeneous import (
     HomogeneousSetup,
     exterior_derivative,
+    is_basic,
     is_invariant,
     stabilizer_of_vector,
 )
@@ -169,6 +182,14 @@ class Dictionary:
     entries: list[DictionaryEntry]
     radial: DictionaryEntry | None
     transcript: list[tuple[str, str, str]]
+    # filled on first use by express_in_generators; entries are fixed once
+    # the dictionary is built, so both are keyed by entry index
+    _weights: list[int | None] | None = dc_field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _products: dict[tuple[int, ...], Form] = dc_field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def per_bidegree(self) -> dict[tuple[int, int], list[DictionaryEntry]]:
         out: dict[tuple[int, int], list[DictionaryEntry]] = {}
@@ -181,6 +202,25 @@ class Dictionary:
 
     def origin_entries(self) -> list[DictionaryEntry]:
         return [e for e in self.entries if e.phase == "origin"]
+
+    def _entry_weights(self) -> list[int | None]:
+        """Dilation weight of each entry's translation, None when it has no
+        single weight."""
+        if self._weights is None:
+            weigh = _dilation_weigher(self.setup)
+            self._weights = [
+                _single_weight(weigh, e.translation) for e in self.entries
+            ]
+        return self._weights
+
+    def _product(self, tag: tuple[int, ...]) -> Form:
+        """Wedge of the translations of the entries at these indices, one
+        index giving the translation itself."""
+        prod = self._products.get(tag)
+        if prod is None:
+            prod = reduce(wedge, (self.entries[i].translation for i in tag))
+            self._products[tag] = prod
+        return prod
 
 
 def _spot_points(setup: HomogeneousSetup) -> list[list[FieldElement]]:
@@ -512,6 +552,42 @@ def _radial_powers(setup: HomogeneousSetup, lo: int, hi: int):
     return powers
 
 
+def _dilation_weigher(setup: HomogeneousSetup):
+    """The weight of a coordinate (mask, monomial) under fiber dilation, in
+    half-units: 2 per vertical generator and per fiber exponent, deg(p_j)
+    per visible power of a radical whose square p_j is homogeneous of fiber
+    degree deg(p_j), 0 for horizontal generators and parameters.  A
+    coordinate using a radical with an inhomogeneous square weighs None."""
+    ring = setup.ring
+    nf = ring.nf
+    degrees: list[int | None] = []
+    for square in ring.radical_squares:
+        found = {sum(mono[:nf]) for mono in square}
+        degrees.append(found.pop() if len(found) == 1 else None)
+    vertical = setup.frame.vertical_mask
+
+    def weigh(mask: int, mono) -> int | None:
+        w = 2 * ((mask & vertical).bit_count() + sum(mono[:nf]))
+        for j, deg in enumerate(degrees):
+            e = ring.visible_radical_exponent(mono, j)
+            if e:
+                if deg is None:
+                    return None
+                w += deg * e
+        return w
+
+    return weigh
+
+
+def _weights(weigh, x: Form) -> set[int | None]:
+    return {weigh(mask, mono) for mask, sc in x.terms.items() for mono in sc.coeffs}
+
+
+def _single_weight(weigh, x: Form) -> int | None:
+    found = _weights(weigh, x)
+    return found.pop() if len(found) == 1 else None
+
+
 def express_in_generators(
     setup: HomogeneousSetup,
     dictionary: Dictionary,
@@ -520,40 +596,61 @@ def express_in_generators(
     allow_triples: bool = False,
 ) -> GeneratorCombination:
     """Solve target = sum of Laurent-in-s coefficients times generator
-    products, exactly, preferring single generators over products."""
-    if not is_invariant(setup, target):
+    products, exactly, preferring single generators over products.
+
+    Each bidegree cell is one span system over the columns power * form.
+    When every entry and every radial power has a single dilation weight,
+    the system is block-diagonal by weight, so a column whose weight the
+    target part does not carry can neither enter the combination nor
+    change a pivot of the target's blocks: such columns, and the products
+    behind them, are never built.  Otherwise every column is solved.  The
+    target must be basic; a target left residual is then checked for
+    invariance, and an expressed one is invariant by construction.
+    """
+    if not is_basic(setup, target):
         raise EngineError("target is not an invariant basic form")
     hi, lo = degree_bounds
     if lo > hi:
         raise EngineError(f"empty Laurent window ({hi}, {lo})")
     powers = _radial_powers(setup, lo, hi)
     entries = dictionary.entries
-    positive = [
-        (i, e) for i, e in enumerate(entries) if e.word.length > 0
+    positive = [i for i, e in enumerate(entries) if e.word.length > 0]
+    weigh = _dilation_weigher(setup)
+    entry_weights = dictionary._entry_weights()
+    power_weights = [
+        _single_weight(weigh, setup.frame.scalar_form(sc)) for _, sc in powers
     ]
+    graded = None not in entry_weights and None not in power_weights
     field = setup.field
     terms: list[CombinationTerm] = []
     residual = False
     failed: list[tuple[int, int]] = []
     for cell, part in sorted(bidegree_split(target).items()):
-        candidates: list[tuple[tuple[int, ...], Form]] = []
-        for i, e in enumerate(entries):
-            if e.bidegree == cell:
-                candidates.append(((i,), e.translation))
+        wanted = _weights(weigh, part)
+        tags = [(i,) for i, e in enumerate(entries) if e.bidegree == cell]
         for r in (2, 3) if allow_triples else (2,):
-            for factors in combinations_with_replacement(positive, r):
+            for tag in combinations_with_replacement(positive, r):
                 p = q = 0
-                for _, e in factors:
-                    p += e.bidegree[0]
-                    q += e.bidegree[1]
-                if (p, q) != cell:
-                    continue
-                prod = reduce(wedge, (e.translation for _, e in factors))
-                if not prod.is_zero:
-                    candidates.append((tuple(i for i, _ in factors), prod))
+                for i in tag:
+                    p += entries[i].bidegree[0]
+                    q += entries[i].bidegree[1]
+                if (p, q) == cell:
+                    tags.append(tag)
         span = VectorSpan(field, track=True)
-        for tag, form in candidates:
-            for ex, sc in powers:
+        for tag in tags:
+            if graded:
+                w = sum(entry_weights[i] for i in tag)
+                usable = [
+                    power
+                    for power, pw in zip(powers, power_weights)
+                    if w + pw in wanted
+                ]
+            else:
+                usable = powers
+            if not usable:
+                continue
+            form = dictionary._product(tag)
+            for ex, sc in usable:
                 col = sc * form
                 if col.is_zero:
                     continue
@@ -574,6 +671,8 @@ def express_in_generators(
                 continue
             words = tuple(entries[i].word for i in tag)
             terms.append(CombinationTerm(coefficient=coeff, factors=words))
+    if residual and not is_invariant(setup, target):
+        raise EngineError("target is not an invariant basic form")
     return GeneratorCombination(
         terms=tuple(terms), residual=residual, failed_cells=tuple(failed)
     )
