@@ -190,6 +190,15 @@ class Dictionary:
     _products: dict[tuple[int, ...], Form] = dc_field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    # left by generate_dictionary for completeness_check: the images of the
+    # first entries at the origin (the origin phase) and of every entry at
+    # the generic point, in entry order
+    _origin_vectors: list[dict] = dc_field(
+        default_factory=list, init=False, repr=False, compare=False
+    )
+    _generic_vectors: list[dict] = dc_field(
+        default_factory=list, init=False, repr=False, compare=False
+    )
 
     def per_bidegree(self) -> dict[tuple[int, int], list[DictionaryEntry]]:
         out: dict[tuple[int, int], list[DictionaryEntry]] = {}
@@ -271,6 +280,7 @@ def _phase(
     setup = alphabet.setup
     span = VectorSpan(setup.field)
     new_entries: list[DictionaryEntry] = []
+    vectors: list[dict] = []  # images of seeds + new_entries at the point
     radial: DictionaryEntry | None = None
     pool: dict[int, list[Word]] = {}
     pool_set: set[Word] = set()
@@ -286,12 +296,14 @@ def _phase(
                 f"independence inheritance failed for {e.word.render()}: "
                 f"its image at the generic point is dependent"
             )
+        vectors.append(vec)
         admit(e.word)
     if not seeds:
         empty = Word(())
         entry = DictionaryEntry(empty, phase_name, (0, 0), setup.frame.one)
         vec = evaluate_to_vector(entry.translation, point)
         span.add(vec)
+        vectors.append(vec)
         new_entries.append(entry)
         admit(empty)
         transcript.append((phase_name, "1", "kept"))
@@ -352,13 +364,14 @@ def _phase(
                 )
                 continue
             if span.add(vec):
+                vectors.append(vec)
                 new_entries.append(DictionaryEntry(cw, phase_name, (p, q), form))
                 admit(cw)
                 transcript.append((phase_name, cw.render(), "kept"))
             else:
                 transcript.append((phase_name, cw.render(), "dependent"))
         l += 1
-    return new_entries, radial
+    return new_entries, radial, vectors
 
 
 def generate_dictionary(
@@ -373,19 +386,22 @@ def generate_dictionary(
     origin_pt = setup.point([setup.field.zero] * setup.fiber_dim)
     v_pt = setup.point(setup.generic_point_vector())
     transcript: list[tuple[str, str, str]] = []
-    c0, _ = _phase(
+    c0, _, at_origin = _phase(
         alphabet, "origin", origin_pt, [], transcript, options.max_length, False
     )
-    new, radial = _phase(
+    new, radial, at_generic = _phase(
         alphabet, "generic", v_pt, c0, transcript, options.max_length, True
     )
-    return Dictionary(
+    dictionary = Dictionary(
         setup=setup,
         alphabet=alphabet,
         entries=c0 + new,
         radial=radial,
         transcript=transcript,
     )
+    dictionary._origin_vectors = at_origin
+    dictionary._generic_vectors = at_generic
+    return dictionary
 
 
 # -- completeness -------------------------------------------------------------
@@ -429,19 +445,29 @@ def completeness_check(
     dictionary: Dictionary,
 ) -> CompletenessReport:
     """Direct span of the dictionary images against the invariant dimensions
-    at both stabilizers, cell by cell."""
+    at both stabilizers, cell by cell.
+
+    Images that generate_dictionary left on the dictionary are reused; the
+    rest are evaluated here."""
     field = setup.field
     k = setup.fiber_dim
     tables = setup.invariant_dimension_tables()
     origin_pt = setup.point([field.zero] * k)
     v_pt = setup.point(setup.generic_point_vector())
+    known = dictionary.setup is setup
+
+    def image(kept: list[dict], i: int, e: DictionaryEntry, point) -> dict:
+        if known and i < len(kept):
+            return kept[i]
+        return evaluate_to_vector(e.translation, point)
+
     spans: dict[tuple[int, int], tuple[VectorSpan, VectorSpan]] = {}
-    for e in dictionary.entries:
+    for i, e in enumerate(dictionary.entries):
         cell = e.bidegree
         if cell not in spans:
             spans[cell] = (VectorSpan(field), VectorSpan(field))
-        spans[cell][0].add(evaluate_to_vector(e.translation, origin_pt))
-        spans[cell][1].add(evaluate_to_vector(e.translation, v_pt))
+        spans[cell][0].add(image(dictionary._origin_vectors, i, e, origin_pt))
+        spans[cell][1].add(image(dictionary._generic_vectors, i, e, v_pt))
     cells = []
     for p in range(setup.horizontal_dim + 1):
         for q in range(k + 1):

@@ -117,7 +117,8 @@ class NumberField:
 
 
 class FieldElement:
-    """An element of a NumberField.  Immutable once constructed."""
+    """An element of a NumberField.  Immutable once constructed, so an
+    operation may return one of its operands."""
 
     __slots__ = ("field", "terms", "_hash")
 
@@ -130,24 +131,32 @@ class FieldElement:
 
     def _coerce(self, other) -> "FieldElement | None":
         if isinstance(other, FieldElement):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise ValueError("elements of different fields")
             return other
         if isinstance(other, (int, Fraction)):
-            return self.field.rational(other)
+            return FieldElement(self.field, {0: Fraction(other)} if other else {})
         return None
 
     def __add__(self, other) -> "FieldElement":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if not o.terms:
+            return self
+        if not self.terms:
+            return o
         out = dict(self.terms)
         for mask, c in o.terms.items():
-            s = out.get(mask, Fraction(0)) + c
-            if s:
-                out[mask] = s
+            s = out.get(mask)
+            if s is None:
+                out[mask] = c
             else:
-                out.pop(mask, None)
+                s += c
+                if s:
+                    out[mask] = s
+                else:
+                    del out[mask]
         return FieldElement(self.field, out)
 
     __radd__ = __add__
@@ -171,18 +180,36 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if not self.terms:
+            return self
+        if not o.terms:
+            return o
+        field = self.field
+        if len(self.terms) == 1 and len(o.terms) == 1:
+            ((m1, c1),) = self.terms.items()
+            ((m2, c2),) = o.terms.items()
+            c = c1 * c2
+            if m1 & m2:
+                # shared radicals square to their radicand
+                c *= field._mask_value(m1 & m2)
+            return FieldElement(field, {m1 ^ m2: c})
         out: dict[int, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in o.terms.items():
-                # shared radicals square to their radicand
-                c = c1 * c2 * self.field._mask_value(m1 & m2)
+                c = c1 * c2
+                if m1 & m2:
+                    c *= field._mask_value(m1 & m2)
                 m = m1 ^ m2
-                s = out.get(m, Fraction(0)) + c
-                if s:
-                    out[m] = s
+                s = out.get(m)
+                if s is None:
+                    out[m] = c
                 else:
-                    out.pop(m, None)
-        return FieldElement(self.field, out)
+                    s += c
+                    if s:
+                        out[m] = s
+                    else:
+                        del out[m]
+        return FieldElement(field, out)
 
     __rmul__ = __mul__
 

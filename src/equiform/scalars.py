@@ -105,6 +105,15 @@ class Ring:
                     f"roots to the coefficient field instead"
                 )
             self.radical_squares.append(sq)
+        # Whether a monomial is a p-adic remainder does not depend on the
+        # window _exact_divide shifts Laurent exponents into when no leading
+        # monomial of a radical square carries a parameter.  Then the normal
+        # form is additive: a sum of normal forms is the normal form of the
+        # sum.
+        self.additive_normal_form = all(
+            not any(max(sq)[self.nf : self.nf + self.np])
+            for sq in self.radical_squares
+        )
 
     def _coerce_field(self, c) -> FieldElement:
         if isinstance(c, FieldElement):
@@ -396,8 +405,17 @@ def _finish(ring: Ring, out: dict) -> "Scalar":
     return Scalar(ring, out)
 
 
+def _constant_coefficient(x: "Scalar") -> FieldElement | None:
+    """The coefficient of x when x is a single constant term, else None."""
+    if len(x.coeffs) != 1:
+        return None
+    ((mono, c),) = x.coeffs.items()
+    return None if any(mono) else c
+
+
 class Scalar:
-    """An element of a Ring in normal form."""
+    """An element of a Ring in normal form.  Immutable once constructed, so
+    an operation may return one of its operands."""
 
     __slots__ = ("ring", "coeffs")
 
@@ -428,7 +446,7 @@ class Scalar:
 
     def _coerce(self, other) -> "Scalar | None":
         if isinstance(other, Scalar):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise RingError("scalars from different rings")
             return other
         if isinstance(other, (int, Fraction, FieldElement)):
@@ -439,14 +457,24 @@ class Scalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if not o.coeffs:
+            return self
+        if not self.coeffs:
+            return o
         out = dict(self.coeffs)
         for m, c in o.coeffs.items():
             s = out.get(m)
-            s = c if s is None else s + c
-            if s.is_zero:
-                out.pop(m, None)
+            if s is None:
+                out[m] = c
             else:
-                out[m] = s
+                s = s + c
+                if s:
+                    out[m] = s
+                else:
+                    del out[m]
+        if self.ring.additive_normal_form:
+            # the monomials are the operands' own, so the bounds hold too
+            return Scalar(self.ring, out)
         return _finish(self.ring, out)
 
     __radd__ = __add__
@@ -470,6 +498,17 @@ class Scalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if not self.coeffs:
+            return self
+        if not o.coeffs:
+            return o
+        # a nonzero constant scales the normal form of the other factor
+        c = _constant_coefficient(o)
+        if c is not None:
+            return Scalar(self.ring, {m: x * c for m, x in self.coeffs.items()})
+        c = _constant_coefficient(self)
+        if c is not None:
+            return Scalar(self.ring, {m: c * x for m, x in o.coeffs.items()})
         out: dict[Monomial, FieldElement] = {}
         for m1, c1 in self.coeffs.items():
             for m2, c2 in o.coeffs.items():

@@ -127,7 +127,10 @@ class TestExitStatus:
         golden = Path(__file__).parent / "golden" / "su2_ts2.json"
         assert out.read_bytes() == golden.read_bytes()
 
-    @pytest.mark.parametrize("kind", ["generate", "dim_table"])
+    @pytest.mark.parametrize(
+        "kind",
+        ["generate", "dim_table", "verify_closed", "verify_equation", "express"],
+    )
     def test_su3_report_matches_golden(self, tmp_path, kind):
         # captured from `equiform <kind> --config su3_tcp2 --format json`
         out = tmp_path / "report.json"

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from equiform import dictionary as dictionary_module
 from equiform.dictionary import (
     Alphabet,
     DictionaryOptions,
@@ -103,6 +104,41 @@ def test_tcp2_completeness(su3_setup, su3_dictionary):
     cell = report.cell((2, 2))
     assert (cell.span_origin, cell.target_origin) == (4, 4)
     assert (cell.span_generic, cell.target_generic) == (12, 12)
+
+
+def test_completeness_reuses_the_images_from_generation(
+    su3_setup, su3_dictionary, monkeypatch
+):
+    evaluate = dictionary_module.evaluate_to_vector
+    evaluated, added = [], []
+
+    def counting(form, point):
+        evaluated.append(form)
+        return evaluate(form, point)
+
+    class Recording(dictionary_module.VectorSpan):
+        def add(self, vec, tag=None):
+            added.append(vec)
+            return super().add(vec, tag)
+
+    monkeypatch.setattr(dictionary_module, "evaluate_to_vector", counting)
+    monkeypatch.setattr(dictionary_module, "VectorSpan", Recording)
+    report = completeness_check(su3_setup, su3_dictionary)
+    # only the generic-phase entries still need their image at the origin
+    generic = [e for e in su3_dictionary.entries if e.phase == "generic"]
+    assert len(evaluated) == len(generic) == 76
+    # and every entry's cells received that entry's own images
+    origin = su3_setup.point([su3_setup.field.zero] * su3_setup.fiber_dim)
+    point = su3_setup.point(su3_setup.generic_point_vector())
+    assert added == [
+        evaluate(e.translation, pt)
+        for e in su3_dictionary.entries
+        for pt in (origin, point)
+    ]
+    # a dictionary built without the images evaluates all of them, alike
+    evaluated.clear()
+    assert completeness_check(su3_setup, replace(su3_dictionary)) == report
+    assert len(evaluated) == 2 * len(su3_dictionary.entries)
 
 
 def test_su2_dictionary_contents(su2_dictionary):
