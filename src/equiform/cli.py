@@ -10,7 +10,8 @@ not an existing file is looked up among the bundled examples.
 The JSON report is canonical: running the same config twice gives byte
 identical output.  Exit status is 0 when every task passed, 1 when some
 verification failed or some differential could not be expressed, 2 for
-unusable input (bad config, unknown task, malformed expression).
+unusable input (bad config, unknown task, malformed expression) or a report
+that cannot be written to --output.
 """
 
 from __future__ import annotations
@@ -454,7 +455,7 @@ def main(argv=None) -> int:
             max_degree=_positive_flag("--max-degree", args.max_degree),
             bounds=(
                 _parse_bounds_flag(args.laurent_bounds)
-                if args.laurent_bounds
+                if args.laurent_bounds is not None
                 else None
             ),
         )
@@ -479,8 +480,15 @@ def main(argv=None) -> int:
 
     rendered = report.to_json() if args.fmt == "json" else report.render_text()
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(rendered)
+        except OSError as e:
+            print(
+                f"equiform: cannot write report {args.output}: {e.strerror}",
+                file=sys.stderr,
+            )
+            return 2
     else:
         sys.stdout.write(rendered)
     return 0 if report.passed else 1

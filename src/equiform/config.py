@@ -8,7 +8,8 @@ parser of equiform.expressions, each in a context that binds a restricted
 set of names and has no d(...).  Field constants (structure constants,
 representation cells, contraction entries) may use numbers and the declared
 sqrtN, for example "-1/2", "2*sqrt3" or "sqrt3^2"; radical squares may also
-use the fiber coordinates a1..ak, the params and aa, for example "k+aa".
+use the fiber coordinates a1..ak, the params and aa, for example "k+aa",
+within the rule equiform.scalars.Ring sets on the leading term.
 
 parse_config checks the structure and evaluates every literal, once.
 realize_config builds the validated setup, the letters and the
@@ -52,7 +53,7 @@ from equiform.letters import (
     make_letter,
 )
 from equiform.numberfield import FieldElement, NumberField
-from equiform.scalars import RadicalSpec, Ring, RingSpec, Scalar
+from equiform.scalars import RadicalSpec, Ring, RingError, RingSpec, Scalar
 
 
 class ConfigError(ValueError):
@@ -592,15 +593,16 @@ def parse_config(text: str) -> ConfigDocument:
     base = _base_ring(ring, fiber_dim)
     # radical squares: a1..ak, the params, aa and sqrtN
     squares_ctx = _literal_context(base, scalar_bindings(base))
-    radicals = tuple(
-        RadicalSpec(
-            name=rad.name,
-            square=parse_radical_square(
-                squares_ctx, rad.square, f"ring.radicals[{i}].square"
-            ),
-        )
-        for i, rad in enumerate(ring.radicals)
-    )
+    radicals = []
+    for i, rad in enumerate(ring.radicals):
+        where = f"ring.radicals[{i}].square"
+        square = parse_radical_square(squares_ctx, rad.square, where)
+        spec = RadicalSpec(rad.name, square)
+        try:
+            Ring(replace(base.spec, radicals=(spec,)))
+        except RingError as e:
+            raise ConfigError(f"{where}: {e}") from None
+        radicals.append(spec)
 
     letters = _parse_letters(raw["letters"], fiber_dim)
     contractions = _parse_contractions(
@@ -609,7 +611,7 @@ def parse_config(text: str) -> ConfigDocument:
     tasks = _parse_tasks(raw["tasks"])
 
     return ConfigDocument(
-        ring=replace(base.spec, radicals=radicals),
+        ring=replace(base.spec, radicals=tuple(radicals)),
         dimension=dimension,
         constants=constants,
         horizontal=horizontal,

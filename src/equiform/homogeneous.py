@@ -14,6 +14,10 @@ sum_i (df/da_i) da_i with da_i = b_i - sum_A (rho_A a)_i e^A.  For a basic
 form the gauge part of d is sum_A e^A ^ (its variation along e_A), so
 invariance is read off d itself: a basic form is invariant exactly when its
 d stays basic, and that d is the covariant derivative on tensorial forms.
+validate_setup reads Jacobi (d d e^i = 0) and whether rho is a homomorphism
+off the same images: the e^a ^ e^b term of d b_i is
+(([rho_a, rho_b] + sum_g c^g_ab rho_g) a)_i, and [e_a, e_b] = -sum_g c^g_ab e_g,
+so that term vanishes exactly when rho respects the bracket [e_a, e_b].
 """
 
 from __future__ import annotations
@@ -112,41 +116,6 @@ def make_representation(
             )
         mats.append((a, tuple(rows)))
     return Representation(matrices=tuple(mats))
-
-
-# -- small exact matrix helpers ----------------------------------------------
-
-
-def _mat_mul(field, m1, m2):
-    n = len(m1)
-    p = len(m2[0])
-    return tuple(
-        tuple(
-            sum((m1[i][t] * m2[t][j] for t in range(len(m2))), field.zero)
-            for j in range(p)
-        )
-        for i in range(n)
-    )
-
-
-def _mat_sub(m1, m2):
-    return tuple(
-        tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in zip(m1, m2)
-    )
-
-
-def _mat_scale(c, m):
-    return tuple(tuple(c * x for x in row) for row in m)
-
-
-def _mat_add(m1, m2):
-    return tuple(
-        tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(m1, m2)
-    )
-
-
-def _mat_is_zero(m) -> bool:
-    return all(x.is_zero for row in m for x in row)
 
 
 def _is_skew(m) -> bool:
@@ -378,6 +347,10 @@ def validate_setup(
             f"{splitting.gauge}, got {rep_indices}"
         )
         raise SetupError(issues)
+    for a in splitting.gauge:
+        m = representation.matrix(a)
+        if len(m) != k or any(len(row) != k for row in m):
+            raise SetupError([f"representation matrix for e{a} is not {k}x{k}"])
 
     # coefficient ring
     fiber = tuple(f"a{i}" for i in range(1, k + 1))
@@ -415,10 +388,9 @@ def validate_setup(
     setup = HomogeneousSetup(algebra, splitting, representation, ring, frame)
 
     # Jacobi: d(d e^i) = 0 with d e^i from the constants
-    struct = {i: setup.structure_derivative(i) for i in range(1, n + 1)}
-    images = {setup._pos_e[i]: struct[i] for i in range(1, n + 1)}
+    images, _ = setup.derivative_images()
     for i in range(1, n + 1):
-        if not _derivation(struct[i], lambda c: None, images).is_zero:
+        if not _derivation(images[setup._pos_e[i]], lambda c: None, images).is_zero:
             issues.append(f"Jacobi identity fails: d(d e^{i}) != 0")
 
     # gauge part closed under bracket; reductivity
@@ -443,25 +415,15 @@ def validate_setup(
 
     # representation checks
     for a in splitting.gauge:
-        m = representation.matrix(a)
-        if len(m) != k or any(len(row) != k for row in m):
-            issues.append(f"representation matrix for e{a} is not {k}x{k}")
-            raise SetupError(issues)
-        if not _is_skew(m):
+        if not _is_skew(representation.matrix(a)):
             issues.append(f"representation not orthogonal: rho(e{a}) is not skew")
+    # rho is a homomorphism on [e_a, e_b] iff no d b_i has an e^a ^ e^b term
     for a in splitting.gauge:
         for b in splitting.gauge:
             if a >= b:
                 continue
-            ma, mb = representation.matrix(a), representation.matrix(b)
-            comm = _mat_sub(_mat_mul(field, ma, mb), _mat_mul(field, mb, ma))
-            # [e_a, e_b] = -sum_g c^g_ab e_g
-            expect = _mat_scale(field.zero, ma)
-            for g in splitting.gauge:
-                c = setup.c_signed(g, a, b)
-                if not c.is_zero:
-                    expect = _mat_add(expect, _mat_scale(-c, representation.matrix(g)))
-            if not _mat_is_zero(_mat_sub(comm, expect)):
+            mask = (1 << setup._pos_e[a]) | (1 << setup._pos_e[b])
+            if any(mask in images[pos].terms for pos in setup._pos_b):
                 issues.append(
                     f"representation not a homomorphism on [e{a}, e{b}]"
                 )
@@ -637,19 +599,25 @@ def invariant_dimension(
     nv = setup.fiber_dim
     if p < 0 or q < 0 or p > nt or q > nv:
         return 0
+    zero = setup.field.zero
+    # per gauge index, the nonzero entries (i, j, x) of ad|T and of rho
+    gens = [
+        [
+            [(i, j, x) for i, row in enumerate(m) for j, x in enumerate(row) if x]
+            for m in (setup.ad_on_horizontal(a), setup.rho(a))
+        ]
+        for a in setup.splitting.gauge
+    ]
     span = VectorSpan(setup.field)
     for lam in stab_basis:
-        m_t = None
-        m_v = None
-        for c, a in zip(lam, setup.splitting.gauge):
-            if c.is_zero:
-                continue
-            ad_t = setup.ad_on_horizontal(a)
-            rho_a = setup.rho(a)
-            m_t = _mat_scale(c, ad_t) if m_t is None else _mat_add(m_t, _mat_scale(c, ad_t))
-            m_v = _mat_scale(c, rho_a) if m_v is None else _mat_add(m_v, _mat_scale(c, rho_a))
-        if m_t is None:
-            continue
+        # the lambda-combinations of ad|T and of rho
+        m_t = [[zero] * nt for _ in range(nt)]
+        m_v = [[zero] * nv for _ in range(nv)]
+        for c, pair in zip(lam, gens):
+            if c:
+                for m, entries in zip((m_t, m_v), pair):
+                    for i, j, x in entries:
+                        m[i][j] = m[i][j] + c * x
         for row in _derivation_equations(m_t, m_v, p, q):
             span.add(row)
     return comb(nt, p) * comb(nv, q) - span.rank

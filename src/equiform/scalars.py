@@ -16,6 +16,13 @@ p-adic digit expansion (unique remainders under multivariate division by
 p_j), which is what makes the zero test sound: a scalar is zero iff its
 coefficient map is empty.  Example: s*s*s^-1 normalizes back to s even
 though the middle product expands to the defining polynomial.
+
+Parameters are units of the ring, so division by p_j looks at fiber parts
+only.  A Ring therefore accepts a square p_j only when exactly one of its
+terms has the lex-largest fiber part and that part is not 1: k*aa and k+aa
+pass, a1*k+a1, k+1 and k do not.  Then a remainder is a remainder whatever
+the parameter exponents, the normal form is additive, and a sum of normal
+forms is merged term by term without re-normalization.
 """
 
 from __future__ import annotations
@@ -99,21 +106,14 @@ class Ring:
                     sq[full] = s
             if not sq:
                 raise RingError(f"square of radical {rad.name} is zero")
-            if all(not any(m) for m in sq):
+            # parameters are units, so division sees only the fiber parts
+            lead = max(m[: self.nf] for m in sq)
+            if not any(lead) or sum(m[: self.nf] == lead for m in sq) > 1:
                 raise RingError(
-                    f"square of radical {rad.name} is constant; adjoin such "
-                    f"roots to the coefficient field instead"
+                    f"square of radical {rad.name} needs exactly one term with "
+                    f"the lex-largest fiber part, and a fiber coordinate in it"
                 )
             self.radical_squares.append(sq)
-        # Whether a monomial is a p-adic remainder does not depend on the
-        # window _exact_divide shifts Laurent exponents into when no leading
-        # monomial of a radical square carries a parameter.  Then the normal
-        # form is additive: a sum of normal forms is the normal form of the
-        # sum.
-        self.additive_normal_form = all(
-            not any(max(sq)[self.nf : self.nf + self.np])
-            for sq in self.radical_squares
-        )
 
     def _coerce_field(self, c) -> FieldElement:
         if isinstance(c, FieldElement):
@@ -272,26 +272,18 @@ def _accumulate(ring: Ring, out: dict, mono: Monomial, c: FieldElement) -> None:
 def _exact_divide(
     ring: Ring, num: dict, den: dict
 ) -> tuple[dict, dict]:
-    """Multivariate division num = q * den + r by a single denominator.
+    """Multivariate division num = q * den + r by a radical square.
 
-    Works on internal monomials whose denominator slots are all zero.  The
-    divisor has no radical slots.  Laurent parameter exponents are shifted
-    to a nonnegative window first so lex division terminates.  Returns
-    (quotient, remainder); the remainder is the canonical p-adic digit.
+    Parameters are units, so a monomial is divisible when its fiber and
+    radical slots are; Laurent parameter exponents pass through.  The
+    divisor has a single term with the lex-largest fiber part (Ring checks
+    this), so every step lowers the fiber part of what is left and lex
+    division terminates with a remainder that does not depend on where the
+    parameter exponents sit.  Returns (quotient, remainder); the remainder
+    is the canonical p-adic digit.
     """
-    if not num:
-        return {}, {}
     lo = ring.nf
     hi = ring.nf + ring.np
-    shift = [0] * ring.width
-    for p in range(lo, hi):
-        m = min(mono[p] for mono in num)
-        if m < 0:
-            shift[p] = -m
-    if any(shift):
-        num = {
-            tuple(e + s for e, s in zip(mono, shift)): c for mono, c in num.items()
-        }
     lt = max(den)
     lc = den[lt]
     work = dict(num)
@@ -301,7 +293,7 @@ def _exact_divide(
         t = max(work)
         c = work.pop(t)
         qm = tuple(a - b for a, b in zip(t, lt))
-        if all(e >= 0 for e in qm):
+        if all(e >= 0 for e in qm[:lo]) and all(e >= 0 for e in qm[hi:]):
             qc = c * lc.inverse()
             q[qm] = qc
             for dm, dc in den.items():
@@ -316,9 +308,6 @@ def _exact_divide(
                     work[key] = s
         else:
             r[t] = c
-    if any(shift):
-        q = {tuple(e - s for e, s in zip(m, shift)): c for m, c in q.items()}
-        r = {tuple(e - s for e, s in zip(m, shift)): c for m, c in r.items()}
     return q, r
 
 
@@ -472,10 +461,9 @@ class Scalar:
                     out[m] = s
                 else:
                     del out[m]
-        if self.ring.additive_normal_form:
-            # the monomials are the operands' own, so the bounds hold too
-            return Scalar(self.ring, out)
-        return _finish(self.ring, out)
+        # the normal form is additive and the monomials are the operands'
+        # own, so the sum needs no reduction and keeps the bounds
+        return Scalar(self.ring, out)
 
     __radd__ = __add__
 
@@ -750,21 +738,12 @@ class Point:
         """Value of one radical generator, computed on first use so that
         scalars not involving a radical never force its evaluation."""
         if j not in self._radical_values:
-            name = self.ring.radical_names[j]
-            base_vals = [self.values[n] for n in self.ring.fiber + self.ring.params]
-            nbase = self.ring.nf + self.ring.np
-            sq = self.ring.field.zero
-            for mono, c in self.ring.radical_squares[j].items():
-                term = c
-                for v, e in zip(base_vals, mono[:nbase]):
-                    if e:
-                        term = term * _field_pow(v, e, name)
-                sq = sq + term
+            sq = evaluate(Scalar(self.ring, self.ring.radical_squares[j]), self)
             root = sq.sqrt()
             if root is None:
                 raise PointError(
-                    f"radical {name} has no exact value at this point "
-                    f"(square evaluates to {sq})"
+                    f"radical {self.ring.radical_names[j]} has no exact value "
+                    f"at this point (square evaluates to {sq})"
                 )
             self._radical_values[j] = root
         return self._radical_values[j]

@@ -98,6 +98,10 @@ class TestExitStatus:
         [
             ({"params": ["a1"]}, "ring.params[0]"),
             ({"radicals": [{"name": "u", "square": "4"}]}, "ring.radicals[0].square"),
+            (
+                {"params": ["k"], "radicals": [{"name": "u", "square": "a1*k+a1"}]},
+                "ring.radicals[0].square: square of radical u needs exactly one term",
+            ),
         ],
     )
     def test_ring_error_exits_two(self, tmp_path, capsys, ring, needle):
@@ -209,6 +213,34 @@ class TestExitStatus:
         assert main(["d_table", "--config", "su2_ts2", flag, value]) == 2
         err = capsys.readouterr().err
         assert err == f"equiform: {flag}: value {value} is below 1\n"
+
+    @pytest.mark.parametrize(
+        "square",
+        ["a1*k+a1", "k+1", "k", "k*a1*a2+a1*a2"],
+    )
+    def test_refused_radical_square_exits_two(self, tmp_path, capsys, square):
+        doc = small_doc([])
+        doc["ring"]["radicals"][0]["square"] = square
+        path = write_config(tmp_path, doc)
+        assert main(["run", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("equiform: ring.radicals[0].square: square of radical u")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("target", ["missing/report.json", "."])
+    def test_unwritable_output_exits_two(self, tmp_path, capsys, target):
+        out = tmp_path / target
+        assert main(["validate", "--config", "su2_ts2", "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"equiform: cannot write report {out}: ")
+        assert len(err.splitlines()) == 1
+
+    def test_empty_laurent_flag_exits_two(self, capsys):
+        assert main([
+            "d_table", "--config", "su2_ts2", "--max-degree", "1", "--laurent-bounds=",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err == "equiform: --laurent-bounds wants two integers lo,hi; got ''\n"
 
     def test_missing_config_exits_two(self, capsys):
         assert main(["run", "--config", "no_such_thing"]) == 2

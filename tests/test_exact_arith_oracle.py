@@ -7,6 +7,13 @@ su3_tcp2 config (fiber a1..a4, Laurent parameters B and C, the radial radical
 s with s^2 = |a|^2 and depth 4).  Every sum and constant scaling is also
 checked to be its own normal form, which is what lets those paths skip
 `_finish`.
+
+Division by a radical square treats parameters as units.  On the bundled
+rings it must give the quotients and remainders of the old division that
+shifted Laurent exponents into a window.  A Ring refuses squares without a
+single leading fiber term, and in the u^2 = k*aa ring, whose leading term
+carries the parameter, products associate and distribute and sums stay
+normal.
 """
 
 from __future__ import annotations
@@ -20,7 +27,14 @@ from hypothesis import given, settings, strategies as st
 from equiform.cli import resolve_config
 from equiform.config import parse_config
 from equiform.numberfield import NumberField
-from equiform.scalars import RadicalSpec, Ring, RingError, RingSpec, _finish
+from equiform.scalars import (
+    RadicalSpec,
+    Ring,
+    RingError,
+    RingSpec,
+    _exact_divide,
+    _finish,
+)
 
 import exact_arith_oracle as oracle
 
@@ -143,23 +157,97 @@ def test_constant_scaling_matches_oracle_and_is_normal(x, c):
         _is_normal(r)
 
 
-def test_sum_without_additive_normal_form_is_renormalized():
-    # u^2 = a*t + a: the leading monomial a*t carries the parameter t, so
-    # which monomials are p-adic remainders depends on the Laurent window and
-    # the plain sum of these two normal forms is not itself normal.
-    ring = Ring(
+SU2 = Ring(parse_config(resolve_config("su2_ts2")[1]).ring)
+
+
+@st.composite
+def radical_square_division(draw):
+    """A bundled ring, one of its radical squares and a numerator of one to
+    four internal monomials: fiber exponents up to 4, Laurent exponents in
+    [-3, 3], radical slot 0 or 1 and no denominator."""
+    ring = draw(st.sampled_from([SU2, SU3]))
+    num = {}
+    for _ in range(draw(st.integers(1, 4))):
+        fiber = tuple(draw(st.integers(0, 4)) for _ in range(ring.nf))
+        params = tuple(draw(st.integers(-3, 3)) for _ in range(ring.np))
+        radical = (draw(st.integers(0, 1)),)
+        num[fiber + params + radical + (0,)] = ring.field.rational(
+            draw(nonzero_rationals)
+        )
+    return ring, num
+
+
+@settings(max_examples=80, deadline=None)
+@given(radical_square_division())
+def test_exact_divide_matches_shifted_oracle(case):
+    # the bundled squares k+aa and aa lead with a parameter-free monomial,
+    # so making parameters units changes no quotient and no remainder
+    ring, num = case
+    (sq,) = ring.radical_squares
+    assert _exact_divide(ring, num, sq) == oracle.shifted_exact_divide(ring, num, sq)
+
+
+def _one_radical_ring(square, fiber=("a1", "a2")):
+    return Ring(
         RingSpec(
             field_radicands=(),
-            fiber=("a",),
-            params=("t",),
-            radicals=(RadicalSpec("u", (((1, 1), 1), ((1, 0), 1))),),
+            fiber=fiber,
+            params=("k",),
+            radicals=(RadicalSpec("u", square),),
         )
     )
-    assert not ring.additive_normal_form
-    assert SU3.additive_normal_form
-    a, t, u = ring.var("a"), ring.var("t"), ring.var("u")
-    x, y = a**2 * t**-6, u**-2 + a * u**-1
-    merged = dict(x.coeffs)
-    merged.update(y.coeffs)
-    assert (x + y).coeffs != merged
-    assert (x + y).coeffs == oracle.scalar_add(x, y).coeffs
+
+
+@pytest.mark.parametrize(
+    "square, fiber",
+    [
+        # u^2 = a*k + a: two terms share the leading fiber part a
+        ((((1, 1), 1), ((1, 0), 1)), ("a",)),
+        # u^2 = k + 1 and u^2 = k: the leading fiber part is 1
+        ((((0, 0, 1), 1), ((0, 0, 0), 1)), ("a1", "a2")),
+        ((((0, 0, 1), 1),), ("a1", "a2")),
+    ],
+    ids=["a*k+a", "k+1", "k"],
+)
+def test_square_without_a_single_fiber_leading_term_is_refused(square, fiber):
+    with pytest.raises(RingError, match="needs exactly one term with the lex-largest"):
+        _one_radical_ring(square, fiber=fiber)
+
+
+# u^2 = k*(a1^2 + a2^2): the leading monomial carries the parameter k
+KAA = _one_radical_ring((((2, 0, 1), 1), ((0, 2, 1), 1)))
+
+
+def test_parameter_times_radial_square_is_associative():
+    k, u = KAA.var("k"), KAA.var("u")
+    assert (k**-1 * u**-1) * u == k**-1 * (u**-1 * u) == k**-1
+    assert u**-2 * (k * u**2) == (u**-2 * k) * u**2 == k
+
+
+@st.composite
+def kaa_scalars(draw):
+    """One or two terms of the u^2 = k*aa ring: fiber exponents up to 2,
+    Laurent exponents of k in [-2, 2] and visible powers of u in [-2, 2]."""
+    raw = {}
+    for _ in range(draw(st.integers(1, 2))):
+        fiber = tuple(draw(st.integers(0, 2)) for _ in range(KAA.nf))
+        raw[fiber + (draw(st.integers(-2, 2)), draw(st.integers(-2, 2)))] = draw(
+            nonzero_rationals
+        )
+    return KAA.normalize(raw)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kaa_scalars(), kaa_scalars(), kaa_scalars())
+def test_parameter_led_square_ring_laws(x, y, z):
+    # three factors of u^-2 reach u^-6, below the depth bound 4; such draws
+    # are refused on every path and skipped
+    try:
+        left, right = (x * y) * z, x * (y * z)
+        spread = x * (y + z)
+    except RingError:
+        return
+    assert left == right
+    assert spread == x * y + x * z
+    for r in (x + y, spread):
+        _is_normal(r)
