@@ -693,7 +693,7 @@ def realize_config(document: ConfigDocument) -> RealizedConfig:
             else:
                 comps = [parse_form_expression(s, bare) for s in spec]
                 letters[name] = make_letter(setup, name, comps)
-        except (ExpressionError, LetterError) as e:
+        except (ExpressionError, LetterError, RingError) as e:
             raise ConfigError(f"{where}: {e}") from None
 
     contractions: dict[str, Contraction] = {}

@@ -182,14 +182,18 @@ def _term_count(x: Form) -> int:
 
 def _product(left: Form, right: Form, pos: int) -> Form:
     """left * right, refused before it is formed when the operands'
-    coefficient-term counts multiply to more than MAX_PRODUCT_TERMS."""
+    coefficient-term counts multiply to more than MAX_PRODUCT_TERMS, and
+    refused when a radical exponent falls below the ring's depth bound."""
     nl, nr = _term_count(left), _term_count(right)
     if nl * nr > MAX_PRODUCT_TERMS:
         raise ExpressionError(
             f"product of {nl} and {nr} coefficient terms exceeds the bound "
             f"{MAX_PRODUCT_TERMS} at position {pos + 1}"
         )
-    return left * right
+    try:
+        return left * right
+    except RingError as e:
+        raise ExpressionError(f"cannot multiply at position {pos + 1}: {e}") from None
 
 
 def _power(ctx: ExpressionContext, base: Form, num: Fraction, pos: int) -> Form:
@@ -222,7 +226,13 @@ def _power(ctx: ExpressionContext, base: Form, num: Fraction, pos: int) -> Form:
         if s is not None:
             names = frame.ring.radicals_squaring_to(s)
             if names:
-                return frame.scalar_form(frame.ring.var(names[0]) ** int(num * 2))
+                try:
+                    return frame.scalar_form(frame.ring.var(names[0]) ** int(num * 2))
+                except RingError as e:
+                    raise ExpressionError(
+                        f"cannot take the power {num} of {s} at position "
+                        f"{pos + 1}: {e}"
+                    ) from None
     raise ExpressionError(
         f"fractional exponent {num} without a declared radical for the base "
         f"at position {pos + 1}"

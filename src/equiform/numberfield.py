@@ -6,6 +6,11 @@ squarefree integers > 1.  Elements are stored sparsely as a map from a bitmask
 Q(sqrt2, sqrt3) the element 1/2 + sqrt6 is {0b00: 1/2, 0b11: 1}.  Products of
 radicals collapse exactly: sqrt(d) * sqrt(d) = d.
 
+A coefficient is canonical: a Python int when it is integral, and a Fraction
+with denominator > 1 otherwise.  An int and a Fraction of equal value compare
+and hash equal and print the same, so the choice changes no result; it keeps
+the common integral products off the Fraction machinery.
+
 Everything is exact.  The zero test is "no terms", the sign test runs interval
 refinement with rational endpoints until zero is excluded (termination is
 guaranteed for a nonzero element).
@@ -18,6 +23,13 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
 RationalLike = Union[int, Fraction]
+
+
+def _canonical(c: RationalLike) -> RationalLike:
+    """The canonical coefficient of value c: an int when c is integral."""
+    if type(c) is not int and c.denominator == 1:
+        return c.numerator
+    return c
 
 
 def _squarefree_split(n: int) -> tuple[int, int]:
@@ -70,9 +82,10 @@ class NumberField:
         return v
 
     def element(self, terms: Mapping[int, RationalLike]) -> "FieldElement":
-        clean: dict[int, Fraction] = {}
+        clean: dict[int, RationalLike] = {}
         for mask, c in terms.items():
-            c = Fraction(c)
+            if type(c) is not int:
+                c = _canonical(Fraction(c))
             if c:
                 if mask < 0 or mask >> len(self.radicands):
                     raise ValueError(f"mask {mask} out of range for {self!r}")
@@ -122,7 +135,7 @@ class FieldElement:
 
     __slots__ = ("field", "terms", "_hash")
 
-    def __init__(self, field: NumberField, terms: dict[int, Fraction]):
+    def __init__(self, field: NumberField, terms: dict[int, RationalLike]):
         self.field = field
         self.terms = terms
         self._hash: int | None = None
@@ -130,12 +143,14 @@ class FieldElement:
     # -- ring structure -----------------------------------------------------
 
     def _coerce(self, other) -> "FieldElement | None":
+        if type(other) is FieldElement and other.field is self.field:
+            return other
         if isinstance(other, FieldElement):
             if other.field is not self.field and other.field != self.field:
                 raise ValueError("elements of different fields")
             return other
         if isinstance(other, (int, Fraction)):
-            return FieldElement(self.field, {0: Fraction(other)} if other else {})
+            return FieldElement(self.field, {0: _canonical(other)} if other else {})
         return None
 
     def __add__(self, other) -> "FieldElement":
@@ -152,7 +167,7 @@ class FieldElement:
             if s is None:
                 out[mask] = c
             else:
-                s += c
+                s = _canonical(s + c)
                 if s:
                     out[mask] = s
                 else:
@@ -192,8 +207,8 @@ class FieldElement:
             if m1 & m2:
                 # shared radicals square to their radicand
                 c *= field._mask_value(m1 & m2)
-            return FieldElement(field, {m1 ^ m2: c})
-        out: dict[int, Fraction] = {}
+            return FieldElement(field, {m1 ^ m2: _canonical(c)})
+        out: dict[int, RationalLike] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in o.terms.items():
                 c = c1 * c2
@@ -202,9 +217,9 @@ class FieldElement:
                 m = m1 ^ m2
                 s = out.get(m)
                 if s is None:
-                    out[m] = c
+                    out[m] = _canonical(c)
                 else:
-                    s += c
+                    s = _canonical(s + c)
                     if s:
                         out[m] = s
                     else:
@@ -224,7 +239,7 @@ class FieldElement:
             masks = [m for m in e.terms if m]
             if not masks:
                 q = e.terms[0]
-                return acc * self.field.rational(1 / q)
+                return acc * self.field.rational(Fraction(1) / q)
             bit = 1 << (max(masks).bit_length() - 1)
             conj = FieldElement(
                 self.field,
@@ -285,7 +300,7 @@ class FieldElement:
     def as_rational(self) -> Fraction:
         if not self.is_rational:
             raise ValueError(f"{self} is not rational")
-        return self.terms.get(0, Fraction(0))
+        return Fraction(self.terms.get(0, 0))
 
     # -- order structure ----------------------------------------------------
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cached_property
+from operator import add, neg, sub
 from typing import Mapping
 
 from equiform.numberfield import FieldElement, NumberField
@@ -114,6 +115,11 @@ class Ring:
                     f"the lex-largest fiber part, and a fiber coordinate in it"
                 )
             self.radical_squares.append(sq)
+        # per radical, (radical slot, denominator slot, square) for monomial loops
+        self.radical_slots = tuple(
+            (self.nf + self.np + j, self.nvars + j, sq)
+            for j, sq in enumerate(self.radical_squares)
+        )
 
     def _coerce_field(self, c) -> FieldElement:
         if isinstance(c, FieldElement):
@@ -231,35 +237,28 @@ def _accumulate(ring: Ring, out: dict, mono: Monomial, c: FieldElement) -> None:
     """
     if c.is_zero:
         return
-    base = ring.nf + ring.np
-    for j in range(ring.nr):
-        r = mono[ring.radical_slot(j)]
-        k = mono[ring.denominator_slot(j)]
+    for rslot, dslot, square in ring.radical_slots:
+        r = mono[rslot]
+        k = mono[dslot]
         if r >= 2:
             lowered = list(mono)
-            lowered[ring.radical_slot(j)] = r - 2
-            lowered = tuple(lowered)
-            for pm, pc in ring.radical_squares[j].items():
-                _accumulate(
-                    ring, out, tuple(x + y for x, y in zip(lowered, pm)), c * pc
-                )
+            lowered[rslot] = r - 2
+            for pm, pc in square.items():
+                _accumulate(ring, out, tuple(map(add, lowered, pm)), c * pc)
             return
         if r < 0:
             shifted = list(mono)
             shift = (1 - r) // 2  # smallest shift making the exponent 0 or 1
-            shifted[ring.radical_slot(j)] = r + 2 * shift
-            shifted[ring.denominator_slot(j)] = k + shift
+            shifted[rslot] = r + 2 * shift
+            shifted[dslot] = k + shift
             _accumulate(ring, out, tuple(shifted), c)
             return
         if k < 0:
             # a positive power of the defining polynomial: expand it
             raised = list(mono)
-            raised[ring.denominator_slot(j)] = k + 1
-            raised = tuple(raised)
-            for pm, pc in ring.radical_squares[j].items():
-                _accumulate(
-                    ring, out, tuple(x + y for x, y in zip(raised, pm)), c * pc
-                )
+            raised[dslot] = k + 1
+            for pm, pc in square.items():
+                _accumulate(ring, out, tuple(map(add, raised, pm)), c * pc)
             return
     s = out.get(mono)
     s = c if s is None else s + c
@@ -292,14 +291,14 @@ def _exact_divide(
     while work:
         t = max(work)
         c = work.pop(t)
-        qm = tuple(a - b for a, b in zip(t, lt))
+        qm = tuple(map(sub, t, lt))
         if all(e >= 0 for e in qm[:lo]) and all(e >= 0 for e in qm[hi:]):
             qc = c * lc.inverse()
             q[qm] = qc
             for dm, dc in den.items():
                 if dm == lt:
                     continue
-                key = tuple(a + b for a, b in zip(qm, dm))
+                key = tuple(map(add, qm, dm))
                 s = work.get(key)
                 s = -qc * dc if s is None else s - qc * dc
                 if s.is_zero:
@@ -313,8 +312,7 @@ def _exact_divide(
 
 def _reduce_denominators(ring: Ring, terms: dict) -> dict:
     """Canonicalize denominator content by nested p-adic expansion."""
-    for j in range(ring.nr):
-        dslot = ring.denominator_slot(j)
+    for j, (_, dslot, square) in enumerate(ring.radical_slots):
         if not any(mono[dslot] for mono in terms):
             continue
         kmax = max(mono[dslot] for mono in terms)
@@ -329,7 +327,7 @@ def _reduce_denominators(ring: Ring, terms: dict) -> dict:
         digits: list[dict] = []
         work = lifted
         while work:
-            work, rem = _exact_divide(ring, work, ring.radical_squares[j])
+            work, rem = _exact_divide(ring, work, square)
             digits.append(rem)
         out: dict = {}
         for i, digit in enumerate(digits):
@@ -366,19 +364,17 @@ def _mono_mul_ppow(
             out[mono] = s
         return
     for pm, pc in ring.radical_squares[j].items():
-        _mono_mul_ppow(
-            ring, j, out, tuple(x + y for x, y in zip(mono, pm)), c * pc, power - 1
-        )
+        _mono_mul_ppow(ring, j, out, tuple(map(add, mono, pm)), c * pc, power - 1)
 
 
 def _check_bounds(ring: Ring, coeffs: dict) -> None:
+    nf, floor = ring.nf, -ring.depth
     for mono in coeffs:
-        for i in range(ring.nf):
-            if mono[i] < 0:
-                raise RingError("negative exponent on a fiber variable")
-        for j in range(ring.nr):
-            vis = ring.visible_radical_exponent(mono, j)
-            if vis < -ring.depth:
+        if min(mono[:nf], default=0) < 0:
+            raise RingError("negative exponent on a fiber variable")
+        for j, (rslot, dslot, _) in enumerate(ring.radical_slots):
+            vis = mono[rslot] - 2 * mono[dslot]
+            if vis < floor:
                 raise RingError(
                     f"radical exponent {vis} below depth bound -{ring.depth} "
                     f"for {ring.radical_names[j]}"
@@ -386,9 +382,7 @@ def _check_bounds(ring: Ring, coeffs: dict) -> None:
 
 
 def _finish(ring: Ring, out: dict) -> "Scalar":
-    if ring.nr and any(
-        mono[ring.denominator_slot(j)] for mono in out for j in range(ring.nr)
-    ):
+    if any(mono[dslot] for _, dslot, _ in ring.radical_slots for mono in out):
         out = _reduce_denominators(ring, out)
     _check_bounds(ring, out)
     return Scalar(ring, out)
@@ -500,9 +494,7 @@ class Scalar:
         out: dict[Monomial, FieldElement] = {}
         for m1, c1 in self.coeffs.items():
             for m2, c2 in o.coeffs.items():
-                _accumulate(
-                    self.ring, out, tuple(x + y for x, y in zip(m1, m2)), c1 * c2
-                )
+                _accumulate(self.ring, out, tuple(map(add, m1, m2)), c1 * c2)
         return _finish(self.ring, out)
 
     __rmul__ = __mul__
@@ -531,7 +523,7 @@ class Scalar:
         ((mono, c),) = self.coeffs.items()
         if any(mono[i] for i in range(self.ring.nf)):
             raise RingError("cannot invert a fiber variable")
-        inv_mono = tuple(-e for e in mono)
+        inv_mono = tuple(map(neg, mono))
         out: dict[Monomial, FieldElement] = {}
         _accumulate(self.ring, out, inv_mono, c.inverse())
         return _finish(self.ring, out)
@@ -672,37 +664,28 @@ def differentiate(x: Scalar, var: str) -> Scalar:
             lowered = list(mono)
             lowered[i] -= 1
             _accumulate(ring, out, tuple(lowered), c * mono[i])
-        for j in range(ring.nr):
+        for rslot, dslot, square in ring.radical_slots:
             dp: dict[Monomial, FieldElement] = {}
-            for pm, pc in ring.radical_squares[j].items():
+            for pm, pc in square.items():
                 if pm[i]:
                     pl = list(pm)
                     pl[i] -= 1
                     dp[tuple(pl)] = pc * pm[i]
             if not dp:
                 continue
-            r = mono[ring.radical_slot(j)]
-            k = mono[ring.denominator_slot(j)]
+            r = mono[rslot]
+            k = mono[dslot]
             if r:
                 lowered = list(mono)
-                lowered[ring.radical_slot(j)] = r - 2
+                lowered[rslot] = r - 2
+                half = Fraction(r, 2)
                 for pm, pc in dp.items():
-                    _accumulate(
-                        ring,
-                        out,
-                        tuple(a + b for a, b in zip(lowered, pm)),
-                        c * pc * Fraction(r, 2),
-                    )
+                    _accumulate(ring, out, tuple(map(add, lowered, pm)), c * pc * half)
             if k:
                 raised = list(mono)
-                raised[ring.denominator_slot(j)] = k + 1
+                raised[dslot] = k + 1
                 for pm, pc in dp.items():
-                    _accumulate(
-                        ring,
-                        out,
-                        tuple(a + b for a, b in zip(raised, pm)),
-                        c * pc * (-k),
-                    )
+                    _accumulate(ring, out, tuple(map(add, raised, pm)), c * pc * (-k))
     return _finish(ring, out)
 
 

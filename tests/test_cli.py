@@ -206,6 +206,27 @@ class TestExitStatus:
         assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize(
+        "form, needle",
+        [
+            ("(k+aa)^(-5/2)", "forms[0]: cannot take the power -5/2 of k+a2^2+a1^2"),
+            ("u^-3*u^-3", "forms[0]: cannot multiply at position 5"),
+            ("u^-4*det(b,b)", "radical exponent -6 below depth bound -4 for u"),
+            ("1/2*u^-4", "radical exponent -6 below depth bound -4 for u"),
+        ],
+    )
+    def test_depth_overflow_in_task_exits_two(self, tmp_path, capsys, form, needle):
+        # on parsing the form or on taking its d, a power of u below u^-4
+        path = write_config(
+            tmp_path,
+            small_doc([{"kind": "verify_closed", "name": "t", "forms": [form]}]),
+        )
+        assert main(["run", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("equiform: task t: ")
+        assert needle in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
         "flag, value",
         [("--max-degree", "-3"), ("--max-degree", "0"), ("--max-length", "-1")],
     )

@@ -314,6 +314,13 @@ class TestRealize:
         with pytest.raises(ConfigError, match="letters.beta"):
             realize_config(parse_config(json.dumps(doc)))
 
+    def test_letter_past_the_depth_bound_names_section(self):
+        # the equivariance check takes d of u^-4, which carries u^-6
+        doc = small_doc()
+        doc["letters"]["beta"] = ["u^-4*e1", "u^-4*e2"]
+        with pytest.raises(ConfigError, match="letters.beta: radical exponent -6"):
+            realize_config(parse_config(json.dumps(doc)))
+
     def test_non_equivariant_letter_rejected(self):
         doc = small_doc()
         doc["letters"]["beta"] = ["e1", "e1"]

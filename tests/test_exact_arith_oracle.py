@@ -1,12 +1,13 @@
-"""The zero, single-term and constant fast paths of `FieldElement` and
-`Scalar` arithmetic against the general loops they bypass, kept in
-exact_arith_oracle.py.
+"""`FieldElement` and `Scalar` arithmetic against the earlier kernels kept
+in exact_arith_oracle.py: the field sum, product and inverse with Fraction
+coefficients, and scalar sums and products through the general loops and
+the earlier monomial bookkeeping.
 
 Field elements live in Q(sqrt2, sqrt3); scalars in the ring of the bundled
 su3_tcp2 config (fiber a1..a4, Laurent parameters B and C, the radial radical
 s with s^2 = |a|^2 and depth 4).  Every sum and constant scaling is also
-checked to be its own normal form, which is what lets those paths skip
-`_finish`.
+checked to be its own normal form under the earlier `_finish`, which is what
+lets those paths skip it.
 
 Division by a radical square treats parameters as units.  On the bundled
 rings it must give the quotients and remainders of the old division that
@@ -33,7 +34,6 @@ from equiform.scalars import (
     RingError,
     RingSpec,
     _exact_divide,
-    _finish,
 )
 
 import exact_arith_oracle as oracle
@@ -79,6 +79,16 @@ def test_single_field_terms_sharing_a_radical(c1, c2):
         _same_field(x * y, oracle.field_mul(x, y))
 
 
+@settings(max_examples=100, deadline=None)
+@given(q23_elements())
+def test_field_inverse_matches_oracle(x):
+    if x.is_zero:
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+        return
+    _same_field(x.inverse(), oracle.field_inverse(x))
+
+
 def test_zero_operands_are_returned():
     x = Q23.element({0: 1, 3: Fraction(-2, 5)})
     assert x + Q23.zero is x
@@ -114,7 +124,7 @@ def su3_scalars(draw):
 
 
 def _is_normal(r):
-    assert _finish(r.ring, dict(r.coeffs)).coeffs == r.coeffs
+    assert oracle._finish(r.ring, dict(r.coeffs)).coeffs == r.coeffs
 
 
 @settings(max_examples=60, deadline=None)
@@ -184,7 +194,9 @@ def test_exact_divide_matches_shifted_oracle(case):
     # so making parameters units changes no quotient and no remainder
     ring, num = case
     (sq,) = ring.radical_squares
-    assert _exact_divide(ring, num, sq) == oracle.shifted_exact_divide(ring, num, sq)
+    q_r = _exact_divide(ring, num, sq)
+    assert q_r == oracle.shifted_exact_divide(ring, num, sq)
+    assert q_r == oracle._exact_divide(ring, num, sq)
 
 
 def _one_radical_ring(square, fiber=("a1", "a2")):

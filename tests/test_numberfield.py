@@ -3,7 +3,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from equiform.numberfield import FieldElement, NumberField, _squarefree_split
 
@@ -128,3 +128,60 @@ def test_sign_consistent_with_float(x):
     f = float(x)
     if abs(f) > 1e-9:
         assert s == (1 if f > 0 else -1)
+
+
+# -- the canonical coefficient -------------------------------------------------
+
+
+def _assert_canonical(x: FieldElement) -> None:
+    """Every coefficient is an int, or a Fraction that is not integral."""
+    for c in x.terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), c
+
+
+# small denominators, so that sums and products often come out integral
+small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
+@st.composite
+def sparse_q23_elements(draw):
+    masks = draw(st.permutations(range(4)))[: draw(st.integers(0, 4))]
+    return Q23.element({m: draw(small_rationals) for m in masks})
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_q23_elements(), sparse_q23_elements(), st.integers(-3, 3))
+def test_coefficients_stay_canonical(x, y, n):
+    results = [x + y, x - y, x * y, x + 1, 2 * x, x * Fraction(1, 2), x * x]
+    if x:
+        inv = x.inverse()
+        assert x * inv == 1
+        results += [inv, x**n, y / x]
+    elif n >= 0:
+        results.append(x**n)
+    square = x * x
+    root = square.sqrt()
+    if root is not None:
+        assert root * root == square
+        results.append(root)
+    for r in results:
+        _assert_canonical(r)
+    if x.is_rational:
+        assert type(x.as_rational()) is Fraction
+
+
+def test_integral_fraction_and_int_are_one_element():
+    a, b = Q23.element({0: Fraction(2)}), Q23.element({0: 2})
+    assert a == b and hash(a) == hash(b) and str(a) == str(b) == "2"
+    _assert_canonical(a)
+    assert Q23.rational(Fraction(1, 2)) + Fraction(1, 2) == Q23.one
+    _assert_canonical(Q23.rational(Fraction(1, 2)) + Fraction(1, 2))
+
+
+def test_d_table_coefficients_are_canonical(su3_table):
+    rows = [r for r in su3_table if r.word.degree <= 2]
+    assert rows
+    for row in rows:
+        for term in row.differential.terms:
+            for c in term.coefficient.coeffs.values():
+                _assert_canonical(c)
