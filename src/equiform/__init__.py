@@ -15,7 +15,8 @@ The usual entry points, bottom of the tower first:
   representation, returns a `HomogeneousSetup`.
 * `exterior_derivative`, `covariant_derivative_DX`: d and D on invariant
   forms and equivariant letters, one antiderivation on the frame whose
-  gauge terms decide invariance and equivariance.
+  gauge terms decide invariance and equivariance; an `InvariantForm`
+  carries a proof of invariance, and its d skips the gauge terms.
 * `generate_dictionary`, `completeness_check`, `differential_table`,
   `express_in_generators`: the dictionary engine.
 * `build_context`, `parse_form_expression`: the expression language.
@@ -63,6 +64,7 @@ from equiform.forms import (
 )
 from equiform.homogeneous import (
     HomogeneousSetup,
+    InvariantForm,
     LieAlgebraData,
     Representation,
     SetupError,
@@ -122,6 +124,7 @@ __all__ = [
     "Frame",
     "FrameSpec",
     "HomogeneousSetup",
+    "InvariantForm",
     "Letter",
     "LetterError",
     "LieAlgebraData",

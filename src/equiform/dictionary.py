@@ -38,6 +38,7 @@ from equiform.expressions import MAX_EXPONENT
 from equiform.forms import Form, bidegree_split, evaluate_to_vector, wedge
 from equiform.homogeneous import (
     HomogeneousSetup,
+    InvariantForm,
     exterior_derivative,
     is_basic,
     is_invariant,
@@ -154,12 +155,17 @@ class Alphabet:
         return self._syllable_forms[syll]
 
     def translate(self, word: Word) -> Form:
+        """The wedge of the syllable forms, an InvariantForm when each of
+        them is one."""
         out = self.setup.frame.one
+        certified = True
         for s in word.syllables:
-            out = wedge(out, self.syllable_form(s))
+            form = self.syllable_form(s)
+            certified = certified and isinstance(form, InvariantForm)
+            out = wedge(out, form)
             if out.is_zero:
                 return out
-        return out
+        return InvariantForm.of(out) if certified else out
 
 
 @dataclass
@@ -300,7 +306,7 @@ def _phase(
         admit(e.word)
     if not seeds:
         empty = Word(())
-        entry = DictionaryEntry(empty, phase_name, (0, 0), setup.frame.one)
+        entry = DictionaryEntry(empty, phase_name, (0, 0), alphabet.translate(empty))
         vec = evaluate_to_vector(entry.translation, point)
         span.add(vec)
         vectors.append(vec)
@@ -631,7 +637,8 @@ def express_in_generators(
     change a pivot of the target's blocks: such columns, and the products
     behind them, are never built.  Otherwise every column is solved.  The
     target must be basic; a target left residual is then checked for
-    invariance, and an expressed one is invariant by construction.
+    invariance unless it is an InvariantForm, and an expressed one is
+    invariant by construction.
     """
     if not is_basic(setup, target):
         raise EngineError("target is not an invariant basic form")
@@ -697,7 +704,11 @@ def express_in_generators(
                 continue
             words = tuple(entries[i].word for i in tag)
             terms.append(CombinationTerm(coefficient=coeff, factors=words))
-    if residual and not is_invariant(setup, target):
+    if (
+        residual
+        and not isinstance(target, InvariantForm)
+        and not is_invariant(setup, target)
+    ):
         raise EngineError("target is not an invariant basic form")
     return GeneratorCombination(
         terms=tuple(terms), residual=residual, failed_cells=tuple(failed)

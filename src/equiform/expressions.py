@@ -28,6 +28,13 @@ so aa^(1/2) names that radical.  A product, at each "*" and each step of
 "^", is refused before it is formed when its operands' coefficient-term
 counts multiply to more than MAX_PRODUCT_TERMS.  The unicode minus sign
 U+2212 is treated as "-".
+
+The result carries a certificate of invariance, as an InvariantForm, when
+every atom it is built from has one: numbers, parameters, sqrtN, aa (rho is
+skew), contraction calls, d(...) results, and a radical whose square is
+invariant (one full check per radical and setup, on first use).  Fiber
+coordinates and frame generators have none, and neither does anything
+built with them; d of such a form takes the full, checked pass.
 """
 
 from __future__ import annotations
@@ -38,7 +45,11 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from equiform.forms import Form, Frame
-from equiform.homogeneous import HomogeneousSetup, exterior_derivative
+from equiform.homogeneous import (
+    HomogeneousSetup,
+    InvariantForm,
+    exterior_derivative,
+)
 from equiform.letters import Contraction, Letter, contract_syllable
 from equiform.scalars import Ring, RingError, Scalar
 
@@ -176,6 +187,13 @@ def _as_scalar(x: Form) -> Scalar | None:
     return None
 
 
+def _mark(x: Form, *operands: Form) -> Form:
+    """x, certified invariant when every operand it was built from is."""
+    if all(isinstance(y, InvariantForm) for y in operands):
+        return InvariantForm.of(x)
+    return x
+
+
 def _term_count(x: Form) -> int:
     return sum(len(c.coeffs) for c in x.terms.values())
 
@@ -272,7 +290,7 @@ class _Parser:
             negate = tok.kind == "-"
         left = self.term()
         if negate:
-            left = -left
+            left = _mark(-left, left)
         while self.peek().kind in ("+", "-"):
             op = self.take()
             right = self.term()
@@ -284,21 +302,23 @@ class _Parser:
                         f"{sorted(dl)} meets degree {sorted(dr)} at position "
                         f"{op.pos + 1}"
                     )
-            left = left - right if op.kind == "-" else left + right
+            out = left - right if op.kind == "-" else left + right
+            left = _mark(out, left, right)
         return left
 
     def term(self) -> Form:
         left = self.factor()
         while self.peek().kind == "*":
             op = self.take()
-            left = _product(left, self.factor(), op.pos)
+            right = self.factor()
+            left = _mark(_product(left, right, op.pos), left, right)
         return left
 
     def factor(self) -> Form:
         base = self.atom()
         if self.peek().kind == "^":
             op = self.take()
-            return _power(self.ctx, base, self.exponent(), op.pos)
+            return _mark(_power(self.ctx, base, self.exponent(), op.pos), base)
         return base
 
     def exponent(self) -> Fraction:
@@ -328,7 +348,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "number":
             self.take()
-            return self.ctx.frame.scalar_form(_fraction(tok))
+            return InvariantForm.of(self.ctx.frame.scalar_form(_fraction(tok)))
         if tok.kind == "(":
             self.take()
             inner = self.expr()
@@ -400,7 +420,8 @@ class _Parser:
         name = tok.text
         s = self.ctx.scalars.get(name)
         if s is not None:
-            return self.ctx.frame.scalar_form(s)
+            form = self.ctx.frame.scalar_form(s)
+            return InvariantForm.of(form) if self.invariant_scalar(s) else form
         if name in self.ctx.frame_atoms:
             return self.ctx.frame.generator(name)
         if name in self.ctx.letters:
@@ -419,6 +440,21 @@ class _Parser:
                 f"{tok.pos + 1}"
             )
         raise ExpressionError(f"unknown name '{name}' at position {tok.pos + 1}")
+
+    def invariant_scalar(self, s: Scalar) -> bool:
+        """Whether s is a certified atom: free of fiber coordinates and
+        radicals (numbers, sqrtN, parameters), the radial square aa, or a
+        radical that the setup finds invariant."""
+        ring = s.ring
+        if s == ring.radial_square or not any(
+            any(m[: ring.nf]) or any(m[ring.nf + ring.np :]) for m in s.coeffs
+        ):
+            return True
+        setup = self.ctx.setup
+        return setup is not None and any(
+            s == ring.var(name) and setup.radical_is_invariant(name)
+            for name in ring.radical_names
+        )
 
 
 def parse_form_expression(text: str, context: ExpressionContext) -> Form:

@@ -14,16 +14,25 @@ sum_i (df/da_i) da_i with da_i = b_i - sum_A (rho_A a)_i e^A.  For a basic
 form the gauge part of d is sum_A e^A ^ (its variation along e_A), so
 invariance is read off d itself: a basic form is invariant exactly when its
 d stays basic, and that d is the covariant derivative on tensorial forms.
+
 validate_setup reads Jacobi (d d e^i = 0) and whether rho is a homomorphism
 off the same images: the e^a ^ e^b term of d b_i is
 (([rho_a, rho_b] + sum_g c^g_ab rho_g) a)_i, and [e_a, e_b] = -sum_g c^g_ab e_g,
 so that term vanishes exactly when rho respects the bracket [e_a, e_b].
+
+An InvariantForm carries a proof of invariance, and its d skips the gauge
+terms.  A basic x has no gauge letters, so a word of d x has a gauge letter
+exactly when the image it came from has one; the basic part of d x is
+therefore the same walker with hh-projected images (d e^t and d b_i
+without their gauge words, f to sum_i (df/da_i) b_i), and the gauge part,
+sum_A e^A ^ L_A x, vanishes because x is invariant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import comb
 from typing import Iterable, Mapping, Sequence
 
@@ -31,6 +40,23 @@ from equiform.forms import Form, Frame, FrameSpec, bits, merge_sign
 from equiform.linalg import VectorSpan, nullspace_basis
 from equiform.numberfield import FieldElement, NumberField
 from equiform.scalars import Point, Ring, RingSpec, Scalar
+
+
+class InvariantForm(Form):
+    """A Form known to be invariant.
+
+    Constructing one is a promise: only code holding a proof of invariance
+    does so (contractions of checked letters, their wedges, d, the radial
+    square, and the expression parser on certified atoms).  Form arithmetic
+    builds plain Forms, so a sum or product drops the mark and its d takes
+    the full, checked pass.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, x: Form) -> "InvariantForm":
+        return cls(x.frame, x.terms)
 
 
 class SetupError(ValueError):
@@ -175,6 +201,9 @@ class HomogeneousSetup:
         self._avars = [ring.var(f"a{i}") for i in range(1, self.fiber_dim + 1)]
         self._structure_2form: dict[int, Form] = {}
         self._d_images: dict[int, Form] | None = None
+        self._negated_connection: tuple[Form, ...] = ()
+        self._basic_images: dict[int, Form] | None = None
+        self._invariant_radicals: dict[str, bool] = {}
         self._dim_tables: InvariantDimensionTables | None = None
 
     # -- coefficients and matrices ---------------------------------------
@@ -262,21 +291,55 @@ class HomogeneousSetup:
                         acc = acc + rho_a_on_coords[i] * e_a
                 connection.append(acc)
             self._d_images = (images, tuple(connection))
+            self._negated_connection = tuple(-acc for acc in connection)
             for pos, acc in zip(self._pos_b, connection):
                 images[pos] = _derivation(acc, self._d_coefficient, images)
         return self._d_images
 
-    def _d_coefficient(self, c: Scalar) -> Form:
-        """df = sum_i (df/da_i) da_i, with da_i = b_i - (rho(theta) a)_i."""
-        connection = self.derivative_images()[1]
-        vertical = {}
-        gauge = self.frame.zero
-        for i, pos in enumerate(self._pos_b):
-            dci = c.differentiate(f"a{i + 1}")
-            if not dci.is_zero:
-                vertical[1 << pos] = dci
-                gauge = gauge - dci * connection[i]
-        return Form(self.frame, vertical) + gauge
+    def basic_images(self) -> dict[int, Form]:
+        """derivative_images() projected to hh: every word with a gauge
+        letter dropped, and the images left empty omitted."""
+        if self._basic_images is None:
+            gauge = self.frame.gauge_mask
+            self._basic_images = {}
+            for pos, img in self.derivative_images()[0].items():
+                terms = {m: s for m, s in img.terms.items() if not m & gauge}
+                if terms:
+                    self._basic_images[pos] = Form(self.frame, terms)
+        return self._basic_images
+
+    def _d_coefficient(self, c: Scalar, gauge: bool = True) -> Form:
+        """df = sum_i (df/da_i) da_i, with da_i = b_i - (rho(theta) a)_i.
+
+        With gauge False only the vertical half sum_i (df/da_i) b_i, which
+        is the basic part of df.
+        """
+        terms: dict[int, Scalar] = {}
+        for i, name in enumerate(self.ring.fiber):
+            dci = c.differentiate(name)
+            if dci.is_zero:
+                continue
+            terms[1 << self._pos_b[i]] = dci
+            if not gauge:
+                continue
+            # the connection has gauge words only, so it never meets b_i
+            for m, s in self._negated_connection[i].terms.items():
+                p = s * dci
+                prev = terms.get(m)
+                p = p if prev is None else prev + p
+                if p.is_zero:
+                    terms.pop(m, None)
+                else:
+                    terms[m] = p
+        return Form(self.frame, terms)
+
+    def radical_is_invariant(self, name: str) -> bool:
+        """Whether the declared radical `name` is invariant, that is whether
+        its square is: one full d pass on first use, cached."""
+        if name not in self._invariant_radicals:
+            u = self.frame.scalar_form(self.ring.var(name))
+            self._invariant_radicals[name] = is_invariant(self, u)
+        return self._invariant_radicals[name]
 
     def generic_point_vector(self) -> list[FieldElement]:
         v = [self.field.zero] * self.fiber_dim
@@ -496,18 +559,26 @@ def frame_derivative(setup: HomogeneousSetup, x: Form) -> Form:
     return _derivation(x, setup._d_coefficient, setup.derivative_images()[0])
 
 
-def exterior_derivative(setup: HomogeneousSetup, x: Form) -> Form:
+def exterior_derivative(setup: HomogeneousSetup, x: Form) -> InvariantForm:
     """d on invariant basic forms.
 
-    Raises if the input is not invariant and basic, since its derivative
-    would then not be basic.
+    An InvariantForm x is invariant by proof and has no gauge letters, so
+    d x is its basic part: the walker over the hh-projected images with the
+    vertical half of the coefficient rule, the gauge part sum_A e^A ^ L_A x
+    being zero.  Any other x takes the full pass.  Either way x is refused
+    unless it and its derivative are basic, that is unless it is invariant
+    and basic, and d x is invariant.
     """
-    dx = frame_derivative(setup, x)
+    if isinstance(x, InvariantForm) and x.frame == setup.frame:
+        rule = partial(setup._d_coefficient, gauge=False)
+        dx = _derivation(x, rule, setup.basic_images())
+    else:
+        dx = frame_derivative(setup, x)
     if not (is_basic(setup, x) and is_basic(setup, dx)):
         raise SetupError(
             ["input not invariant and basic, so its derivative is not basic"]
         )
-    return dx
+    return InvariantForm.of(dx)
 
 
 def is_basic(setup: HomogeneousSetup, x: Form) -> bool:

@@ -18,7 +18,12 @@ from itertools import permutations
 from typing import Mapping, Sequence
 
 from equiform.forms import Form, bidegree_split, wedge
-from equiform.homogeneous import HomogeneousSetup, frame_derivative, is_basic
+from equiform.homogeneous import (
+    HomogeneousSetup,
+    InvariantForm,
+    frame_derivative,
+    is_basic,
+)
 from equiform.numberfield import FieldElement
 
 
@@ -50,6 +55,11 @@ class Letter:
         return f"Letter({self.name}, bidegree={self.bidegree})"
 
 
+class CheckedLetter(Letter):
+    """A Letter that passed make_letter's checks; only make_letter builds
+    one."""
+
+
 @dataclass(frozen=True, eq=False)
 class Contraction:
     """An invariant r-linear functional on V, stored sparsely."""
@@ -68,6 +78,11 @@ class Contraction:
 
     def __repr__(self) -> str:
         return f"Contraction({self.name}, arity={self.arity})"
+
+
+class CheckedContraction(Contraction):
+    """A Contraction that passed make_contraction's checks; only
+    make_contraction builds one."""
 
 
 def _component_bidegree(components: Sequence[Form]) -> tuple[int, int]:
@@ -100,7 +115,7 @@ def make_letter(
             raise LetterError(f"component {i + 1} of {name} is not basic")
     bidegree = _component_bidegree(comps)
     _check_equivariant(setup, name, comps)
-    return Letter(name=name, bidegree=bidegree, components=comps)
+    return CheckedLetter(name=name, bidegree=bidegree, components=comps)
 
 
 def _check_equivariant(
@@ -247,7 +262,7 @@ def make_contraction(
         if resid:
             raise LetterError(f"contraction {name} is not invariant along e{a}")
     ordered = tuple(sorted(clean.items(), key=lambda kv: kv[0]))
-    return Contraction(name=name, arity=arity, entries=ordered)
+    return CheckedContraction(name=name, arity=arity, entries=ordered)
 
 
 def dot_contraction(setup: HomogeneousSetup) -> Contraction:
@@ -274,7 +289,13 @@ def det_contraction(setup: HomogeneousSetup) -> Contraction:
 
 
 def contract_syllable(m: Contraction, letters: Sequence[Letter]) -> Form:
-    """Wedge the letter components against the coefficient tensor."""
+    """Wedge the letter components against the coefficient tensor.
+
+    When the tensor passed the invariance check of make_contraction and
+    every letter the equivariance check of make_letter, the result is
+    invariant and comes as an InvariantForm; a Letter or Contraction built
+    directly gives a plain Form, whose d takes the full check.
+    """
     if len(letters) != m.arity:
         raise LetterError(
             f"contraction {m.name} has arity {m.arity}, got {len(letters)} letters"
@@ -291,6 +312,10 @@ def contract_syllable(m: Contraction, letters: Sequence[Letter]) -> Form:
             term = comp if term is None else wedge(term, comp)
         if term is not None:
             out = out + c * term
+    if isinstance(m, CheckedContraction) and all(
+        isinstance(x, CheckedLetter) for x in letters
+    ):
+        return InvariantForm.of(out)
     return out
 
 

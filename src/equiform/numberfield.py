@@ -352,10 +352,6 @@ class FieldElement:
         o = self._coerce(other)
         return (self - o).sign() >= 0
 
-    def __float__(self) -> float:
-        lo, hi = self._interval(20)
-        return float((lo + hi) / 2)
-
     # -- square roots -------------------------------------------------------
 
     def sqrt(self) -> "FieldElement | None":

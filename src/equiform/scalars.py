@@ -120,6 +120,16 @@ class Ring:
             (self.nf + self.np + j, self.nvars + j, sq)
             for j, sq in enumerate(self.radical_squares)
         )
+        # per fiber variable, (radical slot, denominator slot, d square/d var)
+        # for each radical whose square depends on that variable
+        self.radical_partials = tuple(
+            tuple(
+                (rslot, dslot, _partial(square, i))
+                for rslot, dslot, square in self.radical_slots
+                if any(pm[i] for pm in square)
+            )
+            for i in range(self.nf)
+        )
 
     def _coerce_field(self, c) -> FieldElement:
         if isinstance(c, FieldElement):
@@ -647,6 +657,17 @@ class Scalar:
         return "".join(parts)
 
 
+def _partial(poly: dict, i: int) -> dict:
+    """Partial derivative of a radical-free polynomial in slot i."""
+    out = {}
+    for pm, pc in poly.items():
+        if pm[i]:
+            pl = list(pm)
+            pl[i] -= 1
+            out[tuple(pl)] = pc * pm[i]
+    return out
+
+
 def differentiate(x: Scalar, var: str) -> Scalar:
     """Partial derivative with respect to a fiber variable.
 
@@ -664,15 +685,7 @@ def differentiate(x: Scalar, var: str) -> Scalar:
             lowered = list(mono)
             lowered[i] -= 1
             _accumulate(ring, out, tuple(lowered), c * mono[i])
-        for rslot, dslot, square in ring.radical_slots:
-            dp: dict[Monomial, FieldElement] = {}
-            for pm, pc in square.items():
-                if pm[i]:
-                    pl = list(pm)
-                    pl[i] -= 1
-                    dp[tuple(pl)] = pc * pm[i]
-            if not dp:
-                continue
+        for rslot, dslot, dp in ring.radical_partials[i]:
             r = mono[rslot]
             k = mono[dslot]
             if r:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from equiform.forms import Form, wedge
-from equiform.homogeneous import HomogeneousSetup, exterior_derivative
+from equiform.homogeneous import HomogeneousSetup, InvariantForm, exterior_derivative
 
 
 class VerifyError(ValueError):
@@ -64,9 +64,9 @@ def vanishes_on_sphere(setup: HomogeneousSetup, x: Form) -> bool:
     """Whether the pullback of x to the unit sphere of the fiber is zero."""
     if x.is_zero:
         return True
-    d_aa = exterior_derivative(
-        setup, setup.frame.scalar_form(setup.ring.radial_square)
-    )
+    # aa is invariant because rho is skew, as validate_setup enforces
+    aa = InvariantForm.of(setup.frame.scalar_form(setup.ring.radial_square))
+    d_aa = exterior_derivative(setup, aa)
     return sphere_reduce(setup, wedge(d_aa, x)).is_zero
 
 

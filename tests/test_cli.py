@@ -133,7 +133,10 @@ class TestExitStatus:
 
     @pytest.mark.parametrize(
         "kind",
-        ["generate", "dim_table", "verify_closed", "verify_equation", "express"],
+        [
+            "generate", "dim_table", "d_table", "verify_closed", "verify_equation",
+            "express",
+        ],
     )
     def test_su3_report_matches_golden(self, tmp_path, kind):
         # captured from `equiform <kind> --config su3_tcp2 --format json`
@@ -204,6 +207,21 @@ class TestExitStatus:
         assert err.startswith("equiform: task t: input not invariant and basic")
         assert "setup rejected" not in err
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("form", ["u*dot(b,beta)", "a1*dot(b,beta)"])
+    def test_non_invariant_radical_is_not_certified(self, tmp_path, capsys, form):
+        # u^2 = k+a1*a1 is not invariant, so neither is u: both forms take
+        # the full check of d and are refused
+        doc = json.loads(resolve_config("su2_ts2")[1])
+        doc["ring"]["radicals"][0]["square"] = "k+a1*a1"
+        doc["tasks"] = [{"kind": "verify_closed", "name": "t", "forms": [form]}]
+        path = write_config(tmp_path, doc)
+        assert main(["verify_closed", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "equiform: task t: input not invariant and basic, so its "
+            "derivative is not basic\n"
+        )
 
     @pytest.mark.parametrize(
         "form, needle",

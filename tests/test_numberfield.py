@@ -123,11 +123,15 @@ def test_inverse_roundtrip(x):
 
 
 @given(q23_elements())
-def test_sign_consistent_with_float(x):
+def test_sign_consistent_with_interval(x):
     s = x.sign()
-    f = float(x)
-    if abs(f) > 1e-9:
-        assert s == (1 if f > 0 else -1)
+    lo, hi = x._interval(20)
+    assert lo <= hi
+    if lo > 0:
+        assert s == 1
+    if hi < 0:
+        assert s == -1
+    assert (s == 0) == x.is_zero
 
 
 # -- the canonical coefficient -------------------------------------------------
