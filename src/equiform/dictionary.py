@@ -22,20 +22,26 @@ generator and per fiber exponent, and a radical whose square is
 homogeneous of fiber degree w weighs w/2 per visible power.  When every
 generator and every radial power has a single weight, the system is
 block-diagonal, and only the columns whose weight the target carries are
-built.  A target that is expressed is invariant, being a sum of invariant
-generators times functions of the radius, so the full invariance check runs
-only on a target left residual.
+built.
+
+Every span system is solved on the ray a = t*e1 through the generic point.
+The gauge group acts transitively on fiber spheres, so an invariant form
+vanishes exactly when its restriction to the ray does, and restriction
+(scalars.RayRestriction) keeps the kept columns and the solution of a
+system of invariant forms.  A target that is not an InvariantForm is
+therefore checked for invariance before its solve.  When the one-fiber
+ring refuses a restricted radical square, the restriction is the identity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import combinations_with_replacement
 from typing import Sequence
 
 from equiform.expressions import MAX_EXPONENT
-from equiform.forms import Form, bidegree_split, evaluate_to_vector, wedge
+from equiform.forms import Form, Frame, bidegree_split, evaluate_to_vector, wedge
 from equiform.homogeneous import (
     HomogeneousSetup,
     InvariantForm,
@@ -193,7 +199,7 @@ class Dictionary:
     _weights: list[int | None] | None = dc_field(
         default=None, init=False, repr=False, compare=False
     )
-    _products: dict[tuple[int, ...], Form] = dc_field(
+    _ray_products: dict[tuple[int, ...], Form] = dc_field(
         default_factory=dict, init=False, repr=False, compare=False
     )
     # left by generate_dictionary for completeness_check: the images of the
@@ -228,13 +234,34 @@ class Dictionary:
             ]
         return self._weights
 
-    def _product(self, tag: tuple[int, ...]) -> Form:
-        """Wedge of the translations of the entries at these indices, one
-        index giving the translation itself."""
-        prod = self._products.get(tag)
+    @cached_property
+    def _ray_frame(self) -> Frame:
+        ring = self.setup.ring.ray_restriction.target
+        return Frame(ring, self.setup.frame.spec)
+
+    def _on_ray(self, x: Form) -> Form:
+        """The restriction of x to the ray a = t*e1, coefficient by
+        coefficient."""
+        restrict = self.setup.ring.ray_restriction
+        if restrict.is_identity:
+            return x
+        terms = {}
+        for mask, sc in x.terms.items():
+            c = restrict(sc)
+            if c:
+                terms[mask] = c
+        return Form(self._ray_frame, terms)
+
+    def _ray_product(self, tag: tuple[int, ...]) -> Form:
+        """Wedge of the restricted translations of the entries at these
+        indices, one index giving the restricted translation itself."""
+        prod = self._ray_products.get(tag)
         if prod is None:
-            prod = reduce(wedge, (self.entries[i].translation for i in tag))
-            self._products[tag] = prod
+            if len(tag) == 1:
+                prod = self._on_ray(self.entries[tag[0]].translation)
+            else:
+                prod = reduce(wedge, (self._ray_product((i,)) for i in tag))
+            self._ray_products[tag] = prod
         return prod
 
 
@@ -635,10 +662,12 @@ def express_in_generators(
     the system is block-diagonal by weight, so a column whose weight the
     target part does not carry can neither enter the combination nor
     change a pivot of the target's blocks: such columns, and the products
-    behind them, are never built.  Otherwise every column is solved.  The
-    target must be basic; a target left residual is then checked for
-    invariance unless it is an InvariantForm, and an expressed one is
-    invariant by construction.
+    behind them, are never built.  Otherwise every column is solved.
+
+    Columns and target are restricted to the ray a = t*e1, which keeps
+    every relation among invariant forms, so the target must be basic and
+    invariant: any target but an InvariantForm is checked once before the
+    solve.  Coefficients are read back as full-ring powers of the radius.
     """
     if not is_basic(setup, target):
         raise EngineError("target is not an invariant basic form")
@@ -646,6 +675,11 @@ def express_in_generators(
     if lo > hi:
         raise EngineError(f"empty Laurent window ({hi}, {lo})")
     powers = _radial_powers(setup, lo, hi)
+    # restriction to the ray is injective on invariant forms only
+    if not isinstance(target, InvariantForm) and not is_invariant(setup, target):
+        raise EngineError("target is not an invariant basic form")
+    restrict = setup.ring.ray_restriction
+    ray_powers = [(ex, restrict(sc)) for ex, sc in powers]
     entries = dictionary.entries
     positive = [i for i, e in enumerate(entries) if e.word.length > 0]
     weigh = _dilation_weigher(setup)
@@ -661,8 +695,15 @@ def express_in_generators(
     for cell, part in sorted(bidegree_split(target).items()):
         wanted = _weights(weigh, part)
         tags = [(i,) for i, e in enumerate(entries) if e.bidegree == cell]
+        # only entries within the cell can be factors; the order is kept
+        fits = [
+            i
+            for i in positive
+            if entries[i].bidegree[0] <= cell[0]
+            and entries[i].bidegree[1] <= cell[1]
+        ]
         for r in (2, 3) if allow_triples else (2,):
-            for tag in combinations_with_replacement(positive, r):
+            for tag in combinations_with_replacement(fits, r):
                 p = q = 0
                 for i in tag:
                     p += entries[i].bidegree[0]
@@ -675,20 +716,20 @@ def express_in_generators(
                 w = sum(entry_weights[i] for i in tag)
                 usable = [
                     power
-                    for power, pw in zip(powers, power_weights)
+                    for power, pw in zip(ray_powers, power_weights)
                     if w + pw in wanted
                 ]
             else:
-                usable = powers
+                usable = ray_powers
             if not usable:
                 continue
-            form = dictionary._product(tag)
+            form = dictionary._ray_product(tag)
             for ex, sc in usable:
                 col = sc * form
                 if col.is_zero:
                     continue
                 span.add(_form_to_vector(col), (tag, ex))
-        combo = span.combination(_form_to_vector(part))
+        combo = span.combination(_form_to_vector(dictionary._on_ray(part)))
         if combo is None:
             residual = True
             failed.append(cell)
@@ -704,12 +745,6 @@ def express_in_generators(
                 continue
             words = tuple(entries[i].word for i in tag)
             terms.append(CombinationTerm(coefficient=coeff, factors=words))
-    if (
-        residual
-        and not isinstance(target, InvariantForm)
-        and not is_invariant(setup, target)
-    ):
-        raise EngineError("target is not an invariant basic form")
     return GeneratorCombination(
         terms=tuple(terms), residual=residual, failed_cells=tuple(failed)
     )

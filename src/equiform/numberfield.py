@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Union
 
 RationalLike = Union[int, Fraction]
@@ -95,11 +96,12 @@ class NumberField:
     def rational(self, value: RationalLike) -> "FieldElement":
         return self.element({0: Fraction(value)})
 
-    @property
+    # elements are immutable, so the constants are built once per field
+    @cached_property
     def zero(self) -> "FieldElement":
         return self.rational(0)
 
-    @property
+    @cached_property
     def one(self) -> "FieldElement":
         return self.rational(1)
 

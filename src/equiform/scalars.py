@@ -27,7 +27,7 @@ forms is merged term by term without re-normalization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 from functools import cached_property
 from operator import add, neg, sub
@@ -214,6 +214,11 @@ class Ring:
             v = self.var(name)
             out = out + v * v
         return out
+
+    @cached_property
+    def ray_restriction(self) -> "RayRestriction":
+        """The restriction to the ray a = t*e1, built on first use."""
+        return RayRestriction(self)
 
     def radicals_squaring_to(self, s: "Scalar") -> tuple[str, ...]:
         """Names of the declared radicals whose square is s, in order."""
@@ -700,6 +705,59 @@ def differentiate(x: Scalar, var: str) -> Scalar:
                 for pm, pc in dp.items():
                     _accumulate(ring, out, tuple(map(add, raised, pm)), c * pc * (-k))
     return _finish(ring, out)
+
+
+class RayRestriction:
+    """The ring homomorphism restricting a scalar to the ray a = t*e1.
+
+    Into a ring with the one fiber coordinate a1: a_i -> 0 for i >= 2, and
+    each radical u_j keeps its name and visible exponent, with square
+    p_j(a1, 0, ..., 0), never folded into a1.  Images are re-normalized
+    (with u^2 = a1*a2 + a1, the normal form a1*u^-2 maps to 1), which only
+    raises visible exponents, so the depth bound cannot fire on an image
+    when it did not on the source.  The map is the identity on a ring with
+    one fiber coordinate, and when the one-fiber ring refuses a restricted
+    square (k + a2^2 becomes k).
+    """
+
+    def __init__(self, ring: Ring):
+        self.source = self.target = ring
+        nf = ring.nf
+        if nf < 2:
+            return
+        spec = ring.spec
+        radicals = tuple(
+            RadicalSpec(
+                rad.name,
+                tuple(
+                    (tuple(mono[:1]) + tuple(mono[nf:]), c)
+                    for mono, c in rad.square
+                    if not any(mono[1:nf])
+                ),
+            )
+            for rad in spec.radicals
+        )
+        try:
+            self.target = Ring(replace(spec, fiber=spec.fiber[:1], radicals=radicals))
+        except RingError:
+            pass  # a restricted square is refused: stay the identity
+
+    @property
+    def is_identity(self) -> bool:
+        return self.target is self.source
+
+    def __call__(self, x: Scalar) -> Scalar:
+        if self.target is self.source:
+            return x
+        nf = self.source.nf
+        # normal monomials have radical exponents in {0, 1} and denominator
+        # powers >= 0: images need only the p-adic reduction, and stay distinct
+        out = {
+            mono[:1] + mono[nf:]: c
+            for mono, c in x.coeffs.items()
+            if not any(mono[1:nf])
+        }
+        return _finish(self.target, out)
 
 
 @dataclass

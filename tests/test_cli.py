@@ -224,6 +224,22 @@ class TestExitStatus:
         )
 
     @pytest.mark.parametrize(
+        "expression", ["a1*dot(a,b)", "a1*a1*sigma(beta,beta)"]
+    )
+    def test_non_invariant_express_target_exits_two(
+        self, tmp_path, capsys, expression
+    ):
+        # basic but not invariant: the restriction to the ray a = t*e1 is
+        # injective on invariant forms only, so the target must be refused,
+        # not expressed through its restriction
+        doc = json.loads(resolve_config("su3_tcp2")[1])
+        doc["tasks"] = [{"kind": "express", "name": "t", "expression": expression}]
+        path = write_config(tmp_path, doc)
+        assert main(["run", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err == "equiform: task t: target is not an invariant basic form\n"
+
+    @pytest.mark.parametrize(
         "form, needle",
         [
             ("(k+aa)^(-5/2)", "forms[0]: cannot take the power -5/2 of k+a2^2+a1^2"),
