@@ -39,7 +39,7 @@ from equiform.dictionary import (
 from equiform.expressions import ExpressionError, parse_form_expression
 from equiform.homogeneous import SetupError
 from equiform.report import ReportDocument, TaskReport
-from equiform.scalars import RingError
+from equiform.scalars import PointError, RingError
 
 DEFAULT_BOUNDS = (4, -2)  # engine order: highest power, lowest power
 
@@ -325,7 +325,7 @@ _RUNNERS = {
 def run_task(rc: RealizedConfig, task: TaskSpec, ov: Overrides) -> TaskReport:
     try:
         return _RUNNERS[task.kind](rc, task, ov)
-    except (EngineError, verify.VerifyError, SetupError, RingError) as e:
+    except (EngineError, verify.VerifyError, SetupError, RingError, PointError) as e:
         raise UsageError(f"task {task.name}: {e}") from None
 
 

@@ -2,11 +2,17 @@
 
 Words are nondecreasing sequences of syllables; a syllable applies an
 invariant contraction to a tuple of letters.  Phase one keeps the words
-whose pointwise images at the origin are independent, phase two extends
-that set at a generic point of the fiber.  Under the two-orbit-type
-hypothesis (the gauge group acts transitively on fiber spheres) the two
-points decide everything, and the per-bidegree cardinalities must match
-the stabilizer-invariant dimension counts.
+whose values at the origin are independent, phase two extends that set at
+a generic point of the fiber.  Under the two-orbit-type hypothesis (the
+gauge group acts transitively on fiber spheres) the two points decide
+everything, and the per-bidegree cardinalities must match the
+stabilizer-invariant dimension counts.
+
+Phases test independence on point values: each syllable form is evaluated
+once per point, and a word's value is its prefix's value wedged with its
+last syllable's.  Evaluation is a ring homomorphism, so that is the value
+of the word's translation.  Only kept words, (0,0) words and words of value
+zero are translated symbolically.
 
 The (0,0) cell is special: beyond the empty word every rotation-invariant
 function evaluates to a constant at a single point, so the first nonzero
@@ -41,7 +47,14 @@ from itertools import combinations_with_replacement
 from typing import Sequence
 
 from equiform.expressions import MAX_EXPONENT
-from equiform.forms import Form, Frame, bidegree_split, evaluate_to_vector, wedge
+from equiform.forms import (
+    Form,
+    Frame,
+    bidegree_split,
+    evaluate_form,
+    evaluate_to_vector,
+    wedge,
+)
 from equiform.homogeneous import (
     HomogeneousSetup,
     InvariantForm,
@@ -130,6 +143,9 @@ class Alphabet:
             self.contractions[m.name] = m
         self._syllables: list[Syllable] | None = None
         self._syllable_forms: dict[Syllable, Form] = {}
+        self._translations: dict[Word, Form] = {
+            Word(()): InvariantForm.of(setup.frame.one)
+        }
 
     def syllables(self) -> list[Syllable]:
         """All syllables with nonzero translation, in the fixed total order:
@@ -162,16 +178,21 @@ class Alphabet:
 
     def translate(self, word: Word) -> Form:
         """The wedge of the syllable forms, an InvariantForm when each of
-        them is one."""
-        out = self.setup.frame.one
-        certified = True
-        for s in word.syllables:
-            form = self.syllable_form(s)
-            certified = certified and isinstance(form, InvariantForm)
-            out = wedge(out, form)
-            if out.is_zero:
-                return out
-        return InvariantForm.of(out) if certified else out
+        them is one.  Memoized: a word is the translation of its prefix (the
+        word without its last syllable) wedged with the last syllable form."""
+        out = self._translations.get(word)
+        if out is None:
+            head = self.translate(Word(word.syllables[:-1]))
+            form = self.syllable_form(word.syllables[-1])
+            out = wedge(head, form)
+            if (
+                out
+                and isinstance(head, InvariantForm)
+                and isinstance(form, InvariantForm)
+            ):
+                out = InvariantForm.of(out)
+            self._translations[word] = out
+        return out
 
 
 @dataclass
@@ -195,16 +216,19 @@ class Dictionary:
     radial: DictionaryEntry | None
     transcript: list[tuple[str, str, str]]
     # filled on first use by express_in_generators; entries are fixed once
-    # the dictionary is built, so both are keyed by entry index
+    # the dictionary is built, so the first two are keyed by entry index,
+    # the radial powers by Laurent window
     _weights: list[int | None] | None = dc_field(
         default=None, init=False, repr=False, compare=False
     )
     _ray_products: dict[tuple[int, ...], Form] = dc_field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    # left by generate_dictionary for completeness_check: the images of the
-    # first entries at the origin (the origin phase) and of every entry at
-    # the generic point, in entry order
+    _windows: dict[tuple[int, int], tuple] = dc_field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    # left by generate_dictionary for completeness_check: the images of
+    # every entry at the origin and at the generic point, in entry order
     _origin_vectors: list[dict] = dc_field(
         default_factory=list, init=False, repr=False, compare=False
     )
@@ -233,6 +257,26 @@ class Dictionary:
                 _single_weight(weigh, e.translation) for e in self.entries
             ]
         return self._weights
+
+    def _radial_window(self, lo: int, hi: int):
+        """The radial powers (e, s^e) of the Laurent window lo..hi, their
+        dilation weights and their ray images, cached by window.  A window
+        the ring cannot represent raises, and is never cached."""
+        window = self._windows.get((lo, hi))
+        if window is None:
+            powers = _radial_powers(self.setup, lo, hi)
+            weigh = _dilation_weigher(self.setup)
+            restrict = self.setup.ring.ray_restriction
+            window = (
+                powers,
+                [
+                    _single_weight(weigh, self.setup.frame.scalar_form(sc))
+                    for _, sc in powers
+                ],
+                [(ex, restrict(sc)) for ex, sc in powers],
+            )
+            self._windows[lo, hi] = window
+        return window
 
     @cached_property
     def _ray_frame(self) -> Frame:
@@ -301,44 +345,82 @@ def _check_transitive_sphere(setup: HomogeneousSetup) -> int:
     return dimv
 
 
+class _PointValues:
+    """Values of words at one point of the fiber.
+
+    Each syllable form is evaluated once, and a word's value is the value of
+    its prefix wedged with the value of its last syllable.  Evaluation is a
+    ring homomorphism, so this is the value of the word's translation.  Only
+    the values of pool words (inherited or kept) are stored, and the prefix
+    of a candidate is always one of them.
+    """
+
+    def __init__(self, alphabet: Alphabet, point: Point):
+        self.alphabet = alphabet
+        self.point = point
+        self._syllables: dict[Syllable, Form] = {}
+        self.words: dict[Word, Form] = {Word(()): alphabet.setup.frame.one}
+
+    def of(self, word: Word) -> Form:
+        value = self.words.get(word)
+        if value is None:
+            last = word.syllables[-1]
+            syll = self._syllables.get(last)
+            if syll is None:
+                syll = evaluate_form(self.alphabet.syllable_form(last), self.point)
+                self._syllables[last] = syll
+            value = wedge(self.words[Word(word.syllables[:-1])], syll)
+        return value
+
+    def vectors(self, words: Sequence[Word]) -> list[dict]:
+        return [_point_vector(self.words[w]) for w in words]
+
+
+def _point_vector(value: Form) -> dict[int, FieldElement]:
+    """A value at a point as a sparse vector keyed by basis word."""
+    return {m: c.constant_term() for m, c in value.terms.items()}
+
+
 def _phase(
     alphabet: Alphabet,
     phase_name: str,
-    point: Point,
+    values: _PointValues,
     seeds: Sequence[DictionaryEntry],
     transcript: list,
     max_length: int,
     collect_radial: bool,
 ):
+    """Extend the seeds by the words whose values at the point are
+    independent.  A word is translated symbolically only when it is kept,
+    has bidegree (0,0) or has value zero; the last tells a zero translation
+    from one that vanishes at the point."""
     setup = alphabet.setup
     span = VectorSpan(setup.field)
     new_entries: list[DictionaryEntry] = []
-    vectors: list[dict] = []  # images of seeds + new_entries at the point
     radial: DictionaryEntry | None = None
     pool: dict[int, list[Word]] = {}
-    pool_set: set[Word] = set()
+    pool_values = values.words
 
-    def admit(word: Word):
+    def admit(word: Word, value: Form):
         pool.setdefault(word.length, []).append(word)
-        pool_set.add(word)
+        pool_values[word] = value
 
     for e in seeds:
-        vec = evaluate_to_vector(e.translation, point)
-        if not span.add(vec):
+        value = values.of(e.word)
+        if not span.add(_point_vector(value)):
             raise EngineError(
                 f"independence inheritance failed for {e.word.render()}: "
                 f"its image at the generic point is dependent"
             )
-        vectors.append(vec)
-        admit(e.word)
+        admit(e.word, value)
     if not seeds:
         empty = Word(())
-        entry = DictionaryEntry(empty, phase_name, (0, 0), alphabet.translate(empty))
-        vec = evaluate_to_vector(entry.translation, point)
-        span.add(vec)
-        vectors.append(vec)
-        new_entries.append(entry)
-        admit(empty)
+        value = values.of(empty)
+        span.add(_point_vector(value))
+        new_entries.append(
+            DictionaryEntry(empty, phase_name, (0, 0), alphabet.translate(empty))
+        )
+        admit(empty, value)
         transcript.append((phase_name, "1", "kept"))
 
     sylls = alphabet.syllables()
@@ -356,11 +438,11 @@ def _phase(
                 if last is not None and s.key() < last:
                     continue
                 cw = Word(w.syllables + (s,))
-                if cw in pool_set or cw in seen:
+                if cw in pool_values or cw in seen:
                     continue
                 seen.add(cw)
                 ok = all(
-                    Word(cw.syllables[:i] + cw.syllables[i + 1 :]) in pool_set
+                    Word(cw.syllables[:i] + cw.syllables[i + 1 :]) in pool_values
                     for i in range(l)
                 )
                 if ok:
@@ -373,38 +455,29 @@ def _phase(
                     (phase_name, cw.render(), "pruned: bidegree overflow")
                 )
                 continue
-            form = alphabet.translate(cw)
-            if form.is_zero:
-                transcript.append(
-                    (phase_name, cw.render(), "pruned: zero translation")
-                )
-                continue
-            if (p, q) == (0, 0):
-                if collect_radial and radial is None:
+            value = None if (p, q) == (0, 0) else values.of(cw)
+            if not value:
+                form = alphabet.translate(cw)
+                if form.is_zero:
+                    verdict = "pruned: zero translation"
+                elif value is not None:
+                    verdict = "dependent: evaluates to zero"
+                elif collect_radial and radial is None:
                     radial = DictionaryEntry(cw, phase_name, (0, 0), form)
-                    transcript.append(
-                        (phase_name, cw.render(), "radial invariant")
-                    )
+                    verdict = "radial invariant"
                 else:
-                    transcript.append(
-                        (phase_name, cw.render(), "dependent: constant on orbits")
-                    )
-                continue
-            vec = evaluate_to_vector(form, point)
-            if not vec:
-                transcript.append(
-                    (phase_name, cw.render(), "dependent: evaluates to zero")
+                    verdict = "dependent: constant on orbits"
+            elif span.add(_point_vector(value)):
+                new_entries.append(
+                    DictionaryEntry(cw, phase_name, (p, q), alphabet.translate(cw))
                 )
-                continue
-            if span.add(vec):
-                vectors.append(vec)
-                new_entries.append(DictionaryEntry(cw, phase_name, (p, q), form))
-                admit(cw)
-                transcript.append((phase_name, cw.render(), "kept"))
+                admit(cw, value)
+                verdict = "kept"
             else:
-                transcript.append((phase_name, cw.render(), "dependent"))
+                verdict = "dependent"
+            transcript.append((phase_name, cw.render(), verdict))
         l += 1
-    return new_entries, radial, vectors
+    return new_entries, radial
 
 
 def generate_dictionary(
@@ -417,13 +490,14 @@ def generate_dictionary(
     alphabet = Alphabet(setup, letters, contractions)
     _check_transitive_sphere(setup)
     origin_pt = setup.point([setup.field.zero] * setup.fiber_dim)
-    v_pt = setup.point(setup.generic_point_vector())
+    at_origin = _PointValues(alphabet, origin_pt)
+    at_generic = _PointValues(alphabet, setup.point(setup.generic_point_vector()))
     transcript: list[tuple[str, str, str]] = []
-    c0, _, at_origin = _phase(
-        alphabet, "origin", origin_pt, [], transcript, options.max_length, False
+    c0, _ = _phase(
+        alphabet, "origin", at_origin, [], transcript, options.max_length, False
     )
-    new, radial, at_generic = _phase(
-        alphabet, "generic", v_pt, c0, transcript, options.max_length, True
+    new, radial = _phase(
+        alphabet, "generic", at_generic, c0, transcript, options.max_length, True
     )
     dictionary = Dictionary(
         setup=setup,
@@ -432,8 +506,13 @@ def generate_dictionary(
         radial=radial,
         transcript=transcript,
     )
-    dictionary._origin_vectors = at_origin
-    dictionary._generic_vectors = at_generic
+    # every syllable of a generic-phase word was a length-one candidate of
+    # the origin phase, so its value there is known: nothing new is evaluated
+    for e in new:
+        at_origin.words[e.word] = at_origin.of(e.word)
+    words = [e.word for e in dictionary.entries]
+    dictionary._origin_vectors = at_origin.vectors(words)
+    dictionary._generic_vectors = at_generic.vectors(words)
     return dictionary
 
 
@@ -480,8 +559,8 @@ def completeness_check(
     """Direct span of the dictionary images against the invariant dimensions
     at both stabilizers, cell by cell.
 
-    Images that generate_dictionary left on the dictionary are reused; the
-    rest are evaluated here."""
+    A dictionary from generate_dictionary carries every image; those of
+    any other dictionary are evaluated here."""
     field = setup.field
     k = setup.fiber_dim
     tables = setup.invariant_dimension_tables()
@@ -674,19 +753,14 @@ def express_in_generators(
     hi, lo = degree_bounds
     if lo > hi:
         raise EngineError(f"empty Laurent window ({hi}, {lo})")
-    powers = _radial_powers(setup, lo, hi)
+    powers, power_weights, ray_powers = dictionary._radial_window(lo, hi)
     # restriction to the ray is injective on invariant forms only
     if not isinstance(target, InvariantForm) and not is_invariant(setup, target):
         raise EngineError("target is not an invariant basic form")
-    restrict = setup.ring.ray_restriction
-    ray_powers = [(ex, restrict(sc)) for ex, sc in powers]
     entries = dictionary.entries
     positive = [i for i, e in enumerate(entries) if e.word.length > 0]
     weigh = _dilation_weigher(setup)
     entry_weights = dictionary._entry_weights()
-    power_weights = [
-        _single_weight(weigh, setup.frame.scalar_form(sc)) for _, sc in powers
-    ]
     graded = None not in entry_weights and None not in power_weights
     field = setup.field
     terms: list[CombinationTerm] = []

@@ -347,18 +347,36 @@ class HomogeneousSetup:
         return v
 
     def invariant_dimension_tables(self) -> InvariantDimensionTables:
-        """Invariant dimensions at the origin and at generic_point_vector()."""
+        """Invariant dimensions at the origin and at generic_point_vector().
+
+        validate_setup refuses a rho that is not skew, so the Hodge star on
+        Lambda V commutes with every stabilizer and cell (p,q) equals cell
+        (p,k-q); when every ad(e_a)|T is skew too, cell (n-p,q) equals (p,q).
+        One cell is ranked per class and copied to the rest."""
         if self._dim_tables is None:
             stab0 = stabilizer_of_vector(self, [self.field.zero] * self.fiber_dim)
             stabv = stabilizer_of_vector(self, self.generic_point_vector())
-            qs = range(self.fiber_dim + 1)
-            grids = [
-                tuple(
-                    tuple(invariant_dimension(self, (p, q), stab) for q in qs)
-                    for p in range(self.horizontal_dim + 1)
+            n, k = self.horizontal_dim, self.fiber_dim
+            t_skew = all(
+                _is_skew(self.ad_on_horizontal(a)) for a in self.splitting.gauge
+            )
+            cls = {
+                (p, q): (min(p, n - p) if t_skew else p, min(q, k - q))
+                for p in range(n + 1)
+                for q in range(k + 1)
+            }
+            grids = []
+            for stab in (stab0, stabv):
+                dims = {
+                    c: invariant_dimension(self, c, stab)
+                    for c in dict.fromkeys(cls.values())
+                }
+                grids.append(
+                    tuple(
+                        tuple(dims[cls[p, q]] for q in range(k + 1))
+                        for p in range(n + 1)
+                    )
                 )
-                for stab in (stab0, stabv)
-            ]
             self._dim_tables = InvariantDimensionTables(len(stab0), len(stabv), *grids)
         return self._dim_tables
 

@@ -239,6 +239,18 @@ class TestExitStatus:
         err = capsys.readouterr().err
         assert err == "equiform: task t: target is not an invariant basic form\n"
 
+    def test_point_error_in_generation_exits_two(self, tmp_path, capsys):
+        # the letter a/s has no value at the origin, where s = 0
+        doc = json.loads(resolve_config("su3_tcp2")[1])
+        doc["letters"]["c"] = [f"a{i}*s^-1" for i in range(1, 5)]
+        path = write_config(tmp_path, doc)
+        assert main(["generate", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "equiform: task generate: negative power of zero while "
+            "evaluating s\n"
+        )
+
     @pytest.mark.parametrize(
         "form, needle",
         [
@@ -406,8 +418,9 @@ class TestReports:
         rc = realize_config(parse_config(resolve_config("su3_tcp2")[1]))
         tasks = [TaskSpec(kind=k, name=k) for k in ("generate", "dim_table")]
         assert run_config(rc, "su3_tcp2", tasks, Overrides()).passed
-        # 5 x 5 cells at each of the two stabilizers, each computed once
-        assert len(calls) == 50
+        # the 5 x 5 cells fall into 3 x 3 Hodge duality classes; one cell
+        # per class at each of the two stabilizers, each computed once
+        assert len(calls) == 18
 
     def test_validate_reports_subject(self, capsys):
         assert main(["validate", "--config", "su3_tcp2"]) == 0

@@ -107,7 +107,7 @@ def test_tcp2_completeness(su3_setup, su3_dictionary):
 
 
 def test_completeness_reuses_the_images_from_generation(
-    su3_setup, su3_dictionary, monkeypatch
+    su3_setup, su3_alphabet, su3_dictionary, monkeypatch
 ):
     evaluate = dictionary_module.evaluate_to_vector
     evaluated, added = [], []
@@ -123,11 +123,17 @@ def test_completeness_reuses_the_images_from_generation(
 
     monkeypatch.setattr(dictionary_module, "evaluate_to_vector", counting)
     monkeypatch.setattr(dictionary_module, "VectorSpan", Recording)
+    letters, contractions = su3_alphabet
+    fresh = generate_dictionary(
+        su3_setup, list(letters.values()), list(contractions.values())
+    )
+    assert completeness_check(su3_setup, fresh).passed
+    added.clear()
     report = completeness_check(su3_setup, su3_dictionary)
-    # only the generic-phase entries still need their image at the origin
-    generic = [e for e in su3_dictionary.entries if e.phase == "generic"]
-    assert len(evaluated) == len(generic) == 76
-    # and every entry's cells received that entry's own images
+    # generation tests independence on point values and leaves every image
+    # at both points: nothing is evaluated symbolically, there or here
+    assert evaluated == []
+    # and every entry's cells received that entry's own symbolic images
     origin = su3_setup.point([su3_setup.field.zero] * su3_setup.fiber_dim)
     point = su3_setup.point(su3_setup.generic_point_vector())
     assert added == [

@@ -241,3 +241,31 @@ def test_gauge_target_is_rejected_before_the_solve(
             su3_setup, su3_dictionary, su3_setup.frame.generator("e1")
         )
     assert calls[0] == 0
+
+
+# -- radial powers, once per window -----------------------------------------
+
+
+def test_radial_powers_are_built_once_per_window(
+    su3_setup, su3_dictionary, monkeypatch
+):
+    calls = []
+    build = dictionary_module._radial_powers
+
+    def counted(setup, lo, hi):
+        calls.append((lo, hi))
+        return build(setup, lo, hi)
+
+    monkeypatch.setattr(dictionary_module, "_radial_powers", counted)
+    fresh = replace(su3_dictionary)
+    rows = differential_table(su3_setup, fresh, 2)
+    assert len(rows) == 15 and calls == [(-2, 4)]
+    assert differential_table(su3_setup, fresh, 2) == rows
+    assert calls == [(-2, 4)]
+    # a window the ring cannot represent raises on every call, uncached
+    target = exterior_derivative(su3_setup, fresh.entries[1].translation)
+    for _ in range(2):
+        with pytest.raises(EngineError, match="below the depth bound -4"):
+            express_in_generators(su3_setup, fresh, target, degree_bounds=(4, -6))
+    assert calls == [(-2, 4), (-6, 4), (-6, 4)]
+    assert list(fresh._windows) == [(-2, 4)]

@@ -5,8 +5,11 @@ frame, which only the oracle in raw_frame_oracle.py builds now.  The gauge
 variation lives in gauge_variation_oracle.py.
 """
 
+from fractions import Fraction
+
 import pytest
 
+from equiform import homogeneous
 from equiform.forms import bidegree_split, wedge
 from equiform.homogeneous import (
     SetupError,
@@ -357,3 +360,53 @@ def test_invariant_dimension_tables_match_direct_grid(request, name):
             )
             for p in range(setup.horizontal_dim + 1)
         )
+
+
+def _su2_with_constants(triples):
+    field, _, splitting, representation = su2_raw()
+    algebra = make_algebra(field, 3, triples)
+    return validate_setup(algebra, splitting, representation, su2_ring_spec())
+
+
+ORTHONORMAL = [(1, 2, 3, -1), (2, 1, 3, 1), (3, 1, 2, -1)]
+# so(3) over the two-sphere with the horizontal e1 doubled: the basis is not
+# orthonormal for the invariant metric, so ad(e3)|T is not skew
+RESCALED = [(1, 2, 3, Fraction(-1, 2)), (2, 1, 3, 2), (3, 1, 2, -2)]
+# e3 dilates T = <e1, e2>: Lambda^0 T is invariant and Lambda^2 T is not, so
+# the horizontal mirror would be wrong
+DILATING = [(1, 1, 3, -1), (2, 2, 3, -1)]
+
+
+@pytest.mark.parametrize(
+    "triples, ranked",
+    [(ORTHONORMAL, 4), (RESCALED, 6), (DILATING, 6)],
+    ids=["orthonormal", "rescaled", "dilating"],
+)
+def test_dimension_tables_rank_one_cell_per_duality_class(
+    monkeypatch, triples, ranked
+):
+    # ranked cells per grid: the fiber mirror always applies, the
+    # horizontal one only when every ad(e_a)|T is skew
+    setup = _su2_with_constants(triples)
+    calls = []
+
+    def counting(setup, bidegree, stab):
+        calls.append(bidegree)
+        return invariant_dimension(setup, bidegree, stab)
+
+    monkeypatch.setattr(homogeneous, "invariant_dimension", counting)
+    tables = setup.invariant_dimension_tables()
+    assert len(calls) == 2 * ranked
+    monkeypatch.undo()
+    z = setup.field.zero
+    for vec, grid in (
+        ([z] * setup.fiber_dim, tables.origin),
+        (setup.generic_point_vector(), tables.generic),
+    ):
+        stab = stabilizer_of_vector(setup, vec)
+        assert grid == tuple(
+            tuple(invariant_dimension(setup, (p, q), stab) for q in range(3))
+            for p in range(3)
+        )
+    if triples is DILATING:
+        assert tables.origin[0][0] == 1 and tables.origin[2][0] == 0

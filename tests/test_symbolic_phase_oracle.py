@@ -1,0 +1,150 @@
+"""Dictionary phases test independence on point values.
+
+A candidate's value at the phase point is the value of its prefix wedged
+with the value of its last syllable, and only kept words, (0,0) words and
+words of value zero are translated symbolically.  This rests on evaluation
+being a ring homomorphism, checked here with Hypothesis on both bundled
+rings, and the result is checked against symbolic_phase_oracle.py, which
+translates and evaluates every candidate: on su2_ts2, su3_tcp2, su2_ts2
+with the radical square k+a1*a1, under a word-length cap, and on a letter
+that has no value at the origin.
+"""
+
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from equiform.cli import resolve_config
+from equiform.config import parse_config, realize_config
+from equiform.dictionary import DictionaryOptions, EngineError, generate_dictionary
+from equiform.forms import evaluate_form, evaluate_to_vector, wedge
+from equiform.homogeneous import InvariantForm
+from equiform.scalars import PointError
+
+import symbolic_phase_oracle as oracle
+
+
+def _realize(name, square=None, letters=None):
+    doc = json.loads(resolve_config(name)[1])
+    if square is not None:
+        doc["ring"]["radicals"][0]["square"] = square
+    doc["letters"].update(letters or {})
+    return realize_config(parse_config(json.dumps(doc)))
+
+
+def _generate(kernel, rc, max_length=None):
+    options = DictionaryOptions() if max_length is None else DictionaryOptions(max_length)
+    return kernel(
+        rc.setup, list(rc.letters.values()), list(rc.contractions.values()), options
+    )
+
+
+def _entry_facts(e):
+    return (e.word, e.phase, e.bidegree, isinstance(e.translation, InvariantForm))
+
+
+VARIANTS = {
+    "su2_ts2": ("su2_ts2", None),
+    "su3_tcp2": ("su3_tcp2", None),
+    "u=k+a1*a1": ("su2_ts2", "k+a1*a1"),
+}
+
+
+@pytest.fixture(scope="module", params=list(VARIANTS))
+def generated(request):
+    rc = _realize(*VARIANTS[request.param])
+    return rc, _generate(generate_dictionary, rc), _generate(oracle.generate_dictionary, rc)
+
+
+def test_generation_matches_the_symbolic_kernel(generated):
+    rc, got, want = generated
+    assert got.transcript == want.transcript
+    assert [_entry_facts(e) for e in got.entries] == [
+        _entry_facts(e) for e in want.entries
+    ]
+    assert [e.translation for e in got.entries] == [
+        e.translation for e in want.entries
+    ]
+    assert _entry_facts(got.radial) == _entry_facts(want.radial)
+    assert got.radial.translation == want.radial.translation
+    assert got._generic_vectors == want._generic_vectors
+    # the oracle left origin images for the origin phase only
+    origin = rc.setup.point([rc.setup.field.zero] * rc.setup.fiber_dim)
+    assert got._origin_vectors == [
+        evaluate_to_vector(e.translation, origin) for e in got.entries
+    ]
+    assert got._origin_vectors[: len(want._origin_vectors)] == want._origin_vectors
+
+
+def test_only_words_that_need_a_symbolic_form_are_translated(generated):
+    _, got, _ = generated
+    needs_form = {
+        "kept",
+        "pruned: zero translation",
+        "dependent: evaluates to zero",
+        "radial invariant",
+        "dependent: constant on orbits",
+    }
+    translated = {w.render() for w in got.alphabet._translations}
+    wanted = {word for _, word, verdict in got.transcript if verdict in needs_form}
+    # the translations of the origin entries serve as prefixes at the generic point
+    assert translated == wanted | {"1"}
+
+
+@pytest.mark.parametrize("max_length", [1, 3])
+def test_length_cap_raises_alike(max_length):
+    rc = _realize("su3_tcp2")
+    errors = []
+    for kernel in (generate_dictionary, oracle.generate_dictionary):
+        with pytest.raises(EngineError) as info:
+            _generate(kernel, rc, max_length)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1] == (
+        f"dictionary generation exceeded the word-length cap {max_length}"
+    )
+
+
+def test_point_error_raises_alike():
+    # a/s has no value at the origin, where s = 0
+    rc = _realize("su3_tcp2", letters={"c": [f"a{i}*s^-1" for i in range(1, 5)]})
+    errors = []
+    for kernel in (generate_dictionary, oracle.generate_dictionary):
+        with pytest.raises(PointError) as info:
+            _generate(kernel, rc)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1] == "negative power of zero while evaluating s"
+
+
+# -- evaluation is a ring homomorphism on forms ----------------------------------
+
+
+def _forms(frame):
+    """Forms of up to three terms, each coefficient a sum of up to two
+    monomials with radical exponents from -2 to 2."""
+    ring = frame.ring
+    mono = st.tuples(
+        *[st.integers(0, 2)] * ring.nf,
+        *[st.integers(0, 1)] * ring.np,
+        *[st.integers(-2, 2)] * ring.nr,
+    )
+    coeff = st.dictionaries(mono, st.integers(-3, 3), max_size=2)
+    masks = st.integers(0, (1 << frame.size) - 1)
+    return st.dictionaries(masks, coeff, max_size=3).map(frame.form)
+
+
+@pytest.mark.parametrize("name", ["su2_setup", "su3_setup"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_evaluation_commutes_with_wedge(request, name, data):
+    setup = request.getfixturevalue(name)
+    x = data.draw(_forms(setup.frame))
+    y = data.draw(_forms(setup.frame))
+    origin = setup.point([setup.field.zero] * setup.fiber_dim)
+    for pt in (origin, setup.point(setup.generic_point_vector())):
+        try:
+            values = evaluate_form(x, pt), evaluate_form(y, pt)
+        except PointError:
+            continue  # a negative power of a radical that vanishes here
+        assert evaluate_form(wedge(x, y), pt) == wedge(*values)
