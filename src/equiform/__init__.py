@@ -57,9 +57,9 @@ from equiform.forms import (
     Frame,
     FrameSpec,
     bidegree_split,
-    evaluate_form,
     evaluate_to_vector,
     interior,
+    map_form,
     wedge,
 )
 from equiform.homogeneous import (
@@ -75,7 +75,6 @@ from equiform.homogeneous import (
     is_invariant,
     make_algebra,
     make_representation,
-    radial_square,
     stabilizer_of_vector,
     validate_setup,
 )
@@ -96,7 +95,7 @@ from equiform.letters import (
 )
 from equiform.numberfield import FieldElement, NumberField
 from equiform.report import ReportDocument, ReportError, TaskReport
-from equiform.scalars import Point, RadicalSpec, Ring, RingSpec, Scalar
+from equiform.scalars import Point, RadicalSpec, Ring, RingMap, RingSpec, Scalar
 from equiform.verify import (
     Verdict,
     VerifyError,
@@ -136,6 +135,7 @@ __all__ = [
     "ReportError",
     "Representation",
     "Ring",
+    "RingMap",
     "RingSpec",
     "Scalar",
     "SetupError",
@@ -152,7 +152,6 @@ __all__ = [
     "det_contraction",
     "differential_table",
     "dot_contraction",
-    "evaluate_form",
     "evaluate_to_vector",
     "express_in_generators",
     "exterior_derivative",
@@ -170,9 +169,9 @@ __all__ = [
     "make_contraction",
     "make_letter",
     "make_representation",
+    "map_form",
     "parse_config",
     "parse_form_expression",
-    "radial_square",
     "realize_config",
     "sphere_reduce",
     "stabilizer_of_vector",

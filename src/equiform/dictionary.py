@@ -33,26 +33,26 @@ built.
 Every span system is solved on the ray a = t*e1 through the generic point.
 The gauge group acts transitively on fiber spheres, so an invariant form
 vanishes exactly when its restriction to the ray does, and restriction
-(scalars.RayRestriction) keeps the kept columns and the solution of a
-system of invariant forms.  A target that is not an InvariantForm is
-therefore checked for invariance before its solve.  When the one-fiber
-ring refuses a restricted radical square, the restriction is the identity.
+(Ring.ray_restriction, a scalars.RingMap like evaluation at a point) keeps
+the kept columns and the solution of a system of invariant forms.  A target
+that is not an InvariantForm is therefore checked for invariance before its
+solve.  When the one-fiber ring refuses a restricted radical square, the
+restriction is the identity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import combinations_with_replacement
 from typing import Sequence
 
 from equiform.expressions import MAX_EXPONENT
 from equiform.forms import (
     Form,
-    Frame,
     bidegree_split,
-    evaluate_form,
     evaluate_to_vector,
+    map_form,
     wedge,
 )
 from equiform.homogeneous import (
@@ -278,31 +278,15 @@ class Dictionary:
             self._windows[lo, hi] = window
         return window
 
-    @cached_property
-    def _ray_frame(self) -> Frame:
-        ring = self.setup.ring.ray_restriction.target
-        return Frame(ring, self.setup.frame.spec)
-
-    def _on_ray(self, x: Form) -> Form:
-        """The restriction of x to the ray a = t*e1, coefficient by
-        coefficient."""
-        restrict = self.setup.ring.ray_restriction
-        if restrict.is_identity:
-            return x
-        terms = {}
-        for mask, sc in x.terms.items():
-            c = restrict(sc)
-            if c:
-                terms[mask] = c
-        return Form(self._ray_frame, terms)
-
     def _ray_product(self, tag: tuple[int, ...]) -> Form:
         """Wedge of the restricted translations of the entries at these
         indices, one index giving the restricted translation itself."""
         prod = self._ray_products.get(tag)
         if prod is None:
             if len(tag) == 1:
-                prod = self._on_ray(self.entries[tag[0]].translation)
+                prod = map_form(
+                    self.entries[tag[0]].translation, self.setup.ring.ray_restriction
+                )
             else:
                 prod = reduce(wedge, (self._ray_product((i,)) for i in tag))
             self._ray_products[tag] = prod
@@ -367,7 +351,7 @@ class _PointValues:
             last = word.syllables[-1]
             syll = self._syllables.get(last)
             if syll is None:
-                syll = evaluate_form(self.alphabet.syllable_form(last), self.point)
+                syll = map_form(self.alphabet.syllable_form(last), self.point)
                 self._syllables[last] = syll
             value = wedge(self.words[Word(word.syllables[:-1])], syll)
         return value
@@ -803,7 +787,8 @@ def express_in_generators(
                 if col.is_zero:
                     continue
                 span.add(_form_to_vector(col), (tag, ex))
-        combo = span.combination(_form_to_vector(dictionary._on_ray(part)))
+        on_ray = map_form(part, setup.ring.ray_restriction)
+        combo = span.combination(_form_to_vector(on_ray))
         if combo is None:
             residual = True
             failed.append(cell)

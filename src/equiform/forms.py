@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from equiform.numberfield import FieldElement
-from equiform.scalars import Point, Ring, Scalar
+from equiform.scalars import Point, Ring, RingMap, Scalar
 
 KINDS = ("horizontal", "vertical", "gauge")
 
@@ -335,21 +335,20 @@ def bidegree_split(x: Form) -> dict[tuple[int, int], Form]:
     return {pq: Form(x.frame, t) for pq, t in sorted(buckets.items())}
 
 
-def evaluate_form(x: Form, pt: Point) -> Form:
-    """Evaluate every coefficient at the point; words stay symbolic."""
+def map_form(x: Form, phi: RingMap) -> Form:
+    """The image of x under a ring map, coefficient by coefficient, over the
+    same generators."""
+    if phi.is_identity:
+        return x
+    frame = x.frame if phi.target is x.ring else Frame(phi.target, x.frame.spec)
     out: dict[int, Scalar] = {}
     for m, c in x.terms.items():
-        v = c.evaluate(pt)
-        if not v.is_zero:
-            out[m] = x.ring.constant(v)
-    return Form(x.frame, out)
+        v = phi(c)
+        if v:
+            out[m] = v
+    return Form(frame, out)
 
 
 def evaluate_to_vector(x: Form, pt: Point) -> dict[int, FieldElement]:
     """Evaluation as a sparse vector keyed by basis word, for rank work."""
-    out: dict[int, FieldElement] = {}
-    for m, c in x.terms.items():
-        v = c.evaluate(pt)
-        if not v.is_zero:
-            out[m] = v
-    return out
+    return {m: c.constant_term() for m, c in map_form(x, pt).terms.items()}

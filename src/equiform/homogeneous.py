@@ -607,11 +607,6 @@ def is_invariant(setup: HomogeneousSetup, x: Form) -> bool:
     return is_basic(setup, x) and is_basic(setup, frame_derivative(setup, x))
 
 
-def radial_square(setup: HomogeneousSetup) -> Scalar:
-    """The squared fiber radius as a ring element."""
-    return setup.ring.radial_square
-
-
 # -- stabilizers and invariant dimensions ---------------------------------
 
 

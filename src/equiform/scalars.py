@@ -27,7 +27,7 @@ forms is merged term by term without re-normalization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from operator import add, neg, sub
@@ -216,9 +216,39 @@ class Ring:
         return out
 
     @cached_property
-    def ray_restriction(self) -> "RayRestriction":
-        """The restriction to the ray a = t*e1, built on first use."""
-        return RayRestriction(self)
+    def ray_restriction(self) -> "RingMap":
+        """The restriction to the ray a = t*e1, built on first use.
+
+        Into a ring with the one fiber coordinate a1: a_i -> 0 for i >= 2,
+        and each radical u_j keeps its name, with square p_j(a1, 0, ..., 0),
+        never folded into a1.  Restriction only raises visible radical
+        exponents, so the depth bound cannot fire on an image when it did
+        not on the source.  The map is the identity on a ring with one
+        fiber coordinate, and when the one-fiber ring refuses a restricted
+        square (k + a2^2 becomes k).
+        """
+        target = self
+        nf = self.nf
+        if nf >= 2:
+            radicals = tuple(
+                RadicalSpec(
+                    rad.name,
+                    tuple(
+                        (tuple(mono[:1]) + tuple(mono[nf:]), c)
+                        for mono, c in rad.square
+                        if not any(mono[1:nf])
+                    ),
+                )
+                for rad in self.spec.radicals
+            )
+            spec = replace(self.spec, fiber=self.fiber[:1], radicals=radicals)
+            try:
+                target = Ring(spec)
+            except RingError:
+                pass  # a restricted square is refused: stay the identity
+        zero = target.zero
+        images = {n: target.var(n) if n in target.index else zero for n in self.index}
+        return RingMap(self, target, images)
 
     def radicals_squaring_to(self, s: "Scalar") -> tuple[str, ...]:
         """Names of the declared radicals whose square is s, in order."""
@@ -554,9 +584,6 @@ class Scalar:
     def differentiate(self, var: str) -> "Scalar":
         return differentiate(self, var)
 
-    def evaluate(self, pt: "Point") -> FieldElement:
-        return evaluate(self, pt)
-
     # -- substitutions -----------------------------------------------------
 
     def substitute_square(self, var: str, replacement: "Scalar") -> "Scalar":
@@ -588,23 +615,6 @@ class Scalar:
             rest[i] = e % 2
             term = Scalar(ring, {tuple(rest): c})
             out = out + term * replacement ** (e // 2)
-        return out
-
-    def substitute_radical_value(self, name: str, value: "Scalar") -> "Scalar":
-        """Replace a radical generator by an explicit scalar value."""
-        ring = self.ring
-        if name not in ring.radical_names:
-            raise RingError(f"{name!r} is not a radical of the ring")
-        j = ring.radical_names.index(name)
-        rslot, dslot = ring.radical_slot(j), ring.denominator_slot(j)
-        out = ring.zero
-        for mono, c in self.coeffs.items():
-            e = ring.visible_radical_exponent(mono, j)
-            rest = list(mono)
-            rest[rslot] = 0
-            rest[dslot] = 0
-            term = Scalar(ring, {tuple(rest): c})
-            out = out + term * value**e
         return out
 
     # -- inspection ----------------------------------------------------------
@@ -707,123 +717,130 @@ def differentiate(x: Scalar, var: str) -> Scalar:
     return _finish(ring, out)
 
 
-class RayRestriction:
-    """The ring homomorphism restricting a scalar to the ray a = t*e1.
+_ROOT = object()  # a radical image still to be derived from its square
 
-    Into a ring with the one fiber coordinate a1: a_i -> 0 for i >= 2, and
-    each radical u_j keeps its name and visible exponent, with square
-    p_j(a1, 0, ..., 0), never folded into a1.  Images are re-normalized
-    (with u^2 = a1*a2 + a1, the normal form a1*u^-2 maps to 1), which only
-    raises visible exponents, so the depth bound cannot fire on an image
-    when it did not on the source.  The map is the identity on a ring with
-    one fiber coordinate, and when the one-fiber ring refuses a restricted
-    square (k + a2^2 becomes k).
+
+def _single_term(x: Scalar) -> tuple | None:
+    """None for zero, else (coefficient or None for one, ((slot, exponent),
+    ...) over the nonzero slots of the monomial)."""
+    if len(x.coeffs) > 1:
+        raise RingError(f"the image {x} of a ring variable is not a single term")
+    for mono, c in x.coeffs.items():
+        one = x.ring.field.one
+        return None if c == one else c, tuple((i, e) for i, e in enumerate(mono) if e)
+    return None
+
+
+class RingMap:
+    """The map from source to target given by one image per fiber
+    coordinate, parameter and radical: zero, or a coefficient times a
+    target monomial.  It is a ring homomorphism when the image of each
+    radical squares to the image of its square; setting u = 1 where u^2 is
+    the radial square is not one, but followed by reduction modulo aa - 1
+    it is the restriction to the unit sphere.
+
+    A normal monomial c * a^alpha * t^gamma * u^delta goes to c times the
+    product of the images raised to its exponents, a radical's exponent
+    being its visible exponent r - 2k, and the images are re-normalized once
+    in the target ring: where u^2 = a1*a2 + a1 restricts to u^2 = a1, the
+    normal form a1*u^-2 maps to 1.  A radical given no image goes to the
+    nonnegative square root of the image of its square, which must be a
+    constant with a root in the coefficient field.  The root is computed on
+    first use, so a scalar without that radical never needs it.  A negative
+    power of a zero image has no value.
     """
 
-    def __init__(self, ring: Ring):
-        self.source = self.target = ring
-        nf = ring.nf
-        if nf < 2:
-            return
-        spec = ring.spec
-        radicals = tuple(
-            RadicalSpec(
-                rad.name,
-                tuple(
-                    (tuple(mono[:1]) + tuple(mono[nf:]), c)
-                    for mono, c in rad.square
-                    if not any(mono[1:nf])
-                ),
-            )
-            for rad in spec.radicals
-        )
-        try:
-            self.target = Ring(replace(spec, fiber=spec.fiber[:1], radicals=radicals))
-        except RingError:
-            pass  # a restricted square is refused: stay the identity
+    def __init__(self, source: Ring, target: Ring, images: Mapping[str, object]):
+        if any(n not in images for n in source.fiber + source.params):
+            raise RingError("a ring map needs images of the fiber and parameters")
+        self.source, self.target = source, target
+        self.names = source.fiber + source.params + source.radical_names
+        self._images = [
+            _single_term(target.normalize(images[n])) if n in images else _ROOT
+            for n in self.names
+        ]
+        self._memo: dict[Monomial, tuple | None] = {}
+        # variable i of the ring sits in monomial slot i
+        self.is_identity = target is source and self._images == [
+            (None, ((i, 1),)) for i in range(len(self.names))
+        ]
 
-    @property
-    def is_identity(self) -> bool:
-        return self.target is self.source
+    def _root(self, i: int) -> tuple | None:
+        source = self.source
+        j = i - source.nf - source.np
+        square = self(Scalar(source, source.radical_squares[j]))
+        value = square.constant_term() if square.is_constant else square
+        root = value.sqrt() if square.is_constant else None
+        if root is None:
+            raise PointError(
+                f"radical {self.names[i]} has no exact value at this point "
+                f"(square evaluates to {value})"
+            )
+        self._images[i] = _single_term(self.target.constant(root))
+        return self._images[i]
+
+    def _monomial(self, mono: Monomial) -> tuple | None:
+        """(image monomial, coefficient factor or None for one) of a normal
+        monomial, None when the image is zero."""
+        source, images = self.source, self._images
+        exponents = mono[: source.nf + source.np] + tuple(
+            mono[r] - 2 * mono[d] for r, d, _ in source.radical_slots
+        )
+        image = [0] * self.target.width
+        factor = None
+        vanishes = False
+        for i, e in enumerate(exponents):
+            if not e:
+                continue
+            term = images[i] if images[i] is not _ROOT else self._root(i)
+            if term is None:
+                if e < 0:
+                    raise PointError(
+                        f"negative power of zero while evaluating {self.names[i]}"
+                    )
+                vanishes = True
+                continue
+            if term[0] is not None:
+                factor = term[0] ** e if factor is None else factor * term[0] ** e
+            for slot, k in term[1]:
+                image[slot] += k * e
+        return None if vanishes else (tuple(image), factor)
 
     def __call__(self, x: Scalar) -> Scalar:
-        if self.target is self.source:
+        if self.is_identity:
             return x
-        nf = self.source.nf
-        # normal monomials have radical exponents in {0, 1} and denominator
-        # powers >= 0: images need only the p-adic reduction, and stay distinct
-        out = {
-            mono[:1] + mono[nf:]: c
-            for mono, c in x.coeffs.items()
-            if not any(mono[1:nf])
-        }
+        if x.ring is not self.source and x.ring != self.source:
+            raise RingError("scalar from a different ring")
+        # normal monomials recur across scalars: each is mapped once
+        memo = self._memo
+        out: dict[Monomial, FieldElement] = {}
+        for mono, c in x.coeffs.items():
+            image = memo.get(mono, _ROOT)
+            if image is _ROOT:
+                image = memo[mono] = self._monomial(mono)
+            if image is not None:
+                mono, factor = image
+                if factor is not None:
+                    c = c * factor
+                _accumulate(self.target, out, mono, c)
         return _finish(self.target, out)
 
 
-@dataclass
-class Point:
-    """Exact values for the fiber variables and parameters.
-
-    Radical values are derived from the defining squares, always taking the
-    nonnegative branch; evaluation fails if the square root does not exist in
-    the coefficient field.
-    """
-
-    ring: Ring
-    values: dict = dc_field(default_factory=dict)
+class Point(RingMap):
+    """Evaluation at exact values of the fiber variables and parameters: the
+    ring map into the constants of the same ring, each radical going to the
+    nonnegative root of its square's value."""
 
     def __init__(self, ring: Ring, values: Mapping[str, object]):
-        self.ring = ring
-        clean: dict[str, FieldElement] = {}
-        for name, v in values.items():
-            if name not in ring.index or ring.index[name] >= ring.nf + ring.np:
+        for name in values:
+            if name not in ring.fiber + ring.params:
                 raise PointError(f"{name!r} is not a fiber variable or parameter")
-            clean[name] = ring._coerce_field(v)
-        missing = [n for n in ring.fiber + ring.params if n not in clean]
+        missing = [n for n in ring.fiber + ring.params if n not in values]
         if missing:
             raise PointError(f"point is missing values for {missing}")
-        self.values = clean
-        self._radical_values: dict[int, FieldElement] = {}
+        super().__init__(
+            ring, ring, {n: ring._coerce_field(v) for n, v in values.items()}
+        )
 
     def fiber_vector(self) -> list[FieldElement]:
-        return [self.values[n] for n in self.ring.fiber]
-
-    def radical_value(self, j: int) -> FieldElement:
-        """Value of one radical generator, computed on first use so that
-        scalars not involving a radical never force its evaluation."""
-        if j not in self._radical_values:
-            sq = evaluate(Scalar(self.ring, self.ring.radical_squares[j]), self)
-            root = sq.sqrt()
-            if root is None:
-                raise PointError(
-                    f"radical {self.ring.radical_names[j]} has no exact value "
-                    f"at this point (square evaluates to {sq})"
-                )
-            self._radical_values[j] = root
-        return self._radical_values[j]
-
-
-def _field_pow(v: FieldElement, e: int, name: str) -> FieldElement:
-    if e < 0 and v.is_zero:
-        raise PointError(f"negative power of zero while evaluating {name}")
-    return v**e
-
-
-def evaluate(x: Scalar, pt: Point) -> FieldElement:
-    if pt.ring != x.ring:
-        raise PointError("point belongs to a different ring")
-    ring = x.ring
-    base_vals = [pt.values[n] for n in ring.fiber + ring.params]
-    names = ring.fiber + ring.params
-    total = ring.field.zero
-    for mono, c in x.coeffs.items():
-        term = c
-        for v, e, name in zip(base_vals, mono, names):
-            if e:
-                term = term * _field_pow(v, e, name)
-        for j, name in enumerate(ring.radical_names):
-            e = ring.visible_radical_exponent(mono, j)
-            if e:
-                term = term * _field_pow(pt.radical_value(j), e, name)
-        total = total + term
-    return total
+        return [self(self.source.var(n)).constant_term() for n in self.source.fiber]

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from equiform.forms import Form, wedge
 from equiform.homogeneous import HomogeneousSetup, InvariantForm, exterior_derivative
+from equiform.scalars import RingMap
 
 
 class VerifyError(ValueError):
@@ -34,6 +35,8 @@ def sphere_reduce(setup: HomogeneousSetup, x: Form) -> Form:
     """
     ring = setup.ring
     radial_names = ring.radicals_squaring_to(ring.radial_square)
+    images = {n: ring.one if n in radial_names else ring.var(n) for n in ring.index}
+    radial_to_one = RingMap(ring, ring, images)
     first = ring.fiber[0]
     replacement = ring.one
     for name in ring.fiber[1:]:
@@ -45,16 +48,12 @@ def sphere_reduce(setup: HomogeneousSetup, x: Form) -> Form:
         for j, name in enumerate(ring.radical_names):
             rslot, dslot = ring.radical_slot(j), ring.denominator_slot(j)
             present = any(m[rslot] or m[dslot] for m in c.coeffs)
-            if not present:
-                continue
-            if name in radial_names:
-                c = c.substitute_radical_value(name, ring.one)
-            else:
+            if present and name not in radial_names:
                 raise VerifyError(
                     f"cannot restrict to the unit sphere: radical {name} "
                     "does not square to the radial function"
                 )
-        c = c.substitute_square(first, replacement)
+        c = radial_to_one(c).substitute_square(first, replacement)
         if not c.is_zero:
             out[mask] = c
     return Form(setup.frame, out)

@@ -240,16 +240,28 @@ class TestExitStatus:
         assert err == "equiform: task t: target is not an invariant basic form\n"
 
     def test_point_error_in_generation_exits_two(self, tmp_path, capsys):
-        # the letter a/s has no value at the origin, where s = 0
-        doc = json.loads(resolve_config("su3_tcp2")[1])
-        doc["letters"]["c"] = [f"a{i}*s^-1" for i in range(1, 5)]
-        path = write_config(tmp_path, doc)
-        assert main(["generate", "--config", path]) == 2
-        err = capsys.readouterr().err
-        assert err == (
-            "equiform: task generate: negative power of zero while "
-            "evaluating s\n"
-        )
+        cases = [
+            # the letter a/s has no value at the origin, where s = 0
+            (
+                "su3_tcp2",
+                [f"a{i}*s^-1" for i in range(1, 5)],
+                "negative power of zero while evaluating s",
+            ),
+            # at the generic point e1, u^2 = k+aa = 2 has no rational root
+            (
+                "su2_ts2",
+                ["u*a1", "u*a2"],
+                "radical u has no exact value at this point "
+                "(square evaluates to 2)",
+            ),
+        ]
+        for config, letter, message in cases:
+            doc = json.loads(resolve_config(config)[1])
+            doc["letters"]["c"] = letter
+            path = write_config(tmp_path, doc)
+            assert main(["generate", "--config", path]) == 2
+            err = capsys.readouterr().err
+            assert err == f"equiform: task generate: {message}\n"
 
     @pytest.mark.parametrize(
         "form, needle",

@@ -15,7 +15,6 @@ from equiform.expressions import (
     parse_form_expression,
 )
 from equiform.forms import wedge
-from equiform.homogeneous import radial_square
 from equiform.letters import contract_syllable
 
 
@@ -44,7 +43,7 @@ def test_scalar_name_atoms(su2_context):
 
 def test_aa_shorthand(su3_context):
     frame = su3_context.setup.frame
-    expected = frame.scalar_form(radial_square(su3_context.setup))
+    expected = frame.scalar_form(su3_context.setup.ring.radial_square)
     assert parse(su3_context, "aa") == expected
     assert parse(su3_context, "dot(a,a)") == expected
 

@@ -9,9 +9,9 @@ from equiform.forms import (
     FrameError,
     FrameSpec,
     bidegree_split,
-    evaluate_form,
     evaluate_to_vector,
     interior,
+    map_form,
     merge_sign,
     wedge,
 )
@@ -103,7 +103,7 @@ def test_evaluate_form():
     ring = F.ring
     pt = Point(ring, {"a1": 3, "a2": 4})
     x = (ring.var("a1") ** 2 + ring.var("a2") ** 2) * E2
-    ev = evaluate_form(x, pt)
+    ev = map_form(x, pt)
     assert ev == 25 * E2
     vec = evaluate_to_vector(x, pt)
     assert vec == {1 << F.index["e2"]: ring.field.rational(25)}

@@ -2,7 +2,7 @@
 
 import pytest
 
-from equiform.forms import bidegree_split, evaluate_form, wedge
+from equiform.forms import bidegree_split, map_form, wedge
 from equiform.homogeneous import exterior_derivative, is_invariant
 from equiform.letters import (
     Letter,
@@ -69,7 +69,7 @@ def test_eps_letter_components(su3_setup, su3_alphabet):
     # linear in a: vanishes at the origin
     pt = su3_setup.point([0, 0, 0, 0])
     for c in eps.components:
-        assert evaluate_form(c, pt).is_zero
+        assert map_form(c, pt).is_zero
 
 
 def test_non_invariant_contraction_rejected(su3_setup):

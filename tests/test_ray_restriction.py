@@ -1,9 +1,9 @@
 """The span systems of express_in_generators are solved on the ray a = t*e1.
 
 Restriction to the ray is a ring homomorphism into a ring with the one
-fiber coordinate a1 (scalars.RayRestriction).  These tests pin that it is
-one, that it re-normalizes its images and that evaluation on the ray
-factors through it, and then check the solve on the ray against the
+fiber coordinate a1 (Ring.ray_restriction, a scalars.RingMap).  These tests
+pin that it is one, that it re-normalizes its images and that evaluation on
+the ray factors through it, and then check the solve on the ray against the
 full-fiber kernel in unfiltered_express_oracle.py, term for term: on the
 bundled configs, on a ring whose radical square k+a1*a1 is not invariant,
 and on a ring whose extra radical square k+a2*a2 restricts to a square the
@@ -114,7 +114,7 @@ def test_evaluation_on_the_ray_factors_through_the_restriction(data):
     restrict = SHIFTED.ray_restriction
     on_ray = Point(SHIFTED, {"a1": 3, "a2": 0, "k": 16})
     on_line = Point(restrict.target, {"a1": 3, "k": 16})
-    assert x.evaluate(on_ray) == restrict(x).evaluate(on_line)
+    assert on_ray(x).constant_term() == on_line(restrict(x)).constant_term()
 
 
 # -- the solve, against the full-fiber kernel ----------------------------------

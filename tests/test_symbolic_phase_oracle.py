@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from equiform.cli import resolve_config
 from equiform.config import parse_config, realize_config
 from equiform.dictionary import DictionaryOptions, EngineError, generate_dictionary
-from equiform.forms import evaluate_form, evaluate_to_vector, wedge
+from equiform.forms import evaluate_to_vector, map_form, wedge
 from equiform.homogeneous import InvariantForm
 from equiform.scalars import PointError
 
@@ -144,7 +144,7 @@ def test_evaluation_commutes_with_wedge(request, name, data):
     origin = setup.point([setup.field.zero] * setup.fiber_dim)
     for pt in (origin, setup.point(setup.generic_point_vector())):
         try:
-            values = evaluate_form(x, pt), evaluate_form(y, pt)
+            values = map_form(x, pt), map_form(y, pt)
         except PointError:
             continue  # a negative power of a radical that vanishes here
-        assert evaluate_form(wedge(x, y), pt) == wedge(*values)
+        assert map_form(wedge(x, y), pt) == wedge(*values)

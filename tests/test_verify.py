@@ -9,7 +9,7 @@ import pytest
 
 from equiform.expressions import parse_form_expression
 from equiform.forms import wedge
-from equiform.homogeneous import exterior_derivative, radial_square
+from equiform.homogeneous import exterior_derivative
 from equiform.verify import (
     VerifyError,
     sphere_reduce,
@@ -26,7 +26,7 @@ def parse(ctx, text):
 def test_sphere_reduce_normalizes_radius(su3_context):
     setup = su3_context.setup
     frame = setup.frame
-    assert sphere_reduce(setup, frame.scalar_form(radial_square(setup))) == frame.one
+    assert sphere_reduce(setup, frame.scalar_form(setup.ring.radial_square)) == frame.one
     assert sphere_reduce(setup, frame.scalar_form(setup.ring.var("s"))) == frame.one
     assert sphere_reduce(
         setup, frame.scalar_form(setup.ring.var("s") ** -1)
@@ -57,7 +57,7 @@ def test_vanishing_on_sphere_matches_hand_pullbacks(su3_context):
     assert not vanishes_on_sphere(setup, parse(su3_context, "sigma(beta,beta)"))
     assert vanishes_on_sphere(setup, parse(su3_context, "(1-aa)*sigma(beta,beta)"))
     d_aa = exterior_derivative(
-        setup, setup.frame.scalar_form(radial_square(setup))
+        setup, setup.frame.scalar_form(setup.ring.radial_square)
     )
     assert vanishes_on_sphere(
         setup, wedge(d_aa, parse(su3_context, "sigma(a,beta)"))
