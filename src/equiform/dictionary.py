@@ -11,8 +11,9 @@ stabilizer-invariant dimension counts.
 Phases test independence on point values: each syllable form is evaluated
 once per point, and a word's value is its prefix's value wedged with its
 last syllable's.  Evaluation is a ring homomorphism, so that is the value
-of the word's translation.  Only kept words, (0,0) words and words of value
-zero are translated symbolically.
+of the word's translation.  A dictionary entry is a word: generation
+translates only (0,0) words and words of value zero, which need the zero
+test, and any other translation is built when a task first reads it.
 
 The (0,0) cell is special: beyond the empty word every rotation-invariant
 function evaluates to a constant at a single point, so the first nonzero
@@ -28,7 +29,8 @@ generator and per fiber exponent, and a radical whose square is
 homogeneous of fiber degree w weighs w/2 per visible power.  When every
 generator and every radial power has a single weight, the system is
 block-diagonal, and only the columns whose weight the target carries are
-built.
+built.  Weights add under wedge, so an entry's weight is the sum of its
+syllables' weights.
 
 Every span system is solved on the ray a = t*e1 through the generic point.
 The gauge group acts transitively on fiber spheres, so an invariant form
@@ -36,14 +38,15 @@ vanishes exactly when its restriction to the ray does, and restriction
 (Ring.ray_restriction, a scalars.RingMap like evaluation at a point) keeps
 the kept columns and the solution of a system of invariant forms.  A target
 that is not an InvariantForm is therefore checked for invariance before its
-solve.  When the one-fiber ring refuses a restricted radical square, the
-restriction is the identity.
+solve.  An entry's ray image is composed syllable by syllable, as its value
+at a point is.  When the one-fiber ring refuses a restricted radical square,
+the restriction is the identity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import combinations_with_replacement
 from typing import Sequence
 
@@ -66,7 +69,7 @@ from equiform.homogeneous import (
 from equiform.letters import Contraction, Letter, contract_syllable
 from equiform.linalg import VectorSpan
 from equiform.numberfield import FieldElement
-from equiform.scalars import Point, Scalar
+from equiform.scalars import RingMap, Scalar
 
 
 class EngineError(ValueError):
@@ -197,10 +200,17 @@ class Alphabet:
 
 @dataclass
 class DictionaryEntry:
+    """A dictionary word.  Its translation is built on first read, through
+    the alphabet's memo."""
+
     word: Word
     phase: str  # "origin" or "generic"
     bidegree: tuple[int, int]
-    translation: Form
+    alphabet: Alphabet = dc_field(repr=False, compare=False)
+
+    @property
+    def translation(self) -> Form:
+        return self.alphabet.translate(self.word)
 
 
 @dataclass(frozen=True)
@@ -216,8 +226,8 @@ class Dictionary:
     radial: DictionaryEntry | None
     transcript: list[tuple[str, str, str]]
     # filled on first use by express_in_generators; entries are fixed once
-    # the dictionary is built, so the first two are keyed by entry index,
-    # the radial powers by Laurent window
+    # the dictionary is built, so weights and products are keyed by entry
+    # index, ray images by word and radial powers by Laurent window
     _weights: list[int | None] | None = dc_field(
         default=None, init=False, repr=False, compare=False
     )
@@ -249,13 +259,19 @@ class Dictionary:
         return [e for e in self.entries if e.phase == "origin"]
 
     def _entry_weights(self) -> list[int | None]:
-        """Dilation weight of each entry's translation, None when it has no
-        single weight."""
+        """Dilation weight of each entry: the sum of its syllables' weights,
+        None when a syllable has no single weight."""
         if self._weights is None:
             weigh = _dilation_weigher(self.setup)
-            self._weights = [
-                _single_weight(weigh, e.translation) for e in self.entries
-            ]
+            weights = {
+                s: _single_weight(weigh, self.alphabet.syllable_form(s))
+                for e in self.entries
+                for s in e.word.syllables
+            }
+            self._weights = []
+            for e in self.entries:
+                found = [weights[s] for s in e.word.syllables]
+                self._weights.append(None if None in found else sum(found))
         return self._weights
 
     def _radial_window(self, lo: int, hi: int):
@@ -278,17 +294,18 @@ class Dictionary:
             self._windows[lo, hi] = window
         return window
 
+    @cached_property
+    def _on_ray(self) -> "_WordImages":
+        return _WordImages(self.alphabet, self.setup.ring.ray_restriction)
+
     def _ray_product(self, tag: tuple[int, ...]) -> Form:
-        """Wedge of the restricted translations of the entries at these
-        indices, one index giving the restricted translation itself."""
+        """Wedge of the ray images of the entries at these indices, one
+        index giving the ray image itself."""
+        if len(tag) == 1:
+            return self._on_ray.of(self.entries[tag[0]].word)
         prod = self._ray_products.get(tag)
         if prod is None:
-            if len(tag) == 1:
-                prod = map_form(
-                    self.entries[tag[0]].translation, self.setup.ring.ray_restriction
-                )
-            else:
-                prod = reduce(wedge, (self._ray_product((i,)) for i in tag))
+            prod = reduce(wedge, (self._ray_product((i,)) for i in tag))
             self._ray_products[tag] = prod
         return prod
 
@@ -329,35 +346,37 @@ def _check_transitive_sphere(setup: HomogeneousSetup) -> int:
     return dimv
 
 
-class _PointValues:
-    """Values of words at one point of the fiber.
+class _WordImages:
+    """Images of words under one ring map: a Point, or the ray restriction.
 
-    Each syllable form is evaluated once, and a word's value is the value of
-    its prefix wedged with the value of its last syllable.  Evaluation is a
-    ring homomorphism, so this is the value of the word's translation.  Only
-    the values of pool words (inherited or kept) are stored, and the prefix
-    of a candidate is always one of them.
+    Each syllable form is mapped once, and a word's image is the image of
+    its prefix wedged with the image of its last syllable.  The map is a
+    ring homomorphism, so this is the image of the word's translation,
+    which is never built.  Images are memoized by word.
     """
 
-    def __init__(self, alphabet: Alphabet, point: Point):
+    def __init__(self, alphabet: Alphabet, phi: RingMap):
         self.alphabet = alphabet
-        self.point = point
+        self.phi = phi
         self._syllables: dict[Syllable, Form] = {}
-        self.words: dict[Word, Form] = {Word(()): alphabet.setup.frame.one}
+        self._words: dict[Word, Form] = {
+            Word(()): map_form(alphabet.setup.frame.one, phi)
+        }
 
     def of(self, word: Word) -> Form:
-        value = self.words.get(word)
-        if value is None:
+        image = self._words.get(word)
+        if image is None:
             last = word.syllables[-1]
             syll = self._syllables.get(last)
             if syll is None:
-                syll = map_form(self.alphabet.syllable_form(last), self.point)
+                syll = map_form(self.alphabet.syllable_form(last), self.phi)
                 self._syllables[last] = syll
-            value = wedge(self.words[Word(word.syllables[:-1])], syll)
-        return value
+            image = wedge(self.of(Word(word.syllables[:-1])), syll)
+            self._words[word] = image
+        return image
 
     def vectors(self, words: Sequence[Word]) -> list[dict]:
-        return [_point_vector(self.words[w]) for w in words]
+        return [_point_vector(self.of(w)) for w in words]
 
 
 def _point_vector(value: Form) -> dict[int, FieldElement]:
@@ -368,43 +387,39 @@ def _point_vector(value: Form) -> dict[int, FieldElement]:
 def _phase(
     alphabet: Alphabet,
     phase_name: str,
-    values: _PointValues,
+    values: _WordImages,
     seeds: Sequence[DictionaryEntry],
     transcript: list,
     max_length: int,
     collect_radial: bool,
 ):
     """Extend the seeds by the words whose values at the point are
-    independent.  A word is translated symbolically only when it is kept,
-    has bidegree (0,0) or has value zero; the last tells a zero translation
-    from one that vanishes at the point."""
+    independent.  A word is translated symbolically, with its prefixes,
+    only when it has bidegree (0,0) or value zero: the zero test tells a
+    zero translation from one that vanishes at the point."""
     setup = alphabet.setup
     span = VectorSpan(setup.field)
     new_entries: list[DictionaryEntry] = []
     radial: DictionaryEntry | None = None
     pool: dict[int, list[Word]] = {}
-    pool_values = values.words
+    pooled: set[Word] = set()
 
-    def admit(word: Word, value: Form):
+    def admit(word: Word):
         pool.setdefault(word.length, []).append(word)
-        pool_values[word] = value
+        pooled.add(word)
 
     for e in seeds:
-        value = values.of(e.word)
-        if not span.add(_point_vector(value)):
+        if not span.add(_point_vector(values.of(e.word))):
             raise EngineError(
                 f"independence inheritance failed for {e.word.render()}: "
                 f"its image at the generic point is dependent"
             )
-        admit(e.word, value)
+        admit(e.word)
     if not seeds:
         empty = Word(())
-        value = values.of(empty)
-        span.add(_point_vector(value))
-        new_entries.append(
-            DictionaryEntry(empty, phase_name, (0, 0), alphabet.translate(empty))
-        )
-        admit(empty, value)
+        span.add(_point_vector(values.of(empty)))
+        new_entries.append(DictionaryEntry(empty, phase_name, (0, 0), alphabet))
+        admit(empty)
         transcript.append((phase_name, "1", "kept"))
 
     sylls = alphabet.syllables()
@@ -422,11 +437,11 @@ def _phase(
                 if last is not None and s.key() < last:
                     continue
                 cw = Word(w.syllables + (s,))
-                if cw in pool_values or cw in seen:
+                if cw in pooled or cw in seen:
                     continue
                 seen.add(cw)
                 ok = all(
-                    Word(cw.syllables[:i] + cw.syllables[i + 1 :]) in pool_values
+                    Word(cw.syllables[:i] + cw.syllables[i + 1 :]) in pooled
                     for i in range(l)
                 )
                 if ok:
@@ -447,15 +462,13 @@ def _phase(
                 elif value is not None:
                     verdict = "dependent: evaluates to zero"
                 elif collect_radial and radial is None:
-                    radial = DictionaryEntry(cw, phase_name, (0, 0), form)
+                    radial = DictionaryEntry(cw, phase_name, (0, 0), alphabet)
                     verdict = "radial invariant"
                 else:
                     verdict = "dependent: constant on orbits"
             elif span.add(_point_vector(value)):
-                new_entries.append(
-                    DictionaryEntry(cw, phase_name, (p, q), alphabet.translate(cw))
-                )
-                admit(cw, value)
+                new_entries.append(DictionaryEntry(cw, phase_name, (p, q), alphabet))
+                admit(cw)
                 verdict = "kept"
             else:
                 verdict = "dependent"
@@ -474,8 +487,8 @@ def generate_dictionary(
     alphabet = Alphabet(setup, letters, contractions)
     _check_transitive_sphere(setup)
     origin_pt = setup.point([setup.field.zero] * setup.fiber_dim)
-    at_origin = _PointValues(alphabet, origin_pt)
-    at_generic = _PointValues(alphabet, setup.point(setup.generic_point_vector()))
+    at_origin = _WordImages(alphabet, origin_pt)
+    at_generic = _WordImages(alphabet, setup.point(setup.generic_point_vector()))
     transcript: list[tuple[str, str, str]] = []
     c0, _ = _phase(
         alphabet, "origin", at_origin, [], transcript, options.max_length, False
@@ -492,8 +505,6 @@ def generate_dictionary(
     )
     # every syllable of a generic-phase word was a length-one candidate of
     # the origin phase, so its value there is known: nothing new is evaluated
-    for e in new:
-        at_origin.words[e.word] = at_origin.of(e.word)
     words = [e.word for e in dictionary.entries]
     dictionary._origin_vectors = at_origin.vectors(words)
     dictionary._generic_vectors = at_generic.vectors(words)
@@ -831,18 +842,19 @@ def differential_table(
 ) -> list[TableRow]:
     """d of the radial invariant and of every generator of total degree up
     to max_degree, expressed over the dictionary.  A row with no expression
-    within the bounds is kept, with a residual combination."""
-    rows: list[TableRow] = []
-    jobs: list[tuple[str, Word, Form]] = []
+    within the bounds is kept, with a residual combination.  Only the words
+    it differentiates are translated."""
+    jobs: list[tuple[str, DictionaryEntry]] = []
     if dictionary.radial is not None:
-        jobs.append(("radial", dictionary.radial.word, dictionary.radial.translation))
+        jobs.append(("radial", dictionary.radial))
     for e in dictionary.entries:
         if 1 <= e.word.degree <= max_degree:
-            jobs.append(("generator", e.word, e.translation))
-    for kind, word, translation in jobs:
-        d = exterior_derivative(setup, translation)
+            jobs.append(("generator", e))
+    rows: list[TableRow] = []
+    for kind, e in jobs:
+        d = exterior_derivative(setup, e.translation)
         comb = express_in_generators(
             setup, dictionary, d, degree_bounds, allow_triples
         )
-        rows.append(TableRow(kind=kind, word=word, differential=comb))
+        rows.append(TableRow(kind=kind, word=e.word, differential=comb))
     return rows

@@ -676,7 +676,8 @@ def invariant_dimension(
 ) -> int:
     """Dimension of the stabilizer-invariant subspace of Lambda^p T x Lambda^q V.
 
-    stab_basis holds coefficient vectors over the gauge basis.
+    stab_basis holds coefficient vectors over the gauge basis.  Equations
+    stop once they have full rank: the dimension is then 0.
     """
     p, q = bidegree
     nt = setup.horizontal_dim
@@ -692,8 +693,11 @@ def invariant_dimension(
         ]
         for a in setup.splitting.gauge
     ]
+    full = comb(nt, p) * comb(nv, q)
     span = VectorSpan(setup.field)
     for lam in stab_basis:
+        if span.rank == full:
+            break
         # the lambda-combinations of ad|T and of rho
         m_t = [[zero] * nt for _ in range(nt)]
         m_v = [[zero] * nv for _ in range(nv)]
@@ -704,4 +708,6 @@ def invariant_dimension(
                         m[i][j] = m[i][j] + c * x
         for row in _derivation_equations(m_t, m_v, p, q):
             span.add(row)
-    return comb(nt, p) * comb(nv, q) - span.rank
+            if span.rank == full:
+                break
+    return full - span.rank

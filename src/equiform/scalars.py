@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from operator import add, neg, sub
+from operator import add, ge, neg, sub
 from typing import Mapping
 
 from equiform.numberfield import FieldElement, NumberField
@@ -84,6 +84,8 @@ class Ring:
         self.depth = spec.radical_depth
         # radical squares, normalized to internal-width monomials
         self.radical_squares: list[dict[Monomial, FieldElement]] = []
+        # the fiber part of each square's leading term, which division tests
+        self.radical_leads: list[Monomial] = []
         for rad in spec.radicals:
             sq: dict[Monomial, FieldElement] = {}
             for mono, c in rad.square:
@@ -115,6 +117,7 @@ class Ring:
                     f"the lex-largest fiber part, and a fiber coordinate in it"
                 )
             self.radical_squares.append(sq)
+            self.radical_leads.append(lead)
         # per radical, (radical slot, denominator slot, square) for monomial loops
         self.radical_slots = tuple(
             (self.nf + self.np + j, self.nvars + j, sq)
@@ -356,9 +359,15 @@ def _exact_divide(
 
 
 def _reduce_denominators(ring: Ring, terms: dict) -> dict:
-    """Canonicalize denominator content by nested p-adic expansion."""
+    """Canonicalize denominator content by nested p-adic expansion.
+
+    A radical is skipped when no term over a power of its square has a
+    fiber part divisible by the square's leading one: those terms are
+    already remainders, and the expansion is unique, so lifting and
+    peeling would return them unchanged."""
     for j, (_, dslot, square) in enumerate(ring.radical_slots):
-        if not any(mono[dslot] for mono in terms):
+        lead = ring.radical_leads[j]
+        if not any(mono[dslot] and all(map(ge, mono, lead)) for mono in terms):
             continue
         kmax = max(mono[dslot] for mono in terms)
         # lift everything to the common denominator p^kmax

@@ -5,7 +5,10 @@ translated symbolically, one wedge per syllable, and its translation was
 evaluated at the phase point.  The point-value kernel must give the same
 transcript, entries, translations, radial invariant and images.  The bodies
 of `SymbolicAlphabet.translate`, `_phase` and `generate_dictionary` below
-are that kernel, unchanged; the first overrides the memoized translation.
+are that kernel, unchanged but for one mechanical edit: an entry is built
+from its word and the alphabet, which translates it on each read, where
+the kernel passed the translation.  The first overrides the memoized
+translation.
 """
 
 from __future__ import annotations
@@ -75,7 +78,7 @@ def _phase(
         admit(e.word)
     if not seeds:
         empty = Word(())
-        entry = DictionaryEntry(empty, phase_name, (0, 0), alphabet.translate(empty))
+        entry = DictionaryEntry(empty, phase_name, (0, 0), alphabet)
         vec = evaluate_to_vector(entry.translation, point)
         span.add(vec)
         vectors.append(vec)
@@ -123,7 +126,7 @@ def _phase(
                 continue
             if (p, q) == (0, 0):
                 if collect_radial and radial is None:
-                    radial = DictionaryEntry(cw, phase_name, (0, 0), form)
+                    radial = DictionaryEntry(cw, phase_name, (0, 0), alphabet)
                     transcript.append(
                         (phase_name, cw.render(), "radial invariant")
                     )
@@ -140,7 +143,7 @@ def _phase(
                 continue
             if span.add(vec):
                 vectors.append(vec)
-                new_entries.append(DictionaryEntry(cw, phase_name, (p, q), form))
+                new_entries.append(DictionaryEntry(cw, phase_name, (p, q), alphabet))
                 admit(cw)
                 transcript.append((phase_name, cw.render(), "kept"))
             else:

@@ -11,7 +11,10 @@ lets those paths skip it.
 
 Division by a radical square treats parameters as units.  On the bundled
 rings it must give the quotients and remainders of the old division that
-shifted Laurent exponents into a window.  A Ring refuses squares without a
+shifted Laurent exponents into a window.  Denominator reduction skips a
+radical when every term over a power of its square is already a remainder;
+on the bundled rings and on two more it must return what the full lift and
+peel returns.  A Ring refuses squares without a
 single leading fiber term, and in the u^2 = k*aa ring, whose leading term
 carries the parameter, products associate and distribute and sums stay
 normal.
@@ -34,6 +37,7 @@ from equiform.scalars import (
     RingError,
     RingSpec,
     _exact_divide,
+    _reduce_denominators,
 )
 
 import exact_arith_oracle as oracle
@@ -208,6 +212,42 @@ def _one_radical_ring(square, fiber=("a1", "a2")):
             radicals=(RadicalSpec("u", square),),
         )
     )
+
+
+# u^2 = k + a1^2 + a2^2, as on su2_ts2, and u^2 = a1*a2 + a1
+SHIFTED = _one_radical_ring((((0, 0, 1), 1), ((2, 0, 0), 1), ((0, 2, 0), 1)))
+SKEWED = _one_radical_ring((((1, 1, 0), 1), ((1, 0, 0), 1)))
+
+
+@st.composite
+def denominated_terms(draw):
+    """A ring with one radical and one to four internal monomials as
+    _accumulate leaves them: fiber exponents up to 3, Laurent exponents in
+    [-2, 2], radical slot 0 or 1 and denominator exponent 0 to 3."""
+    ring = draw(st.sampled_from([SU2, SU3, SHIFTED, SKEWED]))
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        fiber = tuple(draw(st.integers(0, 3)) for _ in range(ring.nf))
+        params = tuple(draw(st.integers(-2, 2)) for _ in range(ring.np))
+        radical = (draw(st.integers(0, 1)), draw(st.integers(0, 3)))
+        terms[fiber + params + radical] = ring.field.rational(draw(nonzero_rationals))
+    return ring, terms
+
+
+@settings(max_examples=120, deadline=None)
+@given(denominated_terms())
+def test_denominator_reduction_matches_the_full_lift_and_peel(case):
+    # terms over a power of the square that are already remainders are
+    # returned as they are, without lifting and peeling
+    ring, terms = case
+    got = _reduce_denominators(ring, dict(terms))
+    assert got == oracle._reduce_denominators(ring, dict(terms))
+    (lead,) = ring.radical_leads
+    dslot = ring.denominator_slot(0)
+    if not any(
+        m[dslot] and all(e >= l for e, l in zip(m, lead)) for m in terms
+    ):
+        assert got == terms
 
 
 @pytest.mark.parametrize(

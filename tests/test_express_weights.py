@@ -158,8 +158,17 @@ def test_a_weightless_entry_turns_the_filter_off(
 ):
     u = su2_setup.ring.var("u")
     base = next(e for e in su2_dictionary.entries if e.word.render() == "dot(b,beta)")
-    word = Word((Syllable("u", (), (0, 0)),) + base.word.syllables)
-    synthetic = DictionaryEntry(word, "generic", base.bidegree, u * base.translation)
+    # a syllable u() whose form is the radical u, known to the alphabet for
+    # this test only, so that the entry u()*dot(b,beta) translates to u*dot
+    alphabet = su2_dictionary.alphabet
+    syllable = Syllable("u", (), (0, 0))
+    monkeypatch.setitem(
+        alphabet._syllable_forms, syllable, su2_setup.frame.scalar_form(u)
+    )
+    monkeypatch.setattr(alphabet, "_translations", dict(alphabet._translations))
+    word = Word((syllable,) + base.word.syllables)
+    synthetic = DictionaryEntry(word, "generic", base.bidegree, alphabet)
+    assert synthetic.translation == u * base.translation
     widened = replace(su2_dictionary, entries=su2_dictionary.entries + [synthetic])
     assert None in widened._entry_weights()
     targets = [u * base.translation]

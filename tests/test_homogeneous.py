@@ -6,6 +6,7 @@ variation lives in gauge_variation_oracle.py.
 """
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -360,6 +361,45 @@ def test_invariant_dimension_tables_match_direct_grid(request, name):
             )
             for p in range(setup.horizontal_dim + 1)
         )
+
+
+def test_invariant_dimension_stops_at_full_rank(monkeypatch):
+    # a fresh setup, whose tables are not cached yet
+    setup = validate_setup(*su3_raw()[1:], su3_ring_spec())
+    offered = []  # (cell, span rank) per equation row offered
+    cell = [None]
+
+    class Counting(homogeneous.VectorSpan):
+        def add(self, *args, **kwargs):
+            offered.append((cell[0], self.rank))
+            return super().add(*args, **kwargs)
+
+    def tracking(setup, bidegree, stab):
+        cell[0] = bidegree
+        return invariant_dimension(setup, bidegree, stab)
+
+    monkeypatch.setattr(homogeneous, "VectorSpan", Counting)
+    monkeypatch.setattr(homogeneous, "invariant_dimension", tracking)
+    tables = setup.invariant_dimension_tables()
+    monkeypatch.undo()
+    assert tables.origin == (
+        (1, 0, 1, 0, 1),
+        (0, 2, 0, 2, 0),
+        (1, 0, 4, 0, 1),
+        (0, 2, 0, 2, 0),
+        (1, 0, 1, 0, 1),
+    )
+    assert tables.generic == (
+        (1, 2, 2, 2, 1),
+        (2, 6, 8, 6, 2),
+        (2, 8, 12, 8, 2),
+        (2, 6, 8, 6, 2),
+        (1, 2, 2, 2, 1),
+    )
+    # no row is offered to a span of full rank C(4,p)*C(4,q); offering
+    # every row of every stabilizer element takes 605, 168 of them late
+    assert all(rank < comb(4, p) * comb(4, q) for (p, q), rank in offered)
+    assert len(offered) == 437
 
 
 def _su2_with_constants(triples):

@@ -7,7 +7,10 @@ the ray factors through it, and then check the solve on the ray against the
 full-fiber kernel in unfiltered_express_oracle.py, term for term: on the
 bundled configs, on a ring whose radical square k+a1*a1 is not invariant,
 and on a ring whose extra radical square k+a2*a2 restricts to a square the
-one-fiber ring refuses, so the restriction is the identity.
+one-fiber ring refuses, so the restriction is the identity.  On the same
+rings, an entry's column is composed from its syllables without
+translating it: its ray image is the restricted prefix wedged with the
+restricted last syllable, and its weight is the sum of its syllables'.
 """
 
 import json
@@ -19,8 +22,15 @@ from hypothesis import strategies as st
 
 from equiform.cli import resolve_config
 from equiform.config import parse_config, realize_config
-from equiform.dictionary import EngineError, express_in_generators
+from equiform.dictionary import (
+    EngineError,
+    _dilation_weigher,
+    _single_weight,
+    express_in_generators,
+    generate_dictionary,
+)
 from equiform.expressions import parse_form_expression
+from equiform.forms import map_form
 from equiform.homogeneous import exterior_derivative
 from equiform.scalars import Point, RadicalSpec, Ring, RingSpec
 
@@ -169,6 +179,30 @@ def test_variants_restrict_as_declared(su2_variant):
     name, rc = su2_variant
     restrict = rc.setup.ring.ray_restriction
     assert restrict.is_identity == (name == "v=k+a2*a2")
+
+
+def _assert_columns_are_composed(rc):
+    # a fresh dictionary, none of whose kept words is translated yet
+    fresh = generate_dictionary(
+        rc.setup, list(rc.letters.values()), list(rc.contractions.values())
+    )
+    translated = set(fresh.alphabet._translations)
+    weights = fresh._entry_weights()
+    images = [fresh._ray_product((i,)) for i in range(len(fresh.entries))]
+    assert set(fresh.alphabet._translations) == translated
+    weigh = _dilation_weigher(rc.setup)
+    restrict = rc.setup.ring.ray_restriction
+    for e, weight, image in zip(fresh.entries, weights, images):
+        assert image == map_form(e.translation, restrict), e.word.render()
+        assert weight == _single_weight(weigh, e.translation), e.word.render()
+
+
+def test_su2_variant_columns_are_composed_from_syllables(su2_variant):
+    _assert_columns_are_composed(su2_variant[1])
+
+
+def test_su3_columns_are_composed_from_syllables():
+    _assert_columns_are_composed(_realize("su3_tcp2"))
 
 
 def test_su2_variant_rows_match_oracle(su2_variant):
