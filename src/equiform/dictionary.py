@@ -69,7 +69,7 @@ from equiform.homogeneous import (
 from equiform.letters import Contraction, Letter, contract_syllable
 from equiform.linalg import VectorSpan
 from equiform.numberfield import FieldElement
-from equiform.scalars import RingMap, Scalar
+from equiform.scalars import RingMap, Scalar, as_field_element
 
 
 class EngineError(ValueError):
@@ -83,6 +83,14 @@ class Syllable:
     contraction: str
     letters: tuple[str, ...]
     bidegree: tuple[int, int]
+
+    # the dataclass hash, computed once: words are set and dict keys
+    def __post_init__(self):
+        key = (self.contraction, self.letters, self.bidegree)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def degree(self) -> int:
@@ -100,6 +108,12 @@ class Word:
     """A formal product of syllables; the empty word translates to 1."""
 
     syllables: tuple[Syllable, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.syllables,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def length(self) -> int:
@@ -650,10 +664,11 @@ class GeneratorCombination:
 
 
 def _form_to_vector(x: Form) -> dict:
+    field = x.ring.field
     vec = {}
     for mask, sc in x.terms.items():
         for mono, c in sc.coeffs.items():
-            vec[(mask, mono)] = c
+            vec[(mask, mono)] = as_field_element(field, c)
     return vec
 
 

@@ -39,7 +39,11 @@ from typing import Iterable, Mapping, Sequence
 from equiform.forms import Form, Frame, FrameSpec, bits, merge_sign
 from equiform.linalg import VectorSpan, nullspace_basis
 from equiform.numberfield import FieldElement, NumberField
-from equiform.scalars import Point, Ring, RingSpec, Scalar
+from equiform.scalars import Point, PointError, Ring, RingSpec, Scalar
+
+# scales t of the generic point t*e1, tried in order; 1 + t^2 is a rational
+# square for every t after the first
+GENERIC_SCALES = (1, Fraction(3, 4), Fraction(4, 3), Fraction(5, 12), Fraction(12, 5))
 
 
 class InvariantForm(Form):
@@ -205,6 +209,7 @@ class HomogeneousSetup:
         self._basic_images: dict[int, Form] | None = None
         self._invariant_radicals: dict[str, bool] = {}
         self._dim_tables: InvariantDimensionTables | None = None
+        self._generic_vector: list[FieldElement] | None = None
 
     # -- coefficients and matrices ---------------------------------------
 
@@ -342,9 +347,25 @@ class HomogeneousSetup:
         return self._invariant_radicals[name]
 
     def generic_point_vector(self) -> list[FieldElement]:
-        v = [self.field.zero] * self.fiber_dim
-        v[0] = self.field.one
-        return v
+        """t*e1 for the first t in GENERIC_SCALES at which every radical
+        has a value, or e1 when there is none, so that evaluation there
+        reports the radical without a value.  Under the transitive-sphere
+        hypothesis every t > 0 gives a point with the generic stabilizer."""
+        if self._generic_vector is None:
+            for t in GENERIC_SCALES:
+                v = [self.field.zero] * self.fiber_dim
+                v[0] = self.field.rational(t)
+                pt = self.point(v)
+                try:
+                    for name in self.ring.radical_names:
+                        pt(self.ring.var(name))
+                except PointError:
+                    continue
+                break
+            else:
+                v[0] = self.field.one
+            self._generic_vector = v
+        return list(self._generic_vector)
 
     def invariant_dimension_tables(self) -> InvariantDimensionTables:
         """Invariant dimensions at the origin and at generic_point_vector().

@@ -9,7 +9,10 @@ radicals collapse exactly: sqrt(d) * sqrt(d) = d.
 A coefficient is canonical: a Python int when it is integral, and a Fraction
 with denominator > 1 otherwise.  An int and a Fraction of equal value compare
 and hash equal and print the same, so the choice changes no result; it keeps
-the common integral products off the Fraction machinery.
+the common integral products off the Fraction machinery.  The coefficients
+of ring scalars (scalars.py) follow the same rule, with a FieldElement only
+for a value that has an irrational term, so most ring arithmetic never
+builds a FieldElement.
 
 Everything is exact.  The zero test is "no terms", the sign test runs interval
 refinement with rational endpoints until zero is excluded (termination is

@@ -2,7 +2,10 @@
 
 Scalars are finite sums  c * a^alpha * t^gamma * u^delta  where
 
-* c lives in a real multi-quadratic number field,
+* c lives in a real multi-quadratic number field, stored canonically as
+  numberfield stores its own terms: an int when c is integral, a Fraction
+  with denominator > 1 when it is rational, and a FieldElement only while
+  it has an irrational term,
 * the a_i are fiber coordinates (exponents >= 0),
 * the t_i are formal parameters (exponents in Z, so Laurent),
 * the u_j are declared radicals with a defining relation u_j^2 = p_j(a, t),
@@ -23,6 +26,12 @@ terms has the lex-largest fiber part and that part is not 1: k*aa and k+aa
 pass, a1*k+a1, k+1 and k do not.  Then a remainder is a remainder whatever
 the parameter exponents, the normal form is additive, and a sum of normal
 forms is merged term by term without re-normalization.
+
+Coefficient arithmetic inside the ring thus runs on plain Python rationals
+as long as no irrational term is present, and a FieldElement whose
+irrational part cancels (sqrt3*sqrt3, or (1+sqrt3) - sqrt3) is demoted back
+to a rational.  The boundaries to the linear algebra, constant_term(),
+Point.fiber_vector() and as_field_element(), return FieldElements.
 """
 
 from __future__ import annotations
@@ -31,11 +40,12 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from operator import add, ge, neg, sub
-from typing import Mapping
+from typing import Mapping, Union
 
-from equiform.numberfield import FieldElement, NumberField
+from equiform.numberfield import FieldElement, NumberField, _canonical as _rational
 
 Monomial = tuple  # internal width: n_fiber + n_params + n_radicals * 2
+Coefficient = Union[int, Fraction, FieldElement]  # canonical: see _canonical
 
 
 class RingError(ValueError):
@@ -44,6 +54,50 @@ class RingError(ValueError):
 
 class PointError(ValueError):
     pass
+
+
+def _canonical(c: Coefficient) -> Coefficient:
+    """The canonical coefficient of value c: an int when it is integral, a
+    Fraction when it is rational, a FieldElement only with an irrational
+    term."""
+    if type(c) is not FieldElement:
+        return _rational(c)
+    terms = c.terms
+    if not terms:
+        return 0
+    if len(terms) == 1 and 0 in terms:
+        return terms[0]
+    return c
+
+
+def _canonical_terms(out: dict) -> dict:
+    """out with every coefficient made canonical, in place."""
+    for mono, c in out.items():
+        if type(c) is not int:
+            out[mono] = _canonical(c)
+    return out
+
+
+def _inverse(c: Coefficient) -> Coefficient:
+    """1/c for a nonzero canonical coefficient, never a float."""
+    if type(c) is FieldElement:
+        return c.inverse()
+    return _canonical(Fraction(1, c))
+
+
+def _power(c: Coefficient, e: int) -> Coefficient:
+    """c**e for a nonzero canonical coefficient, never a float."""
+    if e < 0 and type(c) is not FieldElement:
+        c = Fraction(c)
+    return _canonical(c**e)
+
+
+def as_field_element(field: NumberField, c: Coefficient) -> FieldElement:
+    """A canonical coefficient as an element of field, for the linear
+    algebra outside the ring."""
+    if type(c) is FieldElement:
+        return c
+    return FieldElement(field, {0: c} if c else {})
 
 
 @dataclass(frozen=True)
@@ -83,11 +137,11 @@ class Ring:
         self.index = {n: i for i, n in enumerate(names)}
         self.depth = spec.radical_depth
         # radical squares, normalized to internal-width monomials
-        self.radical_squares: list[dict[Monomial, FieldElement]] = []
+        self.radical_squares: list[dict[Monomial, Coefficient]] = []
         # the fiber part of each square's leading term, which division tests
         self.radical_leads: list[Monomial] = []
         for rad in spec.radicals:
-            sq: dict[Monomial, FieldElement] = {}
+            sq: dict[Monomial, Coefficient] = {}
             for mono, c in rad.square:
                 mono = tuple(mono)
                 if len(mono) != self.nf + self.np:
@@ -100,13 +154,12 @@ class Ring:
                     raise RingError(
                         f"square of radical {rad.name} has a negative exponent"
                     )
-                ce = self._coerce_field(c)
                 full = mono + (0,) * (2 * self.nr)
-                s = sq.get(full, self.field.zero) + ce
-                if s.is_zero:
+                s = sq.get(full, 0) + self._coefficient(c)
+                if not s:
                     sq.pop(full, None)
                 else:
-                    sq[full] = s
+                    sq[full] = _canonical(s)
             if not sq:
                 raise RingError(f"square of radical {rad.name} is zero")
             # parameters are units, so division sees only the fiber parts
@@ -134,12 +187,13 @@ class Ring:
             for i in range(self.nf)
         )
 
-    def _coerce_field(self, c) -> FieldElement:
+    def _coefficient(self, c) -> Coefficient:
+        """c as a canonical coefficient over this ring's field."""
         if isinstance(c, FieldElement):
             if c.field != self.field:
                 raise RingError("field element from a different field")
-            return c
-        return self.field.rational(Fraction(c))
+            return _canonical(c)
+        return _canonical(Fraction(c))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Ring) and self.spec == other.spec
@@ -161,11 +215,11 @@ class Ring:
 
     @property
     def one(self) -> "Scalar":
-        return Scalar(self, {(0,) * self.width: self.field.one})
+        return Scalar(self, {(0,) * self.width: 1})
 
     def constant(self, c) -> "Scalar":
-        ce = self._coerce_field(c)
-        if ce.is_zero:
+        ce = self._coefficient(c)
+        if not ce:
             return self.zero
         return Scalar(self, {(0,) * self.width: ce})
 
@@ -174,7 +228,7 @@ class Ring:
             raise RingError(f"unknown ring variable {name!r}")
         mono = [0] * self.width
         mono[self.index[name]] = 1
-        return Scalar(self, {tuple(mono): self.field.one})
+        return Scalar(self, {tuple(mono): 1})
 
     def sqrt_constant(self, d: int) -> "Scalar":
         return Scalar(self, {(0,) * self.width: self.field.sqrt_radicand(d)})
@@ -193,7 +247,7 @@ class Ring:
         if isinstance(raw, (int, Fraction, FieldElement)):
             return self.constant(raw)
         if isinstance(raw, Mapping):
-            out: dict[Monomial, FieldElement] = {}
+            out: dict[Monomial, Coefficient] = {}
             for mono, c in raw.items():
                 mono = tuple(mono)
                 if len(mono) != self.nvars:
@@ -205,7 +259,7 @@ class Ring:
                     r = internal[self.nvars - self.nr + j]
                     internal[self.nvars - self.nr + j] = r % 2
                     internal[self.nvars + j] = -((r - r % 2) // 2)
-                _accumulate(self, out, tuple(internal), self._coerce_field(c))
+                _accumulate(self, out, tuple(internal), self._coefficient(c))
             return _finish(self, out)
         raise RingError(f"cannot normalize {raw!r} into the ring")
 
@@ -275,15 +329,15 @@ class Ring:
         return mono[self.radical_slot(j)] - 2 * mono[self.denominator_slot(j)]
 
 
-def _accumulate(ring: Ring, out: dict, mono: Monomial, c: FieldElement) -> None:
+def _accumulate(ring: Ring, out: dict, mono: Monomial, c: Coefficient) -> None:
     """Add c * mono to out, normalizing radical exponent slots.
 
     Rewrites u^2 -> p, folds negative u exponents into denominator slots and
     expands negative denominator slots (positive powers of p) back into
-    polynomials.  Does not run the p-adic reduction; callers do that once per
-    result via _finish.
+    polynomials.  Does not run the p-adic reduction and leaves coefficients
+    that may not be canonical; callers do both once per result via _finish.
     """
-    if c.is_zero:
+    if not c:
         return
     for rslot, dslot, square in ring.radical_slots:
         r = mono[rslot]
@@ -310,7 +364,7 @@ def _accumulate(ring: Ring, out: dict, mono: Monomial, c: FieldElement) -> None:
             return
     s = out.get(mono)
     s = c if s is None else s + c
-    if s.is_zero:
+    if not s:
         out.pop(mono, None)
     else:
         out[mono] = s
@@ -332,7 +386,7 @@ def _exact_divide(
     lo = ring.nf
     hi = ring.nf + ring.np
     lt = max(den)
-    lc = den[lt]
+    inv = None  # 1 / leading coefficient, on the first divisible term
     work = dict(num)
     q: dict = {}
     r: dict = {}
@@ -341,7 +395,9 @@ def _exact_divide(
         c = work.pop(t)
         qm = tuple(map(sub, t, lt))
         if all(e >= 0 for e in qm[:lo]) and all(e >= 0 for e in qm[hi:]):
-            qc = c * lc.inverse()
+            if inv is None:
+                inv = _inverse(den[lt])
+            qc = c * inv
             q[qm] = qc
             for dm, dc in den.items():
                 if dm == lt:
@@ -349,7 +405,7 @@ def _exact_divide(
                 key = tuple(map(add, qm, dm))
                 s = work.get(key)
                 s = -qc * dc if s is None else s - qc * dc
-                if s.is_zero:
+                if not s:
                     work.pop(key, None)
                 else:
                     work[key] = s
@@ -397,7 +453,7 @@ def _reduce_denominators(ring: Ring, terms: dict) -> dict:
                     key = tuple(restored)
                     s = out.get(key)
                     s = c if s is None else s + c
-                    if s.is_zero:
+                    if not s:
                         out.pop(key, None)
                     else:
                         out[key] = s
@@ -406,13 +462,13 @@ def _reduce_denominators(ring: Ring, terms: dict) -> dict:
 
 
 def _mono_mul_ppow(
-    ring: Ring, j: int, out: dict, mono: Monomial, c: FieldElement, power: int
+    ring: Ring, j: int, out: dict, mono: Monomial, c: Coefficient, power: int
 ) -> None:
     """out += c * mono * p_j^power for power >= 0 (expanded)."""
     if power == 0:
         s = out.get(mono)
         s = c if s is None else s + c
-        if s.is_zero:
+        if not s:
             out.pop(mono, None)
         else:
             out[mono] = s
@@ -439,10 +495,30 @@ def _finish(ring: Ring, out: dict) -> "Scalar":
     if any(mono[dslot] for _, dslot, _ in ring.radical_slots for mono in out):
         out = _reduce_denominators(ring, out)
     _check_bounds(ring, out)
-    return Scalar(ring, out)
+    return Scalar(ring, _canonical_terms(out))
 
 
-def _constant_coefficient(x: "Scalar") -> FieldElement | None:
+def _plain_product(ring: Ring, x: dict, y: dict) -> bool:
+    """Whether every product of a monomial of x and one of y is already
+    normal: neither has a denominator slot and no radical appears in both,
+    so every radical exponent stays 0 or 1.  Fiber exponents of normal
+    operands are >= 0, so such a product cannot fail the bounds either."""
+    for rslot, dslot, _ in ring.radical_slots:
+        shared = True
+        for operand in (x, y):
+            used = False
+            for m in operand:
+                if m[dslot]:
+                    return False
+                if m[rslot]:
+                    used = True
+            shared = shared and used
+        if shared:
+            return False
+    return True
+
+
+def _constant_coefficient(x: "Scalar") -> Coefficient | None:
     """The coefficient of x when x is a single constant term, else None."""
     if len(x.coeffs) != 1:
         return None
@@ -456,7 +532,7 @@ class Scalar:
 
     __slots__ = ("ring", "coeffs")
 
-    def __init__(self, ring: Ring, coeffs: dict[Monomial, FieldElement]):
+    def __init__(self, ring: Ring, coeffs: dict[Monomial, Coefficient]):
         self.ring = ring
         self.coeffs = coeffs
 
@@ -506,7 +582,7 @@ class Scalar:
             else:
                 s = s + c
                 if s:
-                    out[m] = s
+                    out[m] = s if type(s) is int else _canonical(s)
                 else:
                     del out[m]
         # the normal form is additive and the monomials are the operands'
@@ -538,18 +614,31 @@ class Scalar:
             return self
         if not o.coeffs:
             return o
+        ring, x, y = self.ring, self.coeffs, o.coeffs
         # a nonzero constant scales the normal form of the other factor
         c = _constant_coefficient(o)
         if c is not None:
-            return Scalar(self.ring, {m: x * c for m, x in self.coeffs.items()})
+            return Scalar(ring, _canonical_terms({m: a * c for m, a in x.items()}))
         c = _constant_coefficient(self)
         if c is not None:
-            return Scalar(self.ring, {m: c * x for m, x in o.coeffs.items()})
-        out: dict[Monomial, FieldElement] = {}
-        for m1, c1 in self.coeffs.items():
-            for m2, c2 in o.coeffs.items():
-                _accumulate(self.ring, out, tuple(map(add, m1, m2)), c1 * c2)
-        return _finish(self.ring, out)
+            return Scalar(ring, _canonical_terms({m: c * b for m, b in y.items()}))
+        out: dict[Monomial, Coefficient] = {}
+        if not _plain_product(ring, x, y):
+            for m1, c1 in x.items():
+                for m2, c2 in y.items():
+                    _accumulate(ring, out, tuple(map(add, m1, m2)), c1 * c2)
+            return _finish(ring, out)
+        # every product monomial is normal: only coefficients are summed
+        for m1, c1 in x.items():
+            for m2, c2 in y.items():
+                m = tuple(map(add, m1, m2))
+                s = out.get(m)
+                s = c1 * c2 if s is None else s + c1 * c2
+                if s:
+                    out[m] = s
+                else:
+                    del out[m]
+        return Scalar(ring, _canonical_terms(out))
 
     __rmul__ = __mul__
 
@@ -578,8 +667,8 @@ class Scalar:
         if any(mono[i] for i in range(self.ring.nf)):
             raise RingError("cannot invert a fiber variable")
         inv_mono = tuple(map(neg, mono))
-        out: dict[Monomial, FieldElement] = {}
-        _accumulate(self.ring, out, inv_mono, c.inverse())
+        out: dict[Monomial, Coefficient] = {}
+        _accumulate(self.ring, out, inv_mono, _inverse(c))
         return _finish(self.ring, out)
 
     def __truediv__(self, other) -> "Scalar":
@@ -629,7 +718,8 @@ class Scalar:
     # -- inspection ----------------------------------------------------------
 
     def constant_term(self) -> FieldElement:
-        return self.coeffs.get((0,) * self.ring.width, self.ring.field.zero)
+        ring = self.ring
+        return as_field_element(ring.field, self.coeffs.get((0,) * ring.width, 0))
 
     @property
     def is_constant(self) -> bool:
@@ -688,7 +778,7 @@ def _partial(poly: dict, i: int) -> dict:
         if pm[i]:
             pl = list(pm)
             pl[i] -= 1
-            out[tuple(pl)] = pc * pm[i]
+            out[tuple(pl)] = _canonical(pc * pm[i])
     return out
 
 
@@ -703,7 +793,7 @@ def differentiate(x: Scalar, var: str) -> Scalar:
     if var not in ring.index or not ring.is_fiber_index(ring.index[var]):
         raise RingError(f"{var!r} is not a fiber variable")
     i = ring.index[var]
-    out: dict[Monomial, FieldElement] = {}
+    out: dict[Monomial, Coefficient] = {}
     for mono, c in x.coeffs.items():
         if mono[i]:
             lowered = list(mono)
@@ -735,8 +825,7 @@ def _single_term(x: Scalar) -> tuple | None:
     if len(x.coeffs) > 1:
         raise RingError(f"the image {x} of a ring variable is not a single term")
     for mono, c in x.coeffs.items():
-        one = x.ring.field.one
-        return None if c == one else c, tuple((i, e) for i, e in enumerate(mono) if e)
+        return None if c == 1 else c, tuple((i, e) for i, e in enumerate(mono) if e)
     return None
 
 
@@ -810,7 +899,8 @@ class RingMap:
                 vanishes = True
                 continue
             if term[0] is not None:
-                factor = term[0] ** e if factor is None else factor * term[0] ** e
+                power = _power(term[0], e)
+                factor = power if factor is None else factor * power
             for slot, k in term[1]:
                 image[slot] += k * e
         return None if vanishes else (tuple(image), factor)
@@ -822,7 +912,7 @@ class RingMap:
             raise RingError("scalar from a different ring")
         # normal monomials recur across scalars: each is mapped once
         memo = self._memo
-        out: dict[Monomial, FieldElement] = {}
+        out: dict[Monomial, Coefficient] = {}
         for mono, c in x.coeffs.items():
             image = memo.get(mono, _ROOT)
             if image is _ROOT:
@@ -848,7 +938,7 @@ class Point(RingMap):
         if missing:
             raise PointError(f"point is missing values for {missing}")
         super().__init__(
-            ring, ring, {n: ring._coerce_field(v) for n, v in values.items()}
+            ring, ring, {n: ring._coefficient(v) for n, v in values.items()}
         )
 
     def fiber_vector(self) -> list[FieldElement]:

@@ -16,6 +16,10 @@ through `_finish`, and the product expands every pair of monomials through
 `shifted_exact_divide` is the radical-square division as it was before
 parameters became units: it shifts Laurent parameter exponents into a
 nonnegative window and tests divisibility on every slot.
+
+Ring coefficients are now canonical rationals, with a FieldElement only for
+an irrational part; every scalar kernel here lifts its coefficients (and a
+divisor's) to FieldElement on entry, and runs unchanged from there.
 """
 
 from __future__ import annotations
@@ -23,7 +27,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 from equiform.numberfield import FieldElement
-from equiform.scalars import Monomial, Ring, RingError, Scalar
+from equiform.scalars import Monomial, Ring, RingError, Scalar, as_field_element
+
+
+def _lifted(ring: Ring, coeffs: dict) -> dict:
+    """coeffs with every coefficient a FieldElement."""
+    return {m: as_field_element(ring.field, c) for m, c in coeffs.items()}
 
 
 def _fractions(x: FieldElement) -> FieldElement:
@@ -184,6 +193,7 @@ def _exact_divide(
     parameter exponents sit.  Returns (quotient, remainder); the remainder
     is the canonical p-adic digit.
     """
+    num, den = _lifted(ring, num), _lifted(ring, den)
     lo = ring.nf
     hi = ring.nf + ring.np
     lt = max(den)
@@ -215,6 +225,7 @@ def _exact_divide(
 
 def _reduce_denominators(ring: Ring, terms: dict) -> dict:
     """Canonicalize denominator content by nested p-adic expansion."""
+    terms = _lifted(ring, terms)
     for j in range(ring.nr):
         dslot = ring.denominator_slot(j)
         if not any(mono[dslot] for mono in terms):
@@ -288,6 +299,7 @@ def _check_bounds(ring: Ring, coeffs: dict) -> None:
 
 
 def _finish(ring: Ring, out: dict) -> "Scalar":
+    out = _lifted(ring, out)
     if ring.nr and any(
         mono[ring.denominator_slot(j)] for mono in out for j in range(ring.nr)
     ):
@@ -300,8 +312,8 @@ def scalar_add(self: Scalar, other) -> Scalar:
     o = self._coerce(other)
     if o is None:
         return NotImplemented
-    out = dict(self.coeffs)
-    for m, c in o.coeffs.items():
+    out = _lifted(self.ring, self.coeffs)
+    for m, c in _lifted(o.ring, o.coeffs).items():
         s = out.get(m)
         s = c if s is None else s + c
         if s.is_zero:
@@ -316,8 +328,8 @@ def scalar_mul(self: Scalar, other) -> Scalar:
     if o is None:
         return NotImplemented
     out: dict[Monomial, FieldElement] = {}
-    for m1, c1 in self.coeffs.items():
-        for m2, c2 in o.coeffs.items():
+    for m1, c1 in _lifted(self.ring, self.coeffs).items():
+        for m2, c2 in _lifted(o.ring, o.coeffs).items():
             _accumulate(
                 self.ring, out, tuple(x + y for x, y in zip(m1, m2)), c1 * c2
             )
@@ -325,6 +337,7 @@ def scalar_mul(self: Scalar, other) -> Scalar:
 
 
 def shifted_exact_divide(ring: Ring, num: dict, den: dict) -> tuple[dict, dict]:
+    num, den = _lifted(ring, num), _lifted(ring, den)
     if not num:
         return {}, {}
     lo = ring.nf

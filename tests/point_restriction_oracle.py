@@ -25,6 +25,7 @@ from equiform.scalars import (
     RingError,
     Scalar,
     _finish,
+    as_field_element,
 )
 
 
@@ -99,7 +100,7 @@ class Point:
         for name, v in values.items():
             if name not in ring.index or ring.index[name] >= ring.nf + ring.np:
                 raise PointError(f"{name!r} is not a fiber variable or parameter")
-            clean[name] = ring._coerce_field(v)
+            clean[name] = as_field_element(ring.field, ring._coefficient(v))
         missing = [n for n in ring.fiber + ring.params if n not in clean]
         if missing:
             raise PointError(f"point is missing values for {missing}")

@@ -247,21 +247,37 @@ class TestExitStatus:
                 [f"a{i}*s^-1" for i in range(1, 5)],
                 "negative power of zero while evaluating s",
             ),
-            # at the generic point e1, u^2 = k+aa = 2 has no rational root
+            # u^2 = k+2aa = 1+2t^2 is no rational square at any generic
+            # scale t, so the point stays e1, where it is 3
             (
                 "su2_ts2",
                 ["u*a1", "u*a2"],
                 "radical u has no exact value at this point "
-                "(square evaluates to 2)",
+                "(square evaluates to 3)",
             ),
         ]
         for config, letter, message in cases:
             doc = json.loads(resolve_config(config)[1])
             doc["letters"]["c"] = letter
+            if config == "su2_ts2":
+                doc["ring"]["radicals"][0]["square"] = "k+2*aa"
             path = write_config(tmp_path, doc)
             assert main(["generate", "--config", path]) == 2
             err = capsys.readouterr().err
             assert err == f"equiform: task generate: {message}\n"
+
+    def test_radical_letter_generates_at_a_scaled_point(self, tmp_path, capsys):
+        # u^2 = k+aa is 2 at e1, but 25/16 at 3/4*e1, where u has a value
+        doc = json.loads(resolve_config("su2_ts2")[1])
+        doc["letters"]["c"] = ["u*a1", "u*a2"]
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "r.json"
+        args = ["generate", "--config", path, "--format", "json", "--output", str(out)]
+        assert main(args) == 0
+        (task,) = json.loads(out.read_text(encoding="utf-8"))["tasks"]
+        completeness = task["details"]["completeness"]
+        assert task["status"] == "pass"
+        assert completeness["span_total"] == task["details"]["total_entries"]
 
     @pytest.mark.parametrize(
         "form, needle",

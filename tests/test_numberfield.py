@@ -5,7 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from equiform import cli, verify
+from equiform.config import parse_config, realize_config
 from equiform.numberfield import FieldElement, NumberField, _squarefree_split
+from equiform.scalars import Scalar
 
 Q3 = NumberField([3])
 Q23 = NumberField([2, 3])
@@ -182,10 +185,70 @@ def test_integral_fraction_and_int_are_one_element():
     _assert_canonical(Q23.rational(Fraction(1, 2)) + Fraction(1, 2))
 
 
-def test_d_table_coefficients_are_canonical(su3_table):
-    rows = [r for r in su3_table if r.word.degree <= 2]
-    assert rows
-    for row in rows:
-        for term in row.differential.terms:
-            for c in term.coefficient.coeffs.values():
-                _assert_canonical(c)
+def _assert_canonical_coefficient(c) -> None:
+    """A ring coefficient is an int, a Fraction that is not integral, or a
+    FieldElement with an irrational term: never a float, and never a
+    FieldElement of rational value."""
+    if type(c) is FieldElement:
+        assert any(c.terms), c  # a term with a nonzero mask
+        _assert_canonical(c)
+    else:
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), c
+
+
+def _assert_form_canonical(x) -> None:
+    for scalar in x.terms.values():
+        for c in scalar.coeffs.values():
+            _assert_canonical_coefficient(c)
+
+
+def test_d_table_coefficients_are_canonical(monkeypatch):
+    # every scalar built during a run of each bundled config, and in it every
+    # d_table row, dictionary translation and verify residual
+    built = []
+    init = Scalar.__init__
+
+    def checked_init(self, ring, coeffs):
+        for c in coeffs.values():
+            _assert_canonical_coefficient(c)
+        built.append(1)
+        init(self, ring, coeffs)
+
+    tables, dictionaries, residuals = [], [], []
+
+    def recording_table(*args, **kwargs):
+        tables.append(cli_differential_table(*args, **kwargs))
+        return tables[-1]
+
+    def recording_dictionary(*args):
+        dictionaries.append(cli_dictionary_for(*args))
+        return dictionaries[-1]
+
+    def recording_settle(setup, name, check, residual, on_sphere):
+        residuals.append(residual)
+        return verify_settle(setup, name, check, residual, on_sphere)
+
+    cli_differential_table = cli.differential_table
+    cli_dictionary_for = cli._dictionary_for
+    verify_settle = verify._settle
+    monkeypatch.setattr(Scalar, "__init__", checked_init)
+    monkeypatch.setattr(cli, "differential_table", recording_table)
+    monkeypatch.setattr(cli, "_dictionary_for", recording_dictionary)
+    monkeypatch.setattr(verify, "_settle", recording_settle)
+    for name in ("su2_ts2", "su3_tcp2"):
+        config = parse_config(cli.resolve_config(name)[1])
+        rc = realize_config(config)
+        cli.run_config(rc, name, list(config.tasks), cli.Overrides())
+    assert len(tables) == 2 and residuals and dictionaries
+    for rows in tables:
+        assert rows
+        for row in rows:
+            for term in row.differential.terms:
+                for c in term.coefficient.coeffs.values():
+                    _assert_canonical_coefficient(c)
+    for dictionary in dictionaries:
+        for entry in dictionary.entries:
+            _assert_form_canonical(entry.translation)
+    for residual in residuals:
+        _assert_form_canonical(residual)
+    assert len(built) > 10_000
