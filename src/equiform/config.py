@@ -52,7 +52,7 @@ from equiform.letters import (
     make_contraction,
     make_letter,
 )
-from equiform.numberfield import FieldElement, NumberField
+from equiform.numberfield import Coefficient, NumberField
 from equiform.scalars import RadicalSpec, Ring, RingError, RingSpec, Scalar
 
 
@@ -110,7 +110,7 @@ class RingSection:
 @dataclass(frozen=True)
 class ContractionSection:
     symmetry: str
-    entries: tuple[tuple[tuple[int, ...], FieldElement], ...]
+    entries: tuple[tuple[tuple[int, ...], Coefficient], ...]
 
 
 @dataclass(frozen=True)
@@ -134,10 +134,10 @@ class ConfigDocument:
 
     ring: RingSpec
     dimension: int
-    constants: tuple[tuple[int, int, int, FieldElement], ...]
+    constants: tuple[tuple[int, int, int, Coefficient], ...]
     horizontal: tuple[int, ...]
     gauge: tuple[int, ...]
-    representation: tuple[tuple[int, tuple[tuple[FieldElement, ...], ...]], ...]
+    representation: tuple[tuple[int, tuple[tuple[Coefficient, ...], ...]], ...]
     letters: tuple[tuple[str, object], ...] = field(repr=False, default=())
     contractions: tuple[tuple[str, object], ...] = field(repr=False, default=())
     tasks: tuple[TaskSpec, ...] = ()
@@ -237,7 +237,7 @@ def _parse_literal(ctx: ExpressionContext, text: str, where: str, what: str):
 
 def parse_field_constant(
     ctx: ExpressionContext, text: str, where: str
-) -> FieldElement:
+) -> Coefficient:
     """An exact constant in the context made by constant_context."""
     return _parse_literal(ctx, text, where, "exact constant").constant_term()
 

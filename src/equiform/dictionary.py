@@ -4,9 +4,9 @@ Words are nondecreasing sequences of syllables; a syllable applies an
 invariant contraction to a tuple of letters.  Phase one keeps the words
 whose values at the origin are independent, phase two extends that set at
 a generic point of the fiber.  Under the two-orbit-type hypothesis (the
-gauge group acts transitively on fiber spheres) the two points decide
-everything, and the per-bidegree cardinalities must match the
-stabilizer-invariant dimension counts.
+gauge group acts transitively on fiber spheres, which generation proves
+first) the two points decide everything, and the per-bidegree
+cardinalities must match the stabilizer-invariant dimension counts.
 
 Phases test independence on point values: each syllable form is evaluated
 once per point, and a word's value is its prefix's value wedged with its
@@ -68,8 +68,8 @@ from equiform.homogeneous import (
 )
 from equiform.letters import Contraction, Letter, contract_syllable
 from equiform.linalg import VectorSpan
-from equiform.numberfield import FieldElement
-from equiform.scalars import RingMap, Scalar, as_field_element
+from equiform.numberfield import Coefficient
+from equiform.scalars import RingMap, Scalar
 
 
 class EngineError(ValueError):
@@ -324,39 +324,28 @@ class Dictionary:
         return prod
 
 
-def _spot_points(setup: HomogeneousSetup) -> list[list[FieldElement]]:
-    field = setup.field
-    k = setup.fiber_dim
-    z, one = field.zero, field.one
-    pts = []
-    for i in range(k):
-        pts.append([one if j == i else z for j in range(k)])
-    for i in range(k):
-        for j in range(i + 1, k):
-            pts.append([one if t in (i, j) else z for t in range(k)])
-    pts.append([one] * k)
-    pts.append([field.rational(i + 1) for i in range(k)])
-    return pts
-
-
 def _check_transitive_sphere(setup: HomogeneousSetup) -> int:
-    """Exactly two stabilizer dimensions: at 0 and on the punctured fiber."""
-    field = setup.field
+    """Prove that the gauge group acts transitively on the fiber's unit
+    sphere; returns the dimension of the generic stabilizer, at t*e1.
+
+    rho is skew, so the connected group H the gauge algebra generates lies
+    in SO(k).  For k >= 2, H is transitive on S^(k-1) exactly when its orbit
+    through e1, of dimension dim gauge - dim stab(e1), is k - 1: the closure
+    of H is compact and normalizes H, so every H-orbit is then open, and the
+    sphere is connected.  For k = 1 the sphere is two points."""
     k = setup.fiber_dim
-    dim0 = len(stabilizer_of_vector(setup, [field.zero] * k))
-    dimv = len(stabilizer_of_vector(setup, setup.generic_point_vector()))
-    if dimv >= dim0:
+    if k < 2:
         raise EngineError(
-            "transitive-sphere hypothesis violated: the generic stabilizer "
-            "is not smaller than the full gauge algebra"
+            "transitive-sphere hypothesis violated: a one-dimensional fiber "
+            "has a disconnected unit sphere"
         )
-    for vec in _spot_points(setup):
-        d = len(stabilizer_of_vector(setup, vec))
-        if d != dimv:
-            raise EngineError(
-                "transitive-sphere hypothesis violated: stabilizer dimension "
-                f"{d} at a spot-check point differs from {dimv}"
-            )
+    dimv = len(stabilizer_of_vector(setup, setup.generic_point_vector()))
+    orbit = len(setup.splitting.gauge) - dimv
+    if orbit != k - 1:
+        raise EngineError(
+            "transitive-sphere hypothesis violated: the orbit of e1 has "
+            f"dimension {orbit}, not {k - 1}"
+        )
     return dimv
 
 
@@ -393,9 +382,10 @@ class _WordImages:
         return [_point_vector(self.of(w)) for w in words]
 
 
-def _point_vector(value: Form) -> dict[int, FieldElement]:
-    """A value at a point as a sparse vector keyed by basis word."""
-    return {m: c.constant_term() for m, c in value.terms.items()}
+def _point_vector(value: Form) -> dict[int, Coefficient]:
+    """A value at a point, a form with constant coefficients, as a sparse
+    vector keyed by basis word."""
+    return {m: c for m, sc in value.terms.items() for c in sc.coeffs.values()}
 
 
 def _phase(
@@ -412,7 +402,7 @@ def _phase(
     only when it has bidegree (0,0) or value zero: the zero test tells a
     zero translation from one that vanishes at the point."""
     setup = alphabet.setup
-    span = VectorSpan(setup.field)
+    span = VectorSpan()
     new_entries: list[DictionaryEntry] = []
     radial: DictionaryEntry | None = None
     pool: dict[int, list[Word]] = {}
@@ -500,7 +490,7 @@ def generate_dictionary(
     options = options or DictionaryOptions()
     alphabet = Alphabet(setup, letters, contractions)
     _check_transitive_sphere(setup)
-    origin_pt = setup.point([setup.field.zero] * setup.fiber_dim)
+    origin_pt = setup.point([0] * setup.fiber_dim)
     at_origin = _WordImages(alphabet, origin_pt)
     at_generic = _WordImages(alphabet, setup.point(setup.generic_point_vector()))
     transcript: list[tuple[str, str, str]] = []
@@ -570,10 +560,9 @@ def completeness_check(
 
     A dictionary from generate_dictionary carries every image; those of
     any other dictionary are evaluated here."""
-    field = setup.field
     k = setup.fiber_dim
     tables = setup.invariant_dimension_tables()
-    origin_pt = setup.point([field.zero] * k)
+    origin_pt = setup.point([0] * k)
     v_pt = setup.point(setup.generic_point_vector())
     known = dictionary.setup is setup
 
@@ -586,7 +575,7 @@ def completeness_check(
     for i, e in enumerate(dictionary.entries):
         cell = e.bidegree
         if cell not in spans:
-            spans[cell] = (VectorSpan(field), VectorSpan(field))
+            spans[cell] = (VectorSpan(), VectorSpan())
         spans[cell][0].add(image(dictionary._origin_vectors, i, e, origin_pt))
         spans[cell][1].add(image(dictionary._generic_vectors, i, e, v_pt))
     cells = []
@@ -664,12 +653,12 @@ class GeneratorCombination:
 
 
 def _form_to_vector(x: Form) -> dict:
-    field = x.ring.field
-    vec = {}
-    for mask, sc in x.terms.items():
-        for mono, c in sc.coeffs.items():
-            vec[(mask, mono)] = as_field_element(field, c)
-    return vec
+    """x as a sparse vector keyed by (basis word, monomial)."""
+    return {
+        (mask, mono): c
+        for mask, sc in x.terms.items()
+        for mono, c in sc.coeffs.items()
+    }
 
 
 def _radial_powers(setup: HomogeneousSetup, lo: int, hi: int):
@@ -772,7 +761,6 @@ def express_in_generators(
     weigh = _dilation_weigher(setup)
     entry_weights = dictionary._entry_weights()
     graded = None not in entry_weights and None not in power_weights
-    field = setup.field
     terms: list[CombinationTerm] = []
     residual = False
     failed: list[tuple[int, int]] = []
@@ -794,7 +782,7 @@ def express_in_generators(
                     q += entries[i].bidegree[1]
                 if (p, q) == cell:
                     tags.append(tag)
-        span = VectorSpan(field, track=True)
+        span = VectorSpan(track=True)
         for tag in tags:
             if graded:
                 w = sum(entry_weights[i] for i in tag)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from equiform.numberfield import FieldElement
+from equiform.numberfield import Coefficient, FieldElement
 from equiform.scalars import Point, Ring, RingMap, Scalar
 
 KINDS = ("horizontal", "vertical", "gauge")
@@ -349,6 +349,6 @@ def map_form(x: Form, phi: RingMap) -> Form:
     return Form(frame, out)
 
 
-def evaluate_to_vector(x: Form, pt: Point) -> dict[int, FieldElement]:
+def evaluate_to_vector(x: Form, pt: Point) -> dict[int, Coefficient]:
     """Evaluation as a sparse vector keyed by basis word, for rank work."""
     return {m: c.constant_term() for m, c in map_form(x, pt).terms.items()}

@@ -38,7 +38,7 @@ from typing import Iterable, Mapping, Sequence
 
 from equiform.forms import Form, Frame, FrameSpec, bits, merge_sign
 from equiform.linalg import VectorSpan, nullspace_basis
-from equiform.numberfield import FieldElement, NumberField
+from equiform.numberfield import Coefficient, NumberField, canonical, coefficient
 from equiform.scalars import Point, PointError, Ring, RingSpec, Scalar
 
 # scales t of the generic point t*e1, tried in order; 1 + t^2 is a rational
@@ -73,13 +73,16 @@ class SetupError(ValueError):
 
 @dataclass(frozen=True)
 class LieAlgebraData:
-    """Structure constants c^i_jk (j < k) of d e^i, entries in the field."""
+    """Structure constants c^i_jk (j < k) of d e^i: nonzero canonical
+    coefficients over field, the field they were built over.  A rational
+    constant carries no field of its own."""
 
     dimension: int
-    constants: tuple[tuple[int, int, int, FieldElement], ...]
+    constants: tuple[tuple[int, int, int, Coefficient], ...]
+    field: NumberField
 
-    def table(self) -> dict[int, dict[tuple[int, int], FieldElement]]:
-        out: dict[int, dict[tuple[int, int], FieldElement]] = {}
+    def table(self) -> dict[int, dict[tuple[int, int], Coefficient]]:
+        out: dict[int, dict[tuple[int, int], Coefficient]] = {}
         for i, j, k, c in self.constants:
             out.setdefault(i, {})[(j, k)] = c
         return out
@@ -96,9 +99,10 @@ class Splitting:
 @dataclass(frozen=True)
 class Representation:
     """Fiber matrices rho(E_A) for each gauge index A, column convention:
-    entry [i][j] is the v_i coefficient of rho(E_A) v_j."""
+    entry [i][j] is the v_i coefficient of rho(E_A) v_j, a canonical
+    coefficient."""
 
-    matrices: tuple[tuple[int, tuple[tuple[FieldElement, ...], ...]], ...]
+    matrices: tuple[tuple[int, tuple[tuple[Coefficient, ...], ...]], ...]
 
     def matrix(self, a: int):
         for idx, m in self.matrices:
@@ -123,12 +127,13 @@ def make_algebra(
         if (i, j, k) in seen:
             raise SetupError([f"duplicate structure constant for ({i},{j},{k})"])
         seen.add((i, j, k))
-        ce = c if isinstance(c, FieldElement) else field.rational(Fraction(c))
-        if ce.field != field:
-            raise SetupError(["structure constant from a different field"])
-        if not ce.is_zero:
+        try:
+            ce = coefficient(field, c)
+        except ValueError:
+            raise SetupError(["structure constant from a different field"]) from None
+        if ce:
             consts.append((i, j, k, ce))
-    return LieAlgebraData(dimension=dimension, constants=tuple(consts))
+    return LieAlgebraData(dimension=dimension, constants=tuple(consts), field=field)
 
 
 def make_representation(
@@ -136,22 +141,13 @@ def make_representation(
 ) -> Representation:
     mats = []
     for a in sorted(entries):
-        rows = []
-        for row in entries[a]:
-            rows.append(
-                tuple(
-                    c if isinstance(c, FieldElement) else field.rational(Fraction(c))
-                    for c in row
-                )
-            )
-        mats.append((a, tuple(rows)))
+        rows = tuple(tuple(coefficient(field, c) for c in row) for row in entries[a])
+        mats.append((a, rows))
     return Representation(matrices=tuple(mats))
 
 
 def _is_skew(m) -> bool:
-    return all(
-        (m[i][j] + m[j][i]).is_zero for i in range(len(m)) for j in range(i + 1)
-    )
+    return not any(m[i][j] + m[j][i] for i in range(len(m)) for j in range(i + 1))
 
 
 @dataclass(frozen=True)
@@ -209,40 +205,33 @@ class HomogeneousSetup:
         self._basic_images: dict[int, Form] | None = None
         self._invariant_radicals: dict[str, bool] = {}
         self._dim_tables: InvariantDimensionTables | None = None
-        self._generic_vector: list[FieldElement] | None = None
+        self._generic_vector: list[Coefficient] | None = None
 
     # -- coefficients and matrices ---------------------------------------
 
-    def c_signed(self, i: int, j: int, k: int) -> FieldElement:
+    def c_signed(self, i: int, j: int, k: int) -> Coefficient:
         """c^i_jk extended antisymmetrically in (j, k)."""
         if j == k:
-            return self.field.zero
+            return 0
         if j < k:
-            return self._ctable.get(i, {}).get((j, k), self.field.zero)
-        return -self._ctable.get(i, {}).get((k, j), self.field.zero)
+            return self._ctable.get(i, {}).get((j, k), 0)
+        return -self._ctable.get(i, {}).get((k, j), 0)
 
     def rho(self, a: int):
         return self.representation.matrix(a)
 
     def rho_apply(self, a: int, vec: Sequence) -> list:
-        """rho(E_a) applied to a fiber vector (entries Scalar or field)."""
+        """rho(E_a) applied to a fiber vector of Scalars or coefficients."""
         m = self.rho(a)
+        scalars = isinstance(vec[0], Scalar)
         out = []
         for i in range(self.fiber_dim):
-            acc = None
+            acc = self.ring.zero if scalars else 0
             for j in range(self.fiber_dim):
                 c = m[i][j]
-                if c.is_zero:
-                    continue
-                term = c * vec[j]
-                acc = term if acc is None else acc + term
-            if acc is None:
-                acc = (
-                    self.ring.zero
-                    if isinstance(vec[0], Scalar)
-                    else self.field.zero
-                )
-            out.append(acc)
+                if c:
+                    acc = acc + c * vec[j]
+            out.append(acc if scalars else canonical(acc))
         return out
 
     def ad_on_horizontal(self, a: int):
@@ -346,15 +335,14 @@ class HomogeneousSetup:
             self._invariant_radicals[name] = is_invariant(self, u)
         return self._invariant_radicals[name]
 
-    def generic_point_vector(self) -> list[FieldElement]:
+    def generic_point_vector(self) -> list[Coefficient]:
         """t*e1 for the first t in GENERIC_SCALES at which every radical
         has a value, or e1 when there is none, so that evaluation there
         reports the radical without a value.  Under the transitive-sphere
         hypothesis every t > 0 gives a point with the generic stabilizer."""
         if self._generic_vector is None:
             for t in GENERIC_SCALES:
-                v = [self.field.zero] * self.fiber_dim
-                v[0] = self.field.rational(t)
+                v = [t] + [0] * (self.fiber_dim - 1)
                 pt = self.point(v)
                 try:
                     for name in self.ring.radical_names:
@@ -363,7 +351,7 @@ class HomogeneousSetup:
                     continue
                 break
             else:
-                v[0] = self.field.one
+                v[0] = 1
             self._generic_vector = v
         return list(self._generic_vector)
 
@@ -375,7 +363,7 @@ class HomogeneousSetup:
         (p,k-q); when every ad(e_a)|T is skew too, cell (n-p,q) equals (p,q).
         One cell is ranked per class and copied to the rest."""
         if self._dim_tables is None:
-            stab0 = stabilizer_of_vector(self, [self.field.zero] * self.fiber_dim)
+            stab0 = stabilizer_of_vector(self, [0] * self.fiber_dim)
             stabv = stabilizer_of_vector(self, self.generic_point_vector())
             n, k = self.horizontal_dim, self.fiber_dim
             t_skew = all(
@@ -457,9 +445,8 @@ def validate_setup(
     # coefficient ring
     fiber = tuple(f"a{i}" for i in range(1, k + 1))
     if ring_spec is None:
-        # reuse the field the constants live in
-        field0 = algebra.constants[0][3].field if algebra.constants else NumberField()
-        ring_spec = RingSpec(field_radicands=field0.radicands, fiber=fiber)
+        # reuse the field the constants were built over
+        ring_spec = RingSpec(field_radicands=algebra.field.radicands, fiber=fiber)
     elif not ring_spec.fiber:
         ring_spec = RingSpec(
             field_radicands=ring_spec.field_radicands,
@@ -476,11 +463,9 @@ def validate_setup(
     ring = Ring(ring_spec)
     field = ring.field
 
-    # coerce/validate constant entries against the ring's field
-    for i, j, kk, c in algebra.constants:
-        if c.field != field:
-            issues.append("structure constants must live in the declared field")
-            raise SetupError(issues)
+    if algebra.constants and algebra.field != field:
+        issues.append("structure constants must live in the declared field")
+        raise SetupError(issues)
 
     # frame: horizontal, vertical, gauge
     gens = [(f"e{i}", "horizontal") for i in splitting.horizontal]
@@ -501,7 +486,7 @@ def validate_setup(
             if a >= b:
                 continue
             for t in splitting.horizontal:
-                if not setup.c_signed(t, a, b).is_zero:
+                if setup.c_signed(t, a, b):
                     issues.append(
                         f"gauge indices are not a subalgebra: "
                         f"[e{a}, e{b}] has a horizontal component e{t}"
@@ -509,7 +494,7 @@ def validate_setup(
     for a in splitting.gauge:
         for t in splitting.horizontal:
             for g in splitting.gauge:
-                if not setup.c_signed(g, a, t).is_zero:
+                if setup.c_signed(g, a, t):
                     issues.append(
                         f"splitting is not reductive: [e{a}, e{t}] has a "
                         f"gauge component e{g}"
@@ -632,10 +617,10 @@ def is_invariant(setup: HomogeneousSetup, x: Form) -> bool:
 
 
 def stabilizer_of_vector(
-    setup: HomogeneousSetup, vec: Sequence[FieldElement]
-) -> list[list[FieldElement]]:
+    setup: HomogeneousSetup, vec: Sequence[Coefficient]
+) -> list[list[Coefficient]]:
     columns = [setup.rho_apply(a, vec) for a in setup.splitting.gauge]
-    return nullspace_basis(setup.field, list(zip(*columns)))
+    return nullspace_basis(list(zip(*columns)))
 
 
 def _wedge_power_basis(n: int, p: int) -> list[int]:
@@ -645,7 +630,7 @@ def _wedge_power_basis(n: int, p: int) -> list[int]:
     return out
 
 
-def _derivation_equations(m_t, m_v, p: int, q: int) -> list[dict[int, FieldElement]]:
+def _derivation_equations(m_t, m_v, p: int, q: int) -> list[dict[int, Coefficient]]:
     """Equation rows of the induced derivation on Lambda^p T x Lambda^q V.
 
     One sparse row per target basis element, keyed by source index, so the
@@ -657,14 +642,14 @@ def _derivation_equations(m_t, m_v, p: int, q: int) -> list[dict[int, FieldEleme
     basis_v = _wedge_power_basis(nv, q)
     basis = [(mt, mv) for mt in basis_t for mv in basis_v]
     index = {bm: i for i, bm in enumerate(basis)}
-    rows: list[dict[int, FieldElement]] = [{} for _ in basis]
+    rows: list[dict[int, Coefficient]] = [{} for _ in basis]
     for src, (mt, mv) in enumerate(basis):
 
         def act(mask, m, which):
             for i in bits(mask):
                 for knew in range(len(m)):
                     c = m[knew][i]
-                    if c.is_zero:
+                    if not c:
                         continue
                     if knew == i:
                         tgt = mask
@@ -687,13 +672,13 @@ def _derivation_equations(m_t, m_v, p: int, q: int) -> list[dict[int, FieldEleme
             act(mt, m_t, "t")
         if m_v:
             act(mv, m_v, "v")
-    return [{j: c for j, c in row.items() if not c.is_zero} for row in rows]
+    return [{j: canonical(c) for j, c in row.items() if c} for row in rows]
 
 
 def invariant_dimension(
     setup: HomogeneousSetup,
     bidegree: tuple[int, int],
-    stab_basis: Sequence[Sequence[FieldElement]],
+    stab_basis: Sequence[Sequence[Coefficient]],
 ) -> int:
     """Dimension of the stabilizer-invariant subspace of Lambda^p T x Lambda^q V.
 
@@ -705,7 +690,6 @@ def invariant_dimension(
     nv = setup.fiber_dim
     if p < 0 or q < 0 or p > nt or q > nv:
         return 0
-    zero = setup.field.zero
     # per gauge index, the nonzero entries (i, j, x) of ad|T and of rho
     gens = [
         [
@@ -715,18 +699,18 @@ def invariant_dimension(
         for a in setup.splitting.gauge
     ]
     full = comb(nt, p) * comb(nv, q)
-    span = VectorSpan(setup.field)
+    span = VectorSpan()
     for lam in stab_basis:
         if span.rank == full:
             break
         # the lambda-combinations of ad|T and of rho
-        m_t = [[zero] * nt for _ in range(nt)]
-        m_v = [[zero] * nv for _ in range(nv)]
+        m_t = [[0] * nt for _ in range(nt)]
+        m_v = [[0] * nv for _ in range(nv)]
         for c, pair in zip(lam, gens):
             if c:
                 for m, entries in zip((m_t, m_v), pair):
                     for i, j, x in entries:
-                        m[i][j] = m[i][j] + c * x
+                        m[i][j] = canonical(m[i][j] + c * x)
         for row in _derivation_equations(m_t, m_v, p, q):
             span.add(row)
             if span.rank == full:

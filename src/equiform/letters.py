@@ -13,7 +13,6 @@ bilinear maps cover the rest of the examples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import permutations
 from typing import Mapping, Sequence
 
@@ -24,7 +23,7 @@ from equiform.homogeneous import (
     frame_derivative,
     is_basic,
 )
-from equiform.numberfield import FieldElement
+from equiform.numberfield import Coefficient, canonical, coefficient
 
 
 class LetterError(ValueError):
@@ -62,11 +61,12 @@ class CheckedLetter(Letter):
 
 @dataclass(frozen=True, eq=False)
 class Contraction:
-    """An invariant r-linear functional on V, stored sparsely."""
+    """An invariant r-linear functional on V, stored sparsely: its nonzero
+    entries, canonical coefficients keyed by 0-based index tuples."""
 
     name: str
     arity: int
-    entries: tuple[tuple[tuple[int, ...], FieldElement], ...]
+    entries: tuple[tuple[tuple[int, ...], Coefficient], ...]
 
     def __eq__(self, other) -> bool:
         return (
@@ -132,7 +132,7 @@ def _check_equivariant(
         e_a = setup.frame.generator(f"e{a}")
         for i in range(setup.fiber_dim):
             for j in range(setup.fiber_dim):
-                if not rho_a[i][j].is_zero:
+                if rho_a[i][j]:
                     out[i] = out[i] + rho_a[i][j] * wedge(e_a, comps[j])
     for a in setup.splitting.gauge:
         bit = 1 << setup.frame.index[f"e{a}"]
@@ -211,9 +211,8 @@ def make_contraction(
 ) -> Contraction:
     """Validate the declared symmetry and the invariance of the coefficient
     tensor, then wrap it."""
-    field = setup.field
     k = setup.fiber_dim
-    clean: dict[tuple[int, ...], FieldElement] = {}
+    clean: dict[tuple[int, ...], Coefficient] = {}
     arity = None
     for idx, c in entries.items():
         idx = tuple(idx)
@@ -223,8 +222,8 @@ def make_contraction(
             raise LetterError(f"contraction {name}: mixed index arity")
         if any(not 0 <= i < k for i in idx):
             raise LetterError(f"contraction {name}: index {idx} out of range")
-        ce = c if isinstance(c, FieldElement) else field.rational(Fraction(c))
-        if not ce.is_zero:
+        ce = coefficient(setup.field, c)
+        if ce:
             clean[idx] = ce
     if arity is None or not clean:
         raise LetterError(f"contraction {name} is identically zero")
@@ -235,7 +234,7 @@ def make_contraction(
         want = c if symmetry == "symmetric" else -c
         for p in range(arity - 1):
             swap = idx[:p] + (idx[p + 1], idx[p]) + idx[p + 2 :]
-            got = clean.get(swap, field.zero)
+            got = clean.get(swap, 0)
             if got != want:
                 raise LetterError(
                     f"contraction {name} is declared {symmetry}, but entry "
@@ -245,20 +244,20 @@ def make_contraction(
     # infinitesimal invariance: sum over slots of the rho-twisted tensor
     for a in setup.splitting.gauge:
         rho_a = setup.rho(a)
-        resid: dict[tuple[int, ...], FieldElement] = {}
+        resid: dict[tuple[int, ...], Coefficient] = {}
         for idx, c in clean.items():
             for slot in range(arity):
                 # entry contributes c * rho[idx[slot]][t] to index with t in slot
                 for t in range(k):
                     r = rho_a[idx[slot]][t]
-                    if r.is_zero:
+                    if not r:
                         continue
                     tgt = idx[:slot] + (t,) + idx[slot + 1 :]
-                    s = resid.get(tgt, field.zero) + c * r
-                    if s.is_zero:
-                        resid.pop(tgt, None)
-                    else:
+                    s = canonical(resid.get(tgt, 0) + c * r)
+                    if s:
                         resid[tgt] = s
+                    else:
+                        resid.pop(tgt, None)
         if resid:
             raise LetterError(f"contraction {name} is not invariant along e{a}")
     ordered = tuple(sorted(clean.items(), key=lambda kv: kv[0]))
@@ -267,16 +266,14 @@ def make_contraction(
 
 def dot_contraction(setup: HomogeneousSetup) -> Contraction:
     """The euclidean pairing on V."""
-    one = setup.field.one
-    entries = {(i, i): one for i in range(setup.fiber_dim)}
+    entries = {(i, i): 1 for i in range(setup.fiber_dim)}
     return make_contraction(setup, "dot", entries, symmetry="symmetric")
 
 
 def det_contraction(setup: HomogeneousSetup) -> Contraction:
     """The volume form on V as a fully antisymmetric arity-k tensor."""
-    field = setup.field
     k = setup.fiber_dim
-    entries: dict[tuple[int, ...], FieldElement] = {}
+    entries: dict[tuple[int, ...], int] = {}
     for perm in permutations(range(k)):
         inv = sum(
             1
@@ -284,7 +281,7 @@ def det_contraction(setup: HomogeneousSetup) -> Contraction:
             for j in range(i + 1, k)
             if perm[i] > perm[j]
         )
-        entries[perm] = -field.one if inv % 2 else field.one
+        entries[perm] = -1 if inv % 2 else 1
     return make_contraction(setup, "det", entries, symmetry="antisymmetric")
 
 

@@ -1,35 +1,38 @@
-"""Exact linear algebra over a NumberField, with one elimination.
+"""Exact linear algebra on canonical coefficients, with one elimination.
 
 VectorSpan is the only Gaussian elimination here.  It works on sparse
-vectors, maps from sortable keys to FieldElement, and keeps echelonized rows
-plus, optionally, the combination of added vectors behind each row.  It
-serves dictionary elimination, expressing forms in generators and invariant
-dimension counts (a rank is the span's row count).  rref and nullspace_basis
-are views over it for dense matrices, lists of lists of FieldElement: rref
-adds the columns to a tracked span, and nullspace_basis reads the kernel off
-the reduced form.
+vectors, maps from sortable keys to canonical coefficients, and keeps
+echelonized rows, stored canonical, plus, optionally, the combination of
+added vectors behind each row.  A rational system never builds a
+FieldElement.  It serves dictionary elimination, expressing forms in
+generators and invariant dimension counts (a rank is the span's row count).
+rref and nullspace_basis are views over it for dense matrices, lists of
+lists of coefficients: rref adds the columns to a tracked span, and
+nullspace_basis reads the kernel off the reduced form.
 """
 
 from __future__ import annotations
 
 from typing import Hashable, Sequence
 
-from equiform.numberfield import FieldElement, NumberField
+from equiform.numberfield import Coefficient, canonical, inverse
 
 SparseVec = dict
 
 
-def vec_iadd_scaled(target: SparseVec, src: SparseVec, coeff: FieldElement) -> None:
+def vec_iadd_scaled(target: SparseVec, src: SparseVec, coeff: Coefficient) -> None:
     """target += coeff * src, in place, dropping zeros."""
-    if coeff.is_zero:
+    if not coeff:
         return
     for k, v in src.items():
         s = target.get(k)
         s = v * coeff if s is None else s + v * coeff
-        if s.is_zero:
-            target.pop(k, None)
-        else:
+        if type(s) is not int:
+            s = canonical(s)
+        if s:
             target[k] = s
+        else:
+            target.pop(k, None)
 
 
 class VectorSpan:
@@ -41,8 +44,7 @@ class VectorSpan:
     from the added vectors, so combination() can report the coefficients.
     """
 
-    def __init__(self, field: NumberField, track: bool = False):
-        self.field = field
+    def __init__(self, *, track: bool = False):
         self.track = track
         self._rows: list[tuple[Hashable, SparseVec, SparseVec | None]] = []
 
@@ -54,7 +56,7 @@ class VectorSpan:
         vec = dict(vec)
         for pivot, row, rcombo in self._rows:
             c = vec.get(pivot)
-            if c is not None and not c.is_zero:
+            if c:
                 vec_iadd_scaled(vec, row, -c)
                 if combo is not None and rcombo is not None:
                     vec_iadd_scaled(combo, rcombo, -c)
@@ -83,18 +85,17 @@ class VectorSpan:
         if not rem:
             return False
         pivot = min(rem)
-        inv = rem[pivot].inverse()
-        row = {k: v * inv for k, v in rem.items()}
+        inv = inverse(rem[pivot])
+        row = {k: canonical(v * inv) for k, v in rem.items()}
         rcombo: SparseVec | None = None
         if self.track:
             assert combo is not None
-            rcombo = {t: c * inv for t, c in combo.items()}
-            prev = rcombo.get(tag, self.field.zero)
-            s = prev + inv
-            if s.is_zero:
-                rcombo.pop(tag, None)
-            else:
+            rcombo = {t: canonical(c * inv) for t, c in combo.items()}
+            s = canonical(rcombo.get(tag, 0) + inv)
+            if s:
                 rcombo[tag] = s
+            else:
+                rcombo.pop(tag, None)
         self._rows.append((pivot, row, rcombo))
         return True
 
@@ -102,7 +103,7 @@ class VectorSpan:
 # -- matrix views ------------------------------------------------------------
 
 
-def rref(field: NumberField, matrix: Sequence[Sequence[FieldElement]]):
+def rref(matrix: Sequence[Sequence[Coefficient]]):
     """Reduced row echelon form.  Returns (rows, pivot_columns).
 
     Column j is a pivot exactly when it is not in the span of the columns
@@ -111,34 +112,32 @@ def rref(field: NumberField, matrix: Sequence[Sequence[FieldElement]]):
     """
     if not matrix:
         return [], []
-    span = VectorSpan(field, track=True)
+    span = VectorSpan(track=True)
     pivots: list[int] = []
     columns: list[SparseVec] = []
     for j in range(len(matrix[0])):
-        col = {i: row[j] for i, row in enumerate(matrix) if not row[j].is_zero}
+        col = {i: row[j] for i, row in enumerate(matrix) if row[j]}
         combo = span.combination(col)
         if combo is None:
-            combo = {len(pivots): field.one}
+            combo = {len(pivots): 1}
             span.add(col, len(pivots))
             pivots.append(j)
         columns.append(combo)
-    rows = [[c.get(r, field.zero) for c in columns] for r in range(len(pivots))]
+    rows = [[c.get(r, 0) for c in columns] for r in range(len(pivots))]
     return rows, pivots
 
 
-def nullspace_basis(
-    field: NumberField, matrix: Sequence[Sequence[FieldElement]]
-) -> list[list[FieldElement]]:
+def nullspace_basis(matrix: Sequence[Sequence[Coefficient]]) -> list[list[Coefficient]]:
     """Canonical kernel basis of the matrix (acting on column vectors)."""
     if not matrix:
         return []
     ncols = len(matrix[0])
-    rows, pivots = rref(field, matrix)
+    rows, pivots = rref(matrix)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
-        vec = [field.zero] * ncols
-        vec[f] = field.one
+        vec = [0] * ncols
+        vec[f] = 1
         for r, p in zip(rows, pivots):
             vec[p] = -r[f]
         basis.append(vec)

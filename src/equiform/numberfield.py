@@ -6,13 +6,14 @@ squarefree integers > 1.  Elements are stored sparsely as a map from a bitmask
 Q(sqrt2, sqrt3) the element 1/2 + sqrt6 is {0b00: 1/2, 0b11: 1}.  Products of
 radicals collapse exactly: sqrt(d) * sqrt(d) = d.
 
-A coefficient is canonical: a Python int when it is integral, and a Fraction
-with denominator > 1 otherwise.  An int and a Fraction of equal value compare
-and hash equal and print the same, so the choice changes no result; it keeps
-the common integral products off the Fraction machinery.  The coefficients
-of ring scalars (scalars.py) follow the same rule, with a FieldElement only
-for a value that has an irrational term, so most ring arithmetic never
-builds a FieldElement.
+Every exact number of the program is a canonical coefficient: a Python int
+when it is integral, a Fraction with denominator > 1 when it is rational,
+and a FieldElement only while it has an irrational term; a FieldElement
+stores its own terms by the rational half of that rule.  An int and a
+Fraction of equal value compare and hash equal and print the same, so the
+choice changes no result; it keeps most arithmetic off FieldElement and the
+integral products off Fraction.  + - * and the zero test "not c" work on any
+mix; canonical, coefficient, inverse, power and sqrt below do the rest.
 
 Everything is exact.  The zero test is "no terms", the sign test runs interval
 refinement with rational endpoints until zero is excluded (termination is
@@ -27,10 +28,11 @@ from functools import cached_property
 from typing import Iterable, Mapping, Union
 
 RationalLike = Union[int, Fraction]
+Coefficient = Union[int, Fraction, "FieldElement"]  # canonical: see canonical
 
 
 def _canonical(c: RationalLike) -> RationalLike:
-    """The canonical coefficient of value c: an int when c is integral."""
+    """The canonical form of a rational c: an int when c is integral."""
     if type(c) is not int and c.denominator == 1:
         return c.numerator
     return c
@@ -427,3 +429,54 @@ class FieldElement:
             else:
                 parts.append(("+" if c > 0 else "-") + body)
         return "".join(parts)
+
+
+# -- canonical coefficients ------------------------------------------------------
+
+
+def canonical(c: Coefficient) -> Coefficient:
+    """The canonical coefficient of value c: an int when it is integral, a
+    Fraction when it is rational, a FieldElement only with an irrational
+    term."""
+    if type(c) is not FieldElement:
+        return _canonical(c)
+    terms = c.terms
+    if not terms:
+        return 0
+    if len(terms) == 1 and 0 in terms:
+        return terms[0]
+    return c
+
+
+def coefficient(field: NumberField, c) -> Coefficient:
+    """c, a number or an element of field, as a canonical coefficient.
+    Raises ValueError for an element of a different field."""
+    if isinstance(c, FieldElement):
+        if c.field != field:
+            raise ValueError("field element from a different field")
+        return canonical(c)
+    return _canonical(Fraction(c))
+
+
+def inverse(c: Coefficient) -> Coefficient:
+    """1/c for a nonzero canonical coefficient, never a float."""
+    if type(c) is FieldElement:
+        return c.inverse()  # the inverse of an irrational value is irrational
+    return _canonical(Fraction(1, c))
+
+
+def power(c: Coefficient, e: int) -> Coefficient:
+    """c**e for a nonzero canonical coefficient, never a float."""
+    if e < 0 and type(c) is not FieldElement:
+        c = Fraction(c)
+    return canonical(c**e)
+
+
+def sqrt(field: NumberField, c: Coefficient) -> Coefficient | None:
+    """The nonnegative square root of a canonical coefficient inside field,
+    canonical, or None when field has none."""
+    if type(c) is FieldElement:
+        root = c.sqrt()
+    else:
+        root = field.sqrt_of_rational(c)
+    return None if root is None else canonical(root)

@@ -2,10 +2,10 @@
 
 Scalars are finite sums  c * a^alpha * t^gamma * u^delta  where
 
-* c lives in a real multi-quadratic number field, stored canonically as
-  numberfield stores its own terms: an int when c is integral, a Fraction
-  with denominator > 1 when it is rational, and a FieldElement only while
-  it has an irrational term,
+* c lives in a real multi-quadratic number field, stored as a canonical
+  coefficient (numberfield.canonical): an int when c is integral, a
+  Fraction with denominator > 1 when it is rational, and a FieldElement
+  only while it has an irrational term,
 * the a_i are fiber coordinates (exponents >= 0),
 * the t_i are formal parameters (exponents in Z, so Laurent),
 * the u_j are declared radicals with a defining relation u_j^2 = p_j(a, t),
@@ -30,8 +30,8 @@ forms is merged term by term without re-normalization.
 Coefficient arithmetic inside the ring thus runs on plain Python rationals
 as long as no irrational term is present, and a FieldElement whose
 irrational part cancels (sqrt3*sqrt3, or (1+sqrt3) - sqrt3) is demoted back
-to a rational.  The boundaries to the linear algebra, constant_term(),
-Point.fiber_vector() and as_field_element(), return FieldElements.
+to a rational.  constant_term() and Point.fiber_vector() return canonical
+coefficients too, the same values the linear algebra works on.
 """
 
 from __future__ import annotations
@@ -40,12 +40,20 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from operator import add, ge, neg, sub
-from typing import Mapping, Union
+from typing import Mapping
 
-from equiform.numberfield import FieldElement, NumberField, _canonical as _rational
+from equiform.numberfield import (
+    Coefficient,
+    FieldElement,
+    NumberField,
+    canonical,
+    coefficient,
+    inverse,
+    power,
+    sqrt,
+)
 
 Monomial = tuple  # internal width: n_fiber + n_params + n_radicals * 2
-Coefficient = Union[int, Fraction, FieldElement]  # canonical: see _canonical
 
 
 class RingError(ValueError):
@@ -56,48 +64,12 @@ class PointError(ValueError):
     pass
 
 
-def _canonical(c: Coefficient) -> Coefficient:
-    """The canonical coefficient of value c: an int when it is integral, a
-    Fraction when it is rational, a FieldElement only with an irrational
-    term."""
-    if type(c) is not FieldElement:
-        return _rational(c)
-    terms = c.terms
-    if not terms:
-        return 0
-    if len(terms) == 1 and 0 in terms:
-        return terms[0]
-    return c
-
-
 def _canonical_terms(out: dict) -> dict:
     """out with every coefficient made canonical, in place."""
     for mono, c in out.items():
         if type(c) is not int:
-            out[mono] = _canonical(c)
+            out[mono] = canonical(c)
     return out
-
-
-def _inverse(c: Coefficient) -> Coefficient:
-    """1/c for a nonzero canonical coefficient, never a float."""
-    if type(c) is FieldElement:
-        return c.inverse()
-    return _canonical(Fraction(1, c))
-
-
-def _power(c: Coefficient, e: int) -> Coefficient:
-    """c**e for a nonzero canonical coefficient, never a float."""
-    if e < 0 and type(c) is not FieldElement:
-        c = Fraction(c)
-    return _canonical(c**e)
-
-
-def as_field_element(field: NumberField, c: Coefficient) -> FieldElement:
-    """A canonical coefficient as an element of field, for the linear
-    algebra outside the ring."""
-    if type(c) is FieldElement:
-        return c
-    return FieldElement(field, {0: c} if c else {})
 
 
 @dataclass(frozen=True)
@@ -159,7 +131,7 @@ class Ring:
                 if not s:
                     sq.pop(full, None)
                 else:
-                    sq[full] = _canonical(s)
+                    sq[full] = canonical(s)
             if not sq:
                 raise RingError(f"square of radical {rad.name} is zero")
             # parameters are units, so division sees only the fiber parts
@@ -189,11 +161,10 @@ class Ring:
 
     def _coefficient(self, c) -> Coefficient:
         """c as a canonical coefficient over this ring's field."""
-        if isinstance(c, FieldElement):
-            if c.field != self.field:
-                raise RingError("field element from a different field")
-            return _canonical(c)
-        return _canonical(Fraction(c))
+        try:
+            return coefficient(self.field, c)
+        except ValueError as e:
+            raise RingError(str(e)) from None
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Ring) and self.spec == other.spec
@@ -396,7 +367,7 @@ def _exact_divide(
         qm = tuple(map(sub, t, lt))
         if all(e >= 0 for e in qm[:lo]) and all(e >= 0 for e in qm[hi:]):
             if inv is None:
-                inv = _inverse(den[lt])
+                inv = inverse(den[lt])
             qc = c * inv
             q[qm] = qc
             for dm, dc in den.items():
@@ -582,7 +553,7 @@ class Scalar:
             else:
                 s = s + c
                 if s:
-                    out[m] = s if type(s) is int else _canonical(s)
+                    out[m] = s if type(s) is int else canonical(s)
                 else:
                     del out[m]
         # the normal form is additive and the monomials are the operands'
@@ -668,7 +639,7 @@ class Scalar:
             raise RingError("cannot invert a fiber variable")
         inv_mono = tuple(map(neg, mono))
         out: dict[Monomial, Coefficient] = {}
-        _accumulate(self.ring, out, inv_mono, _inverse(c))
+        _accumulate(self.ring, out, inv_mono, inverse(c))
         return _finish(self.ring, out)
 
     def __truediv__(self, other) -> "Scalar":
@@ -717,9 +688,8 @@ class Scalar:
 
     # -- inspection ----------------------------------------------------------
 
-    def constant_term(self) -> FieldElement:
-        ring = self.ring
-        return as_field_element(ring.field, self.coeffs.get((0,) * ring.width, 0))
+    def constant_term(self) -> Coefficient:
+        return self.coeffs.get((0,) * self.ring.width, 0)
 
     @property
     def is_constant(self) -> bool:
@@ -778,7 +748,7 @@ def _partial(poly: dict, i: int) -> dict:
         if pm[i]:
             pl = list(pm)
             pl[i] -= 1
-            out[tuple(pl)] = _canonical(pc * pm[i])
+            out[tuple(pl)] = canonical(pc * pm[i])
     return out
 
 
@@ -868,7 +838,7 @@ class RingMap:
         j = i - source.nf - source.np
         square = self(Scalar(source, source.radical_squares[j]))
         value = square.constant_term() if square.is_constant else square
-        root = value.sqrt() if square.is_constant else None
+        root = sqrt(self.target.field, value) if square.is_constant else None
         if root is None:
             raise PointError(
                 f"radical {self.names[i]} has no exact value at this point "
@@ -899,8 +869,8 @@ class RingMap:
                 vanishes = True
                 continue
             if term[0] is not None:
-                power = _power(term[0], e)
-                factor = power if factor is None else factor * power
+                p = power(term[0], e)
+                factor = p if factor is None else factor * p
             for slot, k in term[1]:
                 image[slot] += k * e
         return None if vanishes else (tuple(image), factor)
@@ -941,5 +911,5 @@ class Point(RingMap):
             ring, ring, {n: ring._coefficient(v) for n, v in values.items()}
         )
 
-    def fiber_vector(self) -> list[FieldElement]:
+    def fiber_vector(self) -> list[Coefficient]:
         return [self(self.source.var(n)).constant_term() for n in self.source.fiber]

@@ -9,6 +9,8 @@ texts in the same order.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from equiform.forms import Frame, FrameSpec
 from equiform.homogeneous import (
     HomogeneousSetup,
@@ -21,6 +23,8 @@ from equiform.homogeneous import (
 )
 from equiform.numberfield import NumberField
 from equiform.scalars import Ring, RingSpec
+
+from field_lift import as_field_element
 
 # -- small exact matrix helpers ----------------------------------------------
 
@@ -70,6 +74,20 @@ def dense_validate_setup(
     filled with a1..ak) or declare exactly the fiber the representation acts
     on.  Raises SetupError listing all violated axioms.
     """
+    # the canonical coefficients, lifted to FieldElements at entry
+    lifted = algebra.field
+    algebra = replace(
+        algebra,
+        constants=tuple(
+            (i, j, kk, as_field_element(lifted, c)) for i, j, kk, c in algebra.constants
+        ),
+    )
+    representation = Representation(
+        tuple(
+            (a, tuple(tuple(as_field_element(lifted, c) for c in row) for row in m))
+            for a, m in representation.matrices
+        )
+    )
     issues: list[str] = []
     n = algebra.dimension
     # splitting partitions 1..n
@@ -137,7 +155,7 @@ def dense_validate_setup(
             if a >= b:
                 continue
             for t in splitting.horizontal:
-                if not setup.c_signed(t, a, b).is_zero:
+                if setup.c_signed(t, a, b):
                     issues.append(
                         f"gauge indices are not a subalgebra: "
                         f"[e{a}, e{b}] has a horizontal component e{t}"
@@ -145,7 +163,7 @@ def dense_validate_setup(
     for a in splitting.gauge:
         for t in splitting.horizontal:
             for g in splitting.gauge:
-                if not setup.c_signed(g, a, t).is_zero:
+                if setup.c_signed(g, a, t):
                     issues.append(
                         f"splitting is not reductive: [e{a}, e{t}] has a "
                         f"gauge component e{g}"
@@ -169,7 +187,7 @@ def dense_validate_setup(
             expect = _mat_scale(field.zero, ma)
             for g in splitting.gauge:
                 c = setup.c_signed(g, a, b)
-                if not c.is_zero:
+                if c:
                     expect = _mat_add(expect, _mat_scale(-c, representation.matrix(g)))
             if not _mat_is_zero(_mat_sub(comm, expect)):
                 issues.append(

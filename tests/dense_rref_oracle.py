@@ -3,7 +3,8 @@
 
 It searches each column for a nonzero entry, swaps that row up, scales it to
 a unit pivot and clears the column in every other row, all on full rows of
-FieldElement.
+FieldElement.  The span works on canonical coefficients (ints, Fractions
+and irrational FieldElements); this oracle lifts its input at entry.
 """
 
 from __future__ import annotations
@@ -12,10 +13,12 @@ from typing import Sequence
 
 from equiform.numberfield import FieldElement, NumberField
 
+from field_lift import as_field_element
+
 
 def rref(field: NumberField, matrix: Sequence[Sequence[FieldElement]]):
     """Reduced row echelon form.  Returns (rows, pivot_columns)."""
-    rows = [list(r) for r in matrix]
+    rows = [[as_field_element(field, x) for x in r] for r in matrix]
     if not rows:
         return [], []
     ncols = len(rows[0])

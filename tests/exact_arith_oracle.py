@@ -27,7 +27,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from equiform.numberfield import FieldElement
-from equiform.scalars import Monomial, Ring, RingError, Scalar, as_field_element
+from equiform.scalars import Monomial, Ring, RingError, Scalar
+
+from field_lift import as_field_element
 
 
 def _lifted(ring: Ring, coeffs: dict) -> dict:

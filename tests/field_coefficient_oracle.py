@@ -15,9 +15,10 @@ from fractions import Fraction
 from operator import add
 
 from equiform.numberfield import FieldElement
-from equiform.scalars import Monomial, Ring, RingError, Scalar, as_field_element
+from equiform.scalars import Monomial, Ring, RingError, Scalar
 
 from exact_arith_oracle import _finish
+from field_lift import as_field_element
 
 
 def lift(x: Scalar) -> Scalar:

@@ -57,14 +57,14 @@ def gauge_variation(setup: HomogeneousSetup, a: int, x: Form) -> Form:
         img = setup.frame.zero
         for kk in setup.splitting.horizontal + setup.splitting.gauge:
             c = ad[i - 1][kk - 1]
-            if not c.is_zero:
+            if c:
                 img = img - c * setup.frame.generator(f"e{kk}")
         gen_images[setup._pos_e[i]] = img
     for i in range(setup.fiber_dim):
         img_b = setup.frame.zero
         for j in range(setup.fiber_dim):
             c = rho_a[i][j]
-            if not c.is_zero:
+            if c:
                 img_b = img_b - c * setup.frame.generator(f"b{j + 1}")
         gen_images[setup._pos_b[i]] = img_b
 
@@ -96,7 +96,7 @@ def _check_equivariant(
             resid = gauge_variation(setup, a, comps[i])
             for j in range(setup.fiber_dim):
                 c = rho_a[i][j]
-                if not c.is_zero:
+                if c:
                     resid = resid + c * comps[j]
             if not resid.is_zero:
                 raise LetterError(f"letter {name} is not equivariant along e{a}")

@@ -25,8 +25,9 @@ from equiform.scalars import (
     RingError,
     Scalar,
     _finish,
-    as_field_element,
 )
+
+from field_lift import as_field_element
 
 
 class RayRestriction:

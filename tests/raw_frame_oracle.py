@@ -42,7 +42,7 @@ class RawFrame:
         for i in range(k):
             acc = self.ring.zero
             for j in range(k):
-                if not m[i][j].is_zero:
+                if m[i][j]:
                     acc = acc + m[i][j] * self.avars[j]
             out.append(acc)
         return out
@@ -185,7 +185,7 @@ class RawFrame:
             for a in self.setup.splitting.gauge:
                 rho_a = self.setup.rho(a)
                 for j in range(k):
-                    if not rho_a[i][j].is_zero:
+                    if rho_a[i][j]:
                         total = total + rho_a[i][j] * wedge(
                             self.gen(f"e{a}"), raws[j]
                         )

@@ -56,7 +56,7 @@ def _phase(
     collect_radial: bool,
 ):
     setup = alphabet.setup
-    span = VectorSpan(setup.field)
+    span = VectorSpan()
     new_entries: list[DictionaryEntry] = []
     vectors: list[dict] = []  # images of seeds + new_entries at the point
     radial: DictionaryEntry | None = None

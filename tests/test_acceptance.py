@@ -391,7 +391,7 @@ def _points(setup):
 
 
 def _span_of(setup, forms, point):
-    span = VectorSpan(setup.field)
+    span = VectorSpan()
     for form in forms:
         span.add(evaluate_to_vector(form, point))
     return span

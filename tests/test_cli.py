@@ -15,6 +15,8 @@ from equiform.cli import Overrides, main, resolve_config, run_config, UsageError
 from equiform.config import TaskSpec, parse_config, realize_config
 from equiform.report import SCHEMA
 
+from test_dictionary import HOPF_REFUSAL, hopf_document
+
 
 def write_config(tmp_path, doc, name="test.json"):
     path = tmp_path / name
@@ -112,6 +114,15 @@ class TestExitStatus:
         err = capsys.readouterr().err
         assert needle in err
         assert "Traceback" not in err
+
+    def test_hopf_action_exits_two(self, tmp_path, capsys):
+        # a1*a3+a2*a4 vanishes on the ray but not elsewhere: the ray solve
+        # would report it as 0, so the hypothesis behind it is refused
+        path = write_config(tmp_path, hopf_document(), name="hopf.json")
+        assert main(["express", "--config", path, "--task", "hopf"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"equiform: task hopf: {HOPF_REFUSAL}\n"
+        assert "[pass]" not in captured.out
 
     def test_inexpressible_differential_exits_one(self, capsys):
         assert main([

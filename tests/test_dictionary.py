@@ -6,6 +6,7 @@ tables); the pinned differential rows were derived by hand from the
 curvature of the canonical connection and cross-checked symbolically.
 """
 
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -13,11 +14,14 @@ from fractions import Fraction
 import pytest
 
 from equiform import dictionary as dictionary_module
+from equiform.cli import resolve_config
+from equiform.config import parse_config, realize_config
 from equiform.dictionary import (
     Alphabet,
     DictionaryOptions,
     EngineError,
     Word,
+    _check_transitive_sphere,
     completeness_check,
     differential_table,
     express_in_generators,
@@ -33,6 +37,9 @@ from equiform.homogeneous import (
     validate_setup,
 )
 from equiform.letters import letter_a, letter_b, dot_contraction
+from equiform.numberfield import NumberField
+
+from spot_check_oracle import spot_check_transitive_sphere
 
 # Frozen: minimal dictionary cardinalities for the twistor fibration over
 # CP^2, per bidegree (horizontal, vertical).  Row sums: 20 at the origin
@@ -253,37 +260,80 @@ def test_empty_alphabet_gives_constants_only(su3_setup):
     assert not report.cell((1, 1)).passed
 
 
-def test_transitive_sphere_violation():
+def _so2_setup(rho):
+    """su(2) over the gauge index 3, acting on the fiber by rho."""
+    field = NumberField(())
+    algebra = make_algebra(field, 3, [(1, 2, 3, -1), (2, 1, 3, 1), (3, 1, 2, -1)])
+    splitting = Splitting(horizontal=(1, 2), gauge=(3,))
+    return validate_setup(algebra, splitting, make_representation(field, {3: rho}))
+
+
+def _so2_on_two_of_four():
     # so(2) rotating only the first two of four fiber coordinates: the
     # sphere S^3 splits into several orbit types
-    from equiform.numberfield import NumberField
+    rho = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
+    return _so2_setup(rho)
 
-    field = NumberField(())
-    one = field.one
-    z = field.zero
-    algebra = make_algebra(
-        field,
-        3,
-        [(1, 2, 3, -one), (2, 1, 3, one), (3, 1, 2, -one)],
-    )
-    splitting = Splitting(horizontal=(1, 2), gauge=(3,))
-    rep = make_representation(
-        field,
-        {
-            3: [
-                [z, -one, z, z],
-                [one, z, z, z],
-                [z, z, z, z],
-                [z, z, z, z],
-            ]
-        },
-    )
-    setup = validate_setup(algebra, splitting, rep)
+
+def hopf_document() -> dict:
+    """su2_ts2 with so(2) acting on R^4 by J + J, the Hopf action: its
+    stabilizer is trivial at every nonzero point, but its orbits in S^3 are
+    circles, so it is not transitive on the sphere."""
+    doc = json.loads(resolve_config("su2_ts2")[1])
+    doc["ring"] = {"radicals": [{"name": "s", "square": "aa"}]}
+    j_plus_j = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
+    doc["representation"] = {"3": [[str(c) for c in row] for row in j_plus_j]}
+    doc["letters"]["beta"] = ["e1", "e2", "0", "0"]
+    doc["contractions"] = {"dot": "builtin"}
+    doc["tasks"] = [{"kind": "express", "name": "hopf", "expression": "a1*a3+a2*a4"}]
+    return doc
+
+
+HOPF_REFUSAL = (
+    "transitive-sphere hypothesis violated: the orbit of e1 has dimension 1, "
+    "not 3"
+)
+
+
+def test_transitive_sphere_violation():
+    setup = _so2_on_two_of_four()
     a = letter_a(setup)
     b = letter_b(setup)
     dot = dot_contraction(setup)
     with pytest.raises(EngineError, match="transitive-sphere"):
         generate_dictionary(setup, [a, b], [dot])
+
+
+def test_hopf_action_is_refused():
+    rc = realize_config(parse_config(json.dumps(hopf_document())))
+    with pytest.raises(EngineError, match=f"^{HOPF_REFUSAL}$"):
+        rc.dictionary()
+    # the spot check let it through: the stabilizer is trivial at every
+    # spot point, as it is at the generic point
+    assert spot_check_transitive_sphere(rc.setup) == 0
+
+
+def test_one_dimensional_fiber_is_refused():
+    with pytest.raises(EngineError, match="one-dimensional fiber"):
+        _check_transitive_sphere(_so2_setup([[0]]))
+
+
+def _verdict(check, setup):
+    try:
+        return check(setup)
+    except EngineError:
+        return "refused"
+
+
+@pytest.mark.parametrize("name", ["su2_ts2", "su3_tcp2", "so2_on_two_of_four"])
+def test_rank_test_agrees_with_spot_check_oracle(name):
+    if name == "so2_on_two_of_four":
+        setup = _so2_on_two_of_four()
+    else:
+        setup = realize_config(parse_config(resolve_config(name)[1])).setup
+    verdict = _verdict(_check_transitive_sphere, setup)
+    assert verdict == _verdict(spot_check_transitive_sphere, setup)
+    assert verdict == {"su2_ts2": 0, "su3_tcp2": 1}.get(name, "refused")
 
 
 def test_length_cap_is_enforced(su3_setup, su3_alphabet):

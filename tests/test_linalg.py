@@ -14,19 +14,30 @@ from equiform.homogeneous import (
     stabilizer_of_vector,
 )
 from equiform.linalg import VectorSpan, nullspace_basis, rref
-from equiform.numberfield import NumberField
+from equiform.numberfield import NumberField, canonical
 
 from dense_rref_oracle import matrix_rank as oracle_rank
 from dense_rref_oracle import rref as oracle_rref
+from test_numberfield import _assert_canonical_coefficient
 
 Q3 = NumberField((3,))
 S3 = Q3.sqrt_radicand(3)
 
-small = st.integers(-3, 3).map(Fraction)
+small = st.integers(-3, 3)
+# canonical coefficients: ints (zero among them), Fractions that are not
+# integral, and FieldElements with an irrational term
 elements = st.one_of(
-    st.just(Q3.zero),
-    st.builds(lambda a, b: Q3.rational(a) + Q3.rational(b) * S3, small, small),
+    small,
+    st.builds(Fraction, small, st.sampled_from([2, 3])).map(canonical),
+    st.builds(lambda a, b: a + b * S3, small, st.integers(1, 3)),
 )
+
+
+def _combine(rows, coefficients, ncols):
+    out = [0] * ncols
+    for c, r in zip(coefficients, rows):
+        out = [canonical(x + c * y) for x, y in zip(out, r)]
+    return out
 
 
 @st.composite
@@ -36,12 +47,9 @@ def matrices(draw):
     row = st.lists(elements, min_size=ncols, max_size=ncols)
     rows = draw(st.lists(row, max_size=4))
     for _ in range(draw(st.integers(0, 2))):
-        combo = [Q3.zero] * ncols
-        for r in rows:
-            c = draw(elements)
-            combo = [x + c * y for x, y in zip(combo, r)]
-        rows.append(combo)
-    rows += [[Q3.zero] * ncols for _ in range(draw(st.integers(0, 2)))]
+        coefficients = [draw(elements) for _ in rows]
+        rows.append(_combine(rows, coefficients, ncols))
+    rows += [[0] * ncols for _ in range(draw(st.integers(0, 2)))]
     order = draw(st.permutations(range(len(rows))))
     return [rows[i] for i in order]
 
@@ -50,28 +58,60 @@ def matrices(draw):
 @given(matrices())
 @example([])
 @example([[]])
-@example([[Q3.zero, Q3.zero]])
-@example([[S3, Q3.one], [Q3.one, S3 / 3]])
+@example([[0, 0]])
+@example([[S3, 1], [1, S3 / 3]])
+@example([[Fraction(1, 2), 1], [1, 2]])
 def test_rref_matches_dense_oracle(matrix):
-    assert rref(Q3, matrix) == oracle_rref(Q3, matrix)
+    rows, pivots = rref(matrix)
+    assert (rows, pivots) == oracle_rref(Q3, matrix)
+    for row in rows:
+        for c in row:
+            if c:
+                _assert_canonical_coefficient(c)
 
 
 @settings(max_examples=100, deadline=None)
 @given(matrices())
 def test_nullspace_is_annihilated_and_complements_rank(matrix):
-    basis = nullspace_basis(Q3, matrix)
+    basis = nullspace_basis(matrix)
     if matrix:
         assert len(basis) == len(matrix[0]) - oracle_rank(Q3, matrix)
     for vec in basis:
+        for c in vec:
+            if c:
+                _assert_canonical_coefficient(c)
         for row in matrix:
-            assert sum((a * b for a, b in zip(row, vec)), Q3.zero).is_zero
+            assert not sum((a * b for a, b in zip(row, vec)), 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(), st.data())
+def test_span_rows_and_combinations_are_canonical(matrix, data):
+    # rows of the matrix as sparse vectors, added with their index as tag;
+    # a combination of them is then found, and its coefficients rebuild it
+    ncols = len(matrix[0]) if matrix else 0
+    span = VectorSpan(track=True)
+    for i, row in enumerate(matrix):
+        span.add({j: c for j, c in enumerate(row) if c}, i)
+    assert span.rank == (oracle_rank(Q3, matrix) if matrix else 0)
+    for _, row, combo in span._rows:
+        for c in (*row.values(), *combo.values()):
+            _assert_canonical_coefficient(c)
+    coefficients = [data.draw(elements) for _ in matrix]
+    target = _combine(matrix, coefficients, ncols)
+    combo = span.combination({j: c for j, c in enumerate(target) if c})
+    assert combo is not None
+    for c in combo.values():
+        _assert_canonical_coefficient(c)
+    rebuilt = _combine([matrix[t] for t in combo], list(combo.values()), ncols)
+    assert rebuilt == target
 
 
 def test_combination_requires_tracking():
-    span = VectorSpan(Q3)
-    span.add({0: Q3.one})
+    span = VectorSpan()
+    span.add({0: 1})
     with pytest.raises(ValueError, match="track=True"):
-        span.combination({0: Q3.one})
+        span.combination({0: 1})
 
 
 def _generator(setup, lam, matrix_of):

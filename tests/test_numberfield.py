@@ -7,7 +7,18 @@ from hypothesis import given, settings, strategies as st
 
 from equiform import cli, verify
 from equiform.config import parse_config, realize_config
-from equiform.numberfield import FieldElement, NumberField, _squarefree_split
+from equiform.homogeneous import stabilizer_of_vector
+from equiform.linalg import VectorSpan
+from equiform.numberfield import (
+    FieldElement,
+    NumberField,
+    _squarefree_split,
+    canonical,
+    coefficient,
+    inverse,
+    power,
+    sqrt,
+)
 from equiform.scalars import Scalar
 
 Q3 = NumberField([3])
@@ -202,9 +213,45 @@ def _assert_form_canonical(x) -> None:
             _assert_canonical_coefficient(c)
 
 
+@settings(max_examples=150, deadline=None)
+@given(sparse_q23_elements(), st.integers(-3, 3))
+def test_coefficient_operations_stay_canonical(x, n):
+    c = canonical(x)
+    assert c == x
+    _assert_canonical_coefficient(c)
+    assert coefficient(Q23, x) == c and type(coefficient(Q23, x)) is type(c)
+    if c:
+        inv = inverse(c)
+        _assert_canonical_coefficient(inv)
+        assert canonical(inv * c) == 1
+        p = power(c, n)
+        _assert_canonical_coefficient(p)
+        assert p == x**n
+    root = sqrt(Q23, canonical(x * x))
+    if root is not None:
+        _assert_canonical_coefficient(root)
+        assert canonical(root * root) == canonical(x * x)
+
+
+def test_coefficient_coercion():
+    assert type(coefficient(Q3, Fraction(4, 2))) is int
+    assert coefficient(Q3, Q3.rational(Fraction(1, 2))) == Fraction(1, 2)
+    assert coefficient(Q3, s3()) == s3()
+    with pytest.raises(ValueError, match="different field"):
+        coefficient(Q23, s3())
+    assert inverse(-2) == Fraction(-1, 2) and type(inverse(Fraction(1, 3))) is int
+    assert power(2, -2) == Fraction(1, 4) and power(s3(), 2) == 3
+    assert type(power(s3(), 2)) is int
+    assert sqrt(Q3, 12) == 2 * s3() and sqrt(Q3, Fraction(9, 4)) == Fraction(3, 2)
+    assert sqrt(Q3, 2) is None and sqrt(Q3, -1) is None and sqrt(Q3, 0) == 0
+    assert sqrt(Q3, 4 + 2 * s3()) == 1 + s3()
+
+
 def test_d_table_coefficients_are_canonical(monkeypatch):
     # every scalar built during a run of each bundled config, and in it every
-    # d_table row, dictionary translation and verify residual
+    # d_table row, dictionary translation and verify residual; every row and
+    # combination of a span; and the stabilizer bases, structure constants,
+    # rho entries and contraction entries of each realized config
     built = []
     init = Scalar.__init__
 
@@ -228,18 +275,53 @@ def test_d_table_coefficients_are_canonical(monkeypatch):
         residuals.append(residual)
         return verify_settle(setup, name, check, residual, on_sphere)
 
+    spans = []
+    span_add, span_combination = VectorSpan.add, VectorSpan.combination
+
+    def recording_add(self, vec, tag=None):
+        spans.append(self)
+        return span_add(self, vec, tag)
+
+    def checked_combination(self, vec):
+        combo = span_combination(self, vec)
+        for c in (combo or {}).values():
+            _assert_canonical_coefficient(c)
+        return combo
+
     cli_differential_table = cli.differential_table
     cli_dictionary_for = cli._dictionary_for
     verify_settle = verify._settle
     monkeypatch.setattr(Scalar, "__init__", checked_init)
+    monkeypatch.setattr(VectorSpan, "add", recording_add)
+    monkeypatch.setattr(VectorSpan, "combination", checked_combination)
     monkeypatch.setattr(cli, "differential_table", recording_table)
     monkeypatch.setattr(cli, "_dictionary_for", recording_dictionary)
     monkeypatch.setattr(verify, "_settle", recording_settle)
+    realized = []
     for name in ("su2_ts2", "su3_tcp2"):
         config = parse_config(cli.resolve_config(name)[1])
         rc = realize_config(config)
         cli.run_config(rc, name, list(config.tasks), cli.Overrides())
+        realized.append(rc)
     assert len(tables) == 2 and residuals and dictionaries
+    assert len(spans) > 100
+    for span in {id(s): s for s in spans}.values():
+        for _, row, combo in span._rows:
+            for c in (*row.values(), *(combo or {}).values()):
+                _assert_canonical_coefficient(c)
+    for rc in realized:
+        setup = rc.setup
+        values = [c for *_, c in setup.algebra.constants]
+        for _, m in setup.representation.matrices:
+            values += [c for row in m for c in row]
+        for contraction in rc.contractions.values():
+            values += [c for _, c in contraction.entries]
+        for vec in ([0] * setup.fiber_dim, setup.generic_point_vector()):
+            values += [c for lam in stabilizer_of_vector(setup, vec) for c in lam]
+        values += setup.generic_point_vector()
+        assert values
+        for c in values:
+            _assert_canonical_coefficient(c)
     for rows in tables:
         assert rows
         for row in rows:

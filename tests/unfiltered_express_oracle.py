@@ -65,7 +65,7 @@ def express_in_generators(
                 prod = reduce(wedge, (e.translation for _, e in factors))
                 if not prod.is_zero:
                     candidates.append((tuple(i for i, _ in factors), prod))
-        span = VectorSpan(field, track=True)
+        span = VectorSpan(track=True)
         for tag, form in candidates:
             for ex, sc in powers:
                 col = sc * form
