@@ -8,12 +8,16 @@ gauge group acts transitively on fiber spheres, which generation proves
 first) the two points decide everything, and the per-bidegree
 cardinalities must match the stabilizer-invariant dimension counts.
 
-Phases test independence on point values: each syllable form is evaluated
-once per point, and a word's value is its prefix's value wedged with its
-last syllable's.  Evaluation is a ring homomorphism, so that is the value
-of the word's translation.  A dictionary entry is a word: generation
-translates only (0,0) words and words of value zero, which need the zero
-test, and any other translation is built when a task first reads it.
+Phases test independence on point values, held as sparse vectors
+{basis word: canonical coefficient}: each syllable form is evaluated once
+per point, and a word's vector is its prefix's vector wedged with its last
+syllable's (forms.wedge_vectors).  Evaluation is a ring homomorphism, so
+that is the value of the word's translation.  A candidate word is a tuple
+of indices into the sorted syllables, so nondecreasing order, subword
+lookups, sorting and bidegrees run on ints; it becomes a Word when it
+reaches a verdict.  A dictionary entry is a word: generation translates
+only (0,0) words and words of value zero, which need the zero test, and
+any other translation is built when a task first reads it.
 
 The (0,0) cell is special: beyond the empty word every rotation-invariant
 function evaluates to a constant at a single point, so the first nonzero
@@ -56,7 +60,9 @@ from equiform.forms import (
     bidegree_split,
     evaluate_to_vector,
     map_form,
+    point_vector,
     wedge,
+    wedge_vectors,
 )
 from equiform.homogeneous import (
     HomogeneousSetup,
@@ -68,8 +74,7 @@ from equiform.homogeneous import (
 )
 from equiform.letters import Contraction, Letter, contract_syllable
 from equiform.linalg import VectorSpan
-from equiform.numberfield import Coefficient
-from equiform.scalars import RingMap, Scalar
+from equiform.scalars import Point, Scalar
 
 
 class EngineError(ValueError):
@@ -310,13 +315,18 @@ class Dictionary:
 
     @cached_property
     def _on_ray(self) -> "_WordImages":
-        return _WordImages(self.alphabet, self.setup.ring.ray_restriction)
+        alphabet, restrict = self.alphabet, self.setup.ring.ray_restriction
+        return _WordImages(
+            lambda s: map_form(alphabet.syllable_form(s), restrict),
+            wedge,
+            map_form(self.setup.frame.one, restrict),
+        )
 
     def _ray_product(self, tag: tuple[int, ...]) -> Form:
         """Wedge of the ray images of the entries at these indices, one
         index giving the ray image itself."""
         if len(tag) == 1:
-            return self._on_ray.of(self.entries[tag[0]].word)
+            return self._on_ray.of(self.entries[tag[0]].word.syllables)
         prod = self._ray_products.get(tag)
         if prod is None:
             prod = reduce(wedge, (self._ray_product((i,)) for i in tag))
@@ -350,135 +360,142 @@ def _check_transitive_sphere(setup: HomogeneousSetup) -> int:
 
 
 class _WordImages:
-    """Images of words under one ring map: a Point, or the ray restriction.
+    """Images of words under one ring map, memoized by word key.
 
-    Each syllable form is mapped once, and a word's image is the image of
-    its prefix wedged with the image of its last syllable.  The map is a
-    ring homomorphism, so this is the image of the word's translation,
-    which is never built.  Images are memoized by word.
+    A key is a tuple of syllables or of syllable indices; syllable(last)
+    images a key's last entry, once per syllable, and a word's image is
+    multiply(image of its prefix, image of its last syllable).  The map is
+    a ring homomorphism, so this is the image of the word's translation,
+    which is never built.  At a Point (at_point) keys are indices into
+    Alphabet.syllables() and images are sparse vectors {basis word:
+    canonical coefficient}, multiplied by wedge_vectors, with {0: 1} for
+    the empty word.  On the ray (Dictionary._on_ray) keys are a word's
+    syllables and images are Forms, multiplied by wedge.
     """
 
-    def __init__(self, alphabet: Alphabet, phi: RingMap):
-        self.alphabet = alphabet
-        self.phi = phi
-        self._syllables: dict[Syllable, Form] = {}
-        self._words: dict[Word, Form] = {
-            Word(()): map_form(alphabet.setup.frame.one, phi)
-        }
+    def __init__(self, syllable, multiply, empty):
+        self.syllable = syllable
+        self.multiply = multiply
+        self._syllables: dict = {}
+        self._words: dict[tuple, object] = {(): empty}
 
-    def of(self, word: Word) -> Form:
-        image = self._words.get(word)
+    @classmethod
+    def at_point(cls, alphabet: Alphabet, pt: Point) -> "_WordImages":
+        sylls = alphabet.syllables()
+        return cls(
+            lambda i: point_vector(map_form(alphabet.syllable_form(sylls[i]), pt)),
+            wedge_vectors,
+            {0: 1},
+        )
+
+    def of(self, key: tuple):
+        image = self._words.get(key)
         if image is None:
-            last = word.syllables[-1]
+            last = key[-1]
             syll = self._syllables.get(last)
             if syll is None:
-                syll = map_form(self.alphabet.syllable_form(last), self.phi)
-                self._syllables[last] = syll
-            image = wedge(self.of(Word(word.syllables[:-1])), syll)
-            self._words[word] = image
+                syll = self._syllables[last] = self.syllable(last)
+            image = self.multiply(self.of(key[:-1]), syll)
+            self._words[key] = image
         return image
-
-    def vectors(self, words: Sequence[Word]) -> list[dict]:
-        return [_point_vector(self.of(w)) for w in words]
-
-
-def _point_vector(value: Form) -> dict[int, Coefficient]:
-    """A value at a point, a form with constant coefficients, as a sparse
-    vector keyed by basis word."""
-    return {m: c for m, sc in value.terms.items() for c in sc.coeffs.values()}
 
 
 def _phase(
     alphabet: Alphabet,
     phase_name: str,
     values: _WordImages,
-    seeds: Sequence[DictionaryEntry],
+    seeds: Sequence[tuple[int, ...]],
     transcript: list,
     max_length: int,
     collect_radial: bool,
 ):
-    """Extend the seeds by the words whose values at the point are
-    independent.  A word is translated symbolically, with its prefixes,
+    """Extend the seeds, words as syllable-index tuples, by the words whose
+    values at the point are independent.  Candidates stay index tuples:
+    syllables are sorted by Syllable.key, whose values are distinct, so
+    index order is syllable order.  A candidate becomes a Word when it
+    reaches a verdict, and is translated symbolically, with its prefixes,
     only when it has bidegree (0,0) or value zero: the zero test tells a
-    zero translation from one that vanishes at the point."""
+    zero translation from one that vanishes at the point.  Returns the new
+    entries, their index tuples and the radial entry."""
     setup = alphabet.setup
+    sylls = alphabet.syllables()
+    bidegrees = [s.bidegree for s in sylls]
     span = VectorSpan()
     new_entries: list[DictionaryEntry] = []
+    new_keys: list[tuple[int, ...]] = []
     radial: DictionaryEntry | None = None
-    pool: dict[int, list[Word]] = {}
-    pooled: set[Word] = set()
+    pool: dict[int, list[tuple[int, ...]]] = {}
+    pooled: set[tuple[int, ...]] = set()
 
-    def admit(word: Word):
-        pool.setdefault(word.length, []).append(word)
-        pooled.add(word)
+    def admit(key: tuple[int, ...]):
+        pool.setdefault(len(key), []).append(key)
+        pooled.add(key)
 
-    for e in seeds:
-        if not span.add(_point_vector(values.of(e.word))):
+    for key in seeds:
+        if not span.add(values.of(key)):
+            word = Word(tuple(sylls[i] for i in key))
             raise EngineError(
-                f"independence inheritance failed for {e.word.render()}: "
+                f"independence inheritance failed for {word.render()}: "
                 f"its image at the generic point is dependent"
             )
-        admit(e.word)
+        admit(key)
     if not seeds:
-        empty = Word(())
-        span.add(_point_vector(values.of(empty)))
-        new_entries.append(DictionaryEntry(empty, phase_name, (0, 0), alphabet))
-        admit(empty)
+        span.add(values.of(()))
+        new_entries.append(DictionaryEntry(Word(()), phase_name, (0, 0), alphabet))
+        new_keys.append(())
+        admit(())
         transcript.append((phase_name, "1", "kept"))
 
-    sylls = alphabet.syllables()
     l = 1
     while pool.get(l - 1):
         if l > max_length:
             raise EngineError(
                 f"dictionary generation exceeded the word-length cap {max_length}"
             )
-        seen: set[Word] = set()
-        cands: list[Word] = []
-        for w in pool.get(l - 1, []):
-            last = w.syllables[-1].key() if w.syllables else None
-            for s in sylls:
-                if last is not None and s.key() < last:
-                    continue
-                cw = Word(w.syllables + (s,))
-                if cw in pooled or cw in seen:
-                    continue
-                seen.add(cw)
-                ok = all(
-                    Word(cw.syllables[:i] + cw.syllables[i + 1 :]) in pooled
-                    for i in range(l)
-                )
-                if ok:
+        # a candidate extends one pooled word w, its prefix, so it is met
+        # once; w is pooled, and every other subword must be
+        cands: list[tuple[int, ...]] = []
+        for w in pool[l - 1]:
+            for i in range(w[-1] if w else 0, len(sylls)):
+                cw = w + (i,)
+                if cw not in pooled and all(
+                    cw[:j] + cw[j + 1 :] in pooled for j in range(l - 1)
+                ):
                     cands.append(cw)
-        cands.sort(key=Word.key)
+        cands.sort()
         for cw in cands:
-            p, q = cw.bidegree
+            word = Word(tuple(sylls[i] for i in cw))
+            p = q = 0
+            for i in cw:
+                p += bidegrees[i][0]
+                q += bidegrees[i][1]
             if p > setup.horizontal_dim or q > setup.fiber_dim:
                 transcript.append(
-                    (phase_name, cw.render(), "pruned: bidegree overflow")
+                    (phase_name, word.render(), "pruned: bidegree overflow")
                 )
                 continue
             value = None if (p, q) == (0, 0) else values.of(cw)
             if not value:
-                form = alphabet.translate(cw)
+                form = alphabet.translate(word)
                 if form.is_zero:
                     verdict = "pruned: zero translation"
                 elif value is not None:
                     verdict = "dependent: evaluates to zero"
                 elif collect_radial and radial is None:
-                    radial = DictionaryEntry(cw, phase_name, (0, 0), alphabet)
+                    radial = DictionaryEntry(word, phase_name, (0, 0), alphabet)
                     verdict = "radial invariant"
                 else:
                     verdict = "dependent: constant on orbits"
-            elif span.add(_point_vector(value)):
-                new_entries.append(DictionaryEntry(cw, phase_name, (p, q), alphabet))
+            elif span.add(value):
+                new_entries.append(DictionaryEntry(word, phase_name, (p, q), alphabet))
+                new_keys.append(cw)
                 admit(cw)
                 verdict = "kept"
             else:
                 verdict = "dependent"
-            transcript.append((phase_name, cw.render(), verdict))
+            transcript.append((phase_name, word.render(), verdict))
         l += 1
-    return new_entries, radial
+    return new_entries, new_keys, radial
 
 
 def generate_dictionary(
@@ -490,15 +507,16 @@ def generate_dictionary(
     options = options or DictionaryOptions()
     alphabet = Alphabet(setup, letters, contractions)
     _check_transitive_sphere(setup)
-    origin_pt = setup.point([0] * setup.fiber_dim)
-    at_origin = _WordImages(alphabet, origin_pt)
-    at_generic = _WordImages(alphabet, setup.point(setup.generic_point_vector()))
+    at_origin = _WordImages.at_point(alphabet, setup.point([0] * setup.fiber_dim))
+    at_generic = _WordImages.at_point(
+        alphabet, setup.point(setup.generic_point_vector())
+    )
     transcript: list[tuple[str, str, str]] = []
-    c0, _ = _phase(
+    c0, k0, _ = _phase(
         alphabet, "origin", at_origin, [], transcript, options.max_length, False
     )
-    new, radial = _phase(
-        alphabet, "generic", at_generic, c0, transcript, options.max_length, True
+    new, k1, radial = _phase(
+        alphabet, "generic", at_generic, k0, transcript, options.max_length, True
     )
     dictionary = Dictionary(
         setup=setup,
@@ -509,9 +527,9 @@ def generate_dictionary(
     )
     # every syllable of a generic-phase word was a length-one candidate of
     # the origin phase, so its value there is known: nothing new is evaluated
-    words = [e.word for e in dictionary.entries]
-    dictionary._origin_vectors = at_origin.vectors(words)
-    dictionary._generic_vectors = at_generic.vectors(words)
+    keys = k0 + k1
+    dictionary._origin_vectors = [at_origin.of(k) for k in keys]
+    dictionary._generic_vectors = [at_generic.of(k) for k in keys]
     return dictionary
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from equiform.numberfield import Coefficient, FieldElement
+from equiform.numberfield import Coefficient, FieldElement, canonical
 from equiform.scalars import Point, Ring, RingMap, Scalar
 
 KINDS = ("horizontal", "vertical", "gauge")
@@ -306,6 +306,32 @@ def wedge(x: Form, y: Form) -> Form:
     return Form(x.frame, out)
 
 
+def wedge_vectors(
+    x: dict[int, Coefficient], y: dict[int, Coefficient]
+) -> dict[int, Coefficient]:
+    """Exterior product of two forms with constant coefficients, given as
+    sparse vectors {basis word: canonical coefficient}: the wedge of their
+    point values, with canonical sums."""
+    out: dict[int, Coefficient] = {}
+    for mx, cx in x.items():
+        for my, cy in y.items():
+            if mx & my:
+                continue
+            c = cx * cy
+            if merge_sign(mx, my) < 0:
+                c = -c
+            m = mx | my
+            s = out.get(m)
+            s = c if s is None else s + c
+            if type(s) is not int:
+                s = canonical(s)
+            if s:
+                out[m] = s
+            else:
+                out.pop(m, None)
+    return out
+
+
 def interior(gen_index: int, x: Form) -> Form:
     """Interior product with the frame vector dual to generator gen_index.
 
@@ -349,6 +375,12 @@ def map_form(x: Form, phi: RingMap) -> Form:
     return Form(frame, out)
 
 
+def point_vector(value: Form) -> dict[int, Coefficient]:
+    """A value at a point, a form with constant coefficients, as a sparse
+    vector keyed by basis word, for rank work."""
+    return {m: c.constant_term() for m, c in value.terms.items()}
+
+
 def evaluate_to_vector(x: Form, pt: Point) -> dict[int, Coefficient]:
     """Evaluation as a sparse vector keyed by basis word, for rank work."""
-    return {m: c.constant_term() for m, c in map_form(x, pt).terms.items()}
+    return point_vector(map_form(x, pt))

@@ -38,7 +38,14 @@ from typing import Iterable, Mapping, Sequence
 
 from equiform.forms import Form, Frame, FrameSpec, bits, merge_sign
 from equiform.linalg import VectorSpan, nullspace_basis
-from equiform.numberfield import Coefficient, NumberField, canonical, coefficient
+from equiform.numberfield import (
+    Coefficient,
+    FieldElement,
+    NumberField,
+    canonical,
+    coefficient,
+    inverse,
+)
 from equiform.scalars import Point, PointError, Ring, RingSpec, Scalar
 
 # scales t of the generic point t*e1, tried in order; 1 + t^2 is a rational
@@ -682,8 +689,15 @@ def invariant_dimension(
 ) -> int:
     """Dimension of the stabilizer-invariant subspace of Lambda^p T x Lambda^q V.
 
-    stab_basis holds coefficient vectors over the gauge basis.  Equations
-    stop once they have full rank: the dimension is then 0.
+    stab_basis holds coefficient vectors over the gauge basis.  Each vector
+    lambda gives the lambda-combinations (m_t, m_v) of ad|T and of rho,
+    whose equation rows on the cell join one span.  A nonzero scale leaves
+    their kernel alone, so when the first nonzero entry of the pair is
+    irrational every entry is divided by it: an irrational multiple of a
+    rational pair then gives rational rows.  On su3_tcp2, ad|T and rho of
+    e8 are sqrt3 times rational matrices, and the generic stabilizer is
+    -sqrt3*e7 + e8, so no row carries sqrt3.  Equations stop once they have
+    full rank: the dimension is then 0.
     """
     p, q = bidegree
     nt = setup.horizontal_dim
@@ -711,6 +725,14 @@ def invariant_dimension(
                 for m, entries in zip((m_t, m_v), pair):
                     for i, j, x in entries:
                         m[i][j] = canonical(m[i][j] + c * x)
+        first = next((x for m in (m_t, m_v) for row in m for x in row if x), 0)
+        if type(first) is FieldElement:
+            scale = inverse(first)
+            for m in (m_t, m_v):
+                for row in m:
+                    for j, x in enumerate(row):
+                        if x:
+                            row[j] = canonical(x * scale)
         for row in _derivation_equations(m_t, m_v, p, q):
             span.add(row)
             if span.rank == full:

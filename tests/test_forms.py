@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+from fractions import Fraction
+from functools import cache
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,9 +16,13 @@ from equiform.forms import (
     interior,
     map_form,
     merge_sign,
+    point_vector,
     wedge,
+    wedge_vectors,
 )
-from equiform.scalars import Point, Ring, RingSpec
+from equiform.scalars import Point, PointError, Ring, RingSpec
+
+from test_numberfield import _assert_canonical_coefficient
 
 
 def small_frame() -> Frame:
@@ -153,3 +160,78 @@ def test_merge_sign_small_cases():
     assert merge_sign(0b001, 0b010) == 1
     assert merge_sign(0b010, 0b001) == -1
     assert merge_sign(0b110, 0b001) == 1  # two transpositions
+
+
+# -- wedge on point values -------------------------------------------------------
+
+
+@cache  # one strategy per frame: building it is most of a draw's cost
+def _ring_forms(frame):
+    """Forms of one to four terms over a setup's frame, on words of at most
+    two generators.  Each coefficient is a sum of up to three monomials,
+    each a power of one fiber variable times parameters and radical powers
+    from -2 to 2, mostly 0, so that values at points on the first axes, the
+    origin among them, are often nonzero; its numbers are rational, or in
+    Q(sqrt3) over that field."""
+    ring = frame.ring
+    fiber = st.tuples(st.integers(0, ring.nf - 1), st.integers(0, 2)).map(
+        lambda ie: tuple(ie[1] if j == ie[0] else 0 for j in range(ring.nf))
+    )
+    mono = st.tuples(
+        fiber,
+        st.tuples(*[st.integers(0, 1)] * ring.np),
+        st.tuples(*[st.sampled_from((0, 0, 0, 0, 1, 2, -1, -2))] * ring.nr),
+    ).map(lambda parts: sum(parts, ()))
+    numbers = [1, -1, 2, Fraction(1, 2), Fraction(-2, 3)]
+    if 3 in ring.field.radicands:
+        s3 = ring.field.sqrt_radicand(3)
+        numbers += [s3, -2 * s3, 1 + s3, Fraction(1, 2) - s3 / 3]
+    number = st.sampled_from(numbers)
+    coeff = st.dictionaries(mono, number, min_size=1, max_size=3)
+    masks = st.sets(st.integers(0, frame.size - 1), max_size=2).map(
+        lambda gens: sum(1 << g for g in gens)
+    )
+    return st.dictionaries(masks, coeff, min_size=1, max_size=4).map(frame.form)
+
+
+def _points(setup):
+    """The origin, the generic point and, over a field with sqrt(3), a point
+    with an irrational coordinate: (sqrt3, 1, 0, ...), of radius 2."""
+    k = setup.fiber_dim
+    points = [setup.point([0] * k), setup.point(setup.generic_point_vector())]
+    if 3 in setup.field.radicands:
+        points.append(setup.point([setup.field.sqrt_radicand(3), 1] + [0] * (k - 2)))
+    return points
+
+
+@pytest.mark.parametrize("name", ["su2_setup", "su3_setup"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_wedge_vectors_is_the_wedge_of_point_values(request, name, data):
+    setup = request.getfixturevalue(name)
+    x = data.draw(_ring_forms(setup.frame))
+    y = data.draw(_ring_forms(setup.frame))
+    for pt in _points(setup):
+        try:
+            vx, vy = point_vector(map_form(x, pt)), point_vector(map_form(y, pt))
+        except PointError:
+            continue  # a negative power of a radical that vanishes here
+        got = wedge_vectors(vx, vy)
+        assert got == point_vector(map_form(wedge(x, y), pt))
+        for c in got.values():
+            _assert_canonical_coefficient(c)
+
+
+def test_wedge_vectors_keeps_sums_canonical(su3_setup):
+    # at e1^e2, sqrt3 * (sqrt3/2) from e1^e2 meets -(1/2) * 1 from e2^e1:
+    # two non-integral values add up to the int 1; sqrt3 * 2sqrt3 is 6
+    s3 = su3_setup.field.sqrt_radicand(3)
+    half = Fraction(1, 2)
+    x = {0b001: s3, 0b010: half}
+    y = {0b010: s3 * half, 0b001: 1, 0b100: 2 * s3}
+    got = wedge_vectors(x, y)
+    assert got == {0b011: 1, 0b101: 6, 0b110: s3}
+    for c in got.values():
+        _assert_canonical_coefficient(c)
+    # e1^e2 + e2^e1 cancels
+    assert wedge_vectors({0b01: 1, 0b10: 1}, {0b10: 1, 0b01: 1}) == {}
