@@ -238,8 +238,14 @@ def _parse_literal(ctx: ExpressionContext, text: str, where: str, what: str):
 def parse_field_constant(
     ctx: ExpressionContext, text: str, where: str
 ) -> Coefficient:
-    """An exact constant in the context made by constant_context."""
-    return _parse_literal(ctx, text, where, "exact constant").constant_term()
+    """An exact constant in the context made by constant_context, parsed
+    once per text."""
+    value = ctx.memo.get(text)
+    if value is None:
+        value = ctx.memo[text] = _parse_literal(
+            ctx, text, where, "exact constant"
+        ).constant_term()
+    return value
 
 
 def parse_radical_square(ctx: ExpressionContext, text: str, where: str):

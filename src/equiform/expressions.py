@@ -107,7 +107,10 @@ class ExpressionContext:
     Expressions evaluate to forms over frame.  scalars maps names to ring
     elements, letters and contractions carry the alphabet, and frame_atoms
     lists generator names usable as one-forms.  setup is needed only by
-    d(...), which is an error without one.
+    d(...), which is an error without one.  memo keeps values that depend
+    on these bindings alone: contraction calls, by contraction and letter
+    names, and field constants, by their text.  Forms are immutable, so a
+    call returns the same InvariantForm each time.
     """
 
     frame: Frame
@@ -116,6 +119,7 @@ class ExpressionContext:
     scalars: Mapping[str, Scalar]
     frame_atoms: frozenset = field(default_factory=frozenset)
     setup: HomogeneousSetup | None = None
+    memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 def scalar_bindings(ring: Ring) -> dict[str, Scalar]:
@@ -397,7 +401,11 @@ class _Parser:
                 f"contraction '{name}' takes {m.arity} letters, got "
                 f"{len(args)} at position {tok.pos + 1}"
             )
-        return contract_syllable(m, args)
+        key = (name, *(letter.name for letter in args))
+        memo = self.ctx.memo
+        if key not in memo:
+            memo[key] = contract_syllable(m, args)
+        return memo[key]
 
     def letter_arg(self, cname: str, idx: int) -> Letter:
         tok = self.peek()

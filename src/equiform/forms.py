@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from equiform.numberfield import Coefficient, FieldElement, canonical
-from equiform.scalars import Point, Ring, RingMap, Scalar
+from equiform.scalars import Point, Ring, RingMap, Scalar, finish, multiply_into
 
 KINDS = ("horizontal", "vertical", "gauge")
 
@@ -131,12 +131,14 @@ def bits(mask: int):
 
 
 def merge_sign(mx: int, my: int) -> int:
-    """Sign of sorting the concatenation of two disjoint ascending words."""
-    sign = 1
-    for j in bits(my):
-        if (mx >> (j + 1)).bit_count() & 1:
-            sign = -sign
-    return sign
+    """Sign of sorting the concatenation of two disjoint ascending words:
+    each generator of my passes the generators of mx above it."""
+    passes = 0
+    while my:
+        low = my & -my
+        passes += (mx & -(low << 1)).bit_count()
+        my ^= low
+    return -1 if passes & 1 else 1
 
 
 class Form:
@@ -285,25 +287,28 @@ class Form:
 
 
 def wedge(x: Form, y: Form) -> Form:
-    """Exterior product."""
+    """Exterior product, each word's coefficient summed unreduced and
+    normalized once."""
     if x.frame != y.frame:
         raise FrameError("forms over different frames")
-    out: dict[int, Scalar] = {}
+    words: dict[int, dict] = {}
     for mx, cx in x.terms.items():
         for my, cy in y.terms.items():
-            if mx & my:
-                continue
-            c = cx * cy
-            if merge_sign(mx, my) < 0:
-                c = -c
-            m = mx | my
-            s = out.get(m)
-            s = c if s is None else s + c
-            if s.is_zero:
-                out.pop(m, None)
-            else:
-                out[m] = s
-    return Form(x.frame, out)
+            if not mx & my:
+                acc = words.setdefault(mx | my, {})
+                multiply_into(acc, cx, cy, merge_sign(mx, my))
+    return finish_form(x.frame, words)
+
+
+def finish_form(frame: Frame, words: dict[int, dict]) -> Form:
+    """The Form with the given unreduced coefficient maps by basis word,
+    each normalized once (scalars.finish), its zero words dropped."""
+    out: dict[int, Scalar] = {}
+    for m, acc in words.items():
+        s = finish(frame.ring, acc)
+        if s:
+            out[m] = s
+    return Form(frame, out)
 
 
 def wedge_vectors(

@@ -36,7 +36,7 @@ from functools import partial
 from math import comb
 from typing import Iterable, Mapping, Sequence
 
-from equiform.forms import Form, Frame, FrameSpec, bits, merge_sign
+from equiform.forms import Form, Frame, FrameSpec, bits, finish_form, merge_sign
 from equiform.linalg import VectorSpan, nullspace_basis
 from equiform.numberfield import (
     Coefficient,
@@ -46,7 +46,16 @@ from equiform.numberfield import (
     coefficient,
     inverse,
 )
-from equiform.scalars import Point, PointError, Ring, RingSpec, Scalar
+from equiform.scalars import (
+    Point,
+    PointError,
+    Ring,
+    RingSpec,
+    Scalar,
+    accumulate_product,
+    gradient,
+    multiply_into,
+)
 
 # scales t of the generic point t*e1, tried in order; 1 + t^2 is a rational
 # square for every t after the first
@@ -206,13 +215,17 @@ class HomogeneousSetup:
             self._pos_e[i] = frame.index[f"e{i}"]
         self._pos_b = [frame.index[f"b{i}"] for i in range(1, self.fiber_dim + 1)]
         self._avars = [ring.var(f"a{i}") for i in range(1, self.fiber_dim + 1)]
+        self._vertical = tuple(
+            frame.generator(f"b{i}") for i in range(1, self.fiber_dim + 1)
+        )
         self._structure_2form: dict[int, Form] = {}
         self._d_images: dict[int, Form] | None = None
-        self._negated_connection: tuple[Form, ...] = ()
+        self._coordinates: tuple[Form, ...] = ()  # da_i by fiber index
         self._basic_images: dict[int, Form] | None = None
         self._invariant_radicals: dict[str, bool] = {}
         self._dim_tables: InvariantDimensionTables | None = None
         self._generic_vector: list[Coefficient] | None = None
+        self._sphere = None  # the unit-sphere pieces of verify, on first use
 
     # -- coefficients and matrices ---------------------------------------
 
@@ -292,7 +305,9 @@ class HomogeneousSetup:
                         acc = acc + rho_a_on_coords[i] * e_a
                 connection.append(acc)
             self._d_images = (images, tuple(connection))
-            self._negated_connection = tuple(-acc for acc in connection)
+            self._coordinates = tuple(
+                b - acc for b, acc in zip(self._vertical, connection)
+            )
             for pos, acc in zip(self._pos_b, connection):
                 images[pos] = _derivation(acc, self._d_coefficient, images)
         return self._d_images
@@ -309,30 +324,20 @@ class HomogeneousSetup:
                     self._basic_images[pos] = Form(self.frame, terms)
         return self._basic_images
 
-    def _d_coefficient(self, c: Scalar, gauge: bool = True) -> Form:
-        """df = sum_i (df/da_i) da_i, with da_i = b_i - (rho(theta) a)_i.
+    def _d_coefficient(self, c: Scalar, gauge: bool = True):
+        """df = sum_i (df/da_i) da_i, with da_i = b_i - (rho(theta) a)_i, as
+        (partial, image of da_i) pairs, each partial normalized on its own.
 
         With gauge False only the vertical half sum_i (df/da_i) b_i, which
-        is the basic part of df.
+        is the basic part of df, with the unreduced partials of one
+        gradient pass.
         """
-        terms: dict[int, Scalar] = {}
-        for i, name in enumerate(self.ring.fiber):
-            dci = c.differentiate(name)
-            if dci.is_zero:
-                continue
-            terms[1 << self._pos_b[i]] = dci
-            if not gauge:
-                continue
-            # the connection has gauge words only, so it never meets b_i
-            for m, s in self._negated_connection[i].terms.items():
-                p = s * dci
-                prev = terms.get(m)
-                p = p if prev is None else prev + p
-                if p.is_zero:
-                    terms.pop(m, None)
-                else:
-                    terms[m] = p
-        return Form(self.frame, terms)
+        if not gauge:
+            return zip(gradient(c), self._vertical)
+        return [
+            (c.differentiate(name).coeffs, da)
+            for name, da in zip(self.ring.fiber, self._coordinates)
+        ]
 
     def radical_is_invariant(self, name: str) -> bool:
         """Whether the declared radical `name` is invariant, that is whether
@@ -484,7 +489,7 @@ def validate_setup(
     # Jacobi: d(d e^i) = 0 with d e^i from the constants
     images, _ = setup.derivative_images()
     for i in range(1, n + 1):
-        if not _derivation(images[setup._pos_e[i]], lambda c: None, images).is_zero:
+        if not _derivation(images[setup._pos_e[i]], lambda c: (), images).is_zero:
             issues.append(f"Jacobi identity fails: d(d e^{i}) != 0")
 
     # gauge part closed under bracket; reductivity
@@ -540,42 +545,41 @@ def validate_setup(
 
 
 def _derivation(x: Form, coeff_rule, gen_images: dict[int, Form]) -> Form:
-    """Apply a derivation of degree 0 or 1 on the frame: coeff_rule(c) is a
-    Form (or None), gen_images maps frame positions to generator images.
+    """Apply a derivation of degree 0 or 1 on the frame: coeff_rule(c) gives
+    the image of a coefficient as (coefficient map, 1-form) pairs, none
+    when coefficients go to zero, and gen_images maps frame positions to
+    generator images.
 
     One walker serves both degrees.  Removing generator g from a word costs
     the sign (-1)^(set bits below g) either way: an odd derivation takes it
     from the graded Leibniz rule and puts its even image in front freely,
     an even one moves its 1-form image in front past those generators.
+
+    Every product lands unreduced in one coefficient map per output word,
+    and each map is normalized once at the end.
     """
-    out: dict[int, Scalar] = {}
-
-    def put(image: Form, word: int, c: Scalar | None, sign: int) -> None:
-        # out += sign * image ^ (c word), c None standing for 1
-        for m, s in image.terms.items():
-            if m & word:
-                continue
-            if c is not None:
-                s = s * c
-            if merge_sign(m, word) != sign:
-                s = -s
-            prev = out.get(m | word)
-            s = s if prev is None else prev + s
-            if s.is_zero:
-                out.pop(m | word, None)
-            else:
-                out[m | word] = s
-
+    ring = x.ring
+    words: dict[int, dict] = {}
     for mask, c in x.terms.items():
-        dc = coeff_rule(c)
-        if dc is not None:
-            put(dc, mask, None, 1)
+        for dc, image in coeff_rule(c):
+            if not dc:
+                continue
+            # the coefficients of da_i are polynomials in a: no product
+            # with them goes below the depth floor
+            for m, s in image.terms.items():
+                if not m & mask:
+                    acc = words.setdefault(m | mask, {})
+                    accumulate_product(ring, acc, dc, s.coeffs, merge_sign(m, mask))
         for g in bits(mask):
             img = gen_images.get(g)
             if img is not None:
-                below = mask & ((1 << g) - 1)
-                put(img, mask ^ (1 << g), c, -1 if below.bit_count() & 1 else 1)
-    return Form(x.frame, out)
+                word = mask ^ (1 << g)
+                sign = -1 if (mask & ((1 << g) - 1)).bit_count() & 1 else 1
+                for m, s in img.terms.items():
+                    if not m & word:
+                        acc = words.setdefault(m | word, {})
+                        multiply_into(acc, s, c, sign * merge_sign(m, word))
+    return finish_form(x.frame, words)
 
 
 def frame_derivative(setup: HomogeneousSetup, x: Form) -> Form:

@@ -25,7 +25,10 @@ only.  A Ring therefore accepts a square p_j only when exactly one of its
 terms has the lex-largest fiber part and that part is not 1: k*aa and k+aa
 pass, a1*k+a1, k+1 and k do not.  Then a remainder is a remainder whatever
 the parameter exponents, the normal form is additive, and a sum of normal
-forms is merged term by term without re-normalization.
+forms is merged term by term without re-normalization.  For the same reason
+a sum of products or partial derivatives, as wedge and d form per basis
+word, is accumulated unreduced (multiply_into, gradient) and normalized
+once (finish).
 
 Coefficient arithmetic inside the ring thus runs on plain Python rationals
 as long as no irrational term is present, and a FieldElement whose
@@ -148,11 +151,12 @@ class Ring:
             (self.nf + self.np + j, self.nvars + j, sq)
             for j, sq in enumerate(self.radical_squares)
         )
-        # per fiber variable, (radical slot, denominator slot, d square/d var)
-        # for each radical whose square depends on that variable
+        # per fiber variable, (radical slot, denominator slot, half of
+        # d square/d var) for each radical whose square depends on that
+        # variable: d(u^v)/da = v * (1/2 dp/da) * u^(v-2)
         self.radical_partials = tuple(
             tuple(
-                (rslot, dslot, _partial(square, i))
+                (rslot, dslot, _half_partial(square, i))
                 for rslot, dslot, square in self.radical_slots
                 if any(pm[i] for pm in square)
             )
@@ -463,38 +467,11 @@ def _check_bounds(ring: Ring, coeffs: dict) -> None:
 
 
 def _finish(ring: Ring, out: dict) -> "Scalar":
-    if any(mono[dslot] for _, dslot, _ in ring.radical_slots for mono in out):
-        out = _reduce_denominators(ring, out)
-    _check_bounds(ring, out)
-    return Scalar(ring, _canonical_terms(out))
-
-
-def _plain_product(ring: Ring, x: dict, y: dict) -> bool:
-    """Whether every product of a monomial of x and one of y is already
-    normal: neither has a denominator slot and no radical appears in both,
-    so every radical exponent stays 0 or 1.  Fiber exponents of normal
-    operands are >= 0, so such a product cannot fail the bounds either."""
-    for rslot, dslot, _ in ring.radical_slots:
-        shared = True
-        for operand in (x, y):
-            used = False
-            for m in operand:
-                if m[dslot]:
-                    return False
-                if m[rslot]:
-                    used = True
-            shared = shared and used
-        if shared:
-            return False
-    return True
-
-
-def _constant_coefficient(x: "Scalar") -> Coefficient | None:
-    """The coefficient of x when x is a single constant term, else None."""
-    if len(x.coeffs) != 1:
-        return None
-    ((mono, c),) = x.coeffs.items()
-    return None if any(mono) else c
+    """finish, refusing a term below the depth bound or with a negative
+    fiber exponent."""
+    x = finish(ring, out)
+    _check_bounds(ring, x.coeffs)
+    return x
 
 
 class Scalar:
@@ -586,30 +563,9 @@ class Scalar:
         if not o.coeffs:
             return o
         ring, x, y = self.ring, self.coeffs, o.coeffs
-        # a nonzero constant scales the normal form of the other factor
-        c = _constant_coefficient(o)
-        if c is not None:
-            return Scalar(ring, _canonical_terms({m: a * c for m, a in x.items()}))
-        c = _constant_coefficient(self)
-        if c is not None:
-            return Scalar(ring, _canonical_terms({m: c * b for m, b in y.items()}))
         out: dict[Monomial, Coefficient] = {}
-        if not _plain_product(ring, x, y):
-            for m1, c1 in x.items():
-                for m2, c2 in y.items():
-                    _accumulate(ring, out, tuple(map(add, m1, m2)), c1 * c2)
-            return _finish(ring, out)
-        # every product monomial is normal: only coefficients are summed
-        for m1, c1 in x.items():
-            for m2, c2 in y.items():
-                m = tuple(map(add, m1, m2))
-                s = out.get(m)
-                s = c1 * c2 if s is None else s + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-        return Scalar(ring, _canonical_terms(out))
+        accumulate_product(ring, out, x, y)
+        return finish(ring, out) if _above_floor(ring, x, y) else _finish(ring, out)
 
     __rmul__ = __mul__
 
@@ -677,14 +633,22 @@ class Scalar:
                         f"substitute the radical {ring.radical_names[j]} "
                         f"before reducing powers of {var}"
                     )
-        out = ring.zero
+        # the monomials by the power of the replacement they take, each
+        # power computed once
+        groups: dict[int, dict[Monomial, Coefficient]] = {}
         for mono, c in self.coeffs.items():
             e = mono[i]
             rest = list(mono)
             rest[i] = e % 2
-            term = Scalar(ring, {tuple(rest): c})
-            out = out + term * replacement ** (e // 2)
-        return out
+            groups.setdefault(e // 2, {})[tuple(rest)] = c
+        out: dict[Monomial, Coefficient] = {}
+        power = ring.one
+        for n in range(max(groups, default=-1) + 1):
+            if n:
+                power = power * replacement
+            if n in groups:
+                multiply_into(out, Scalar(ring, groups[n]), power)
+        return finish(ring, out)
 
     # -- inspection ----------------------------------------------------------
 
@@ -741,23 +705,83 @@ class Scalar:
         return "".join(parts)
 
 
-def _partial(poly: dict, i: int) -> dict:
-    """Partial derivative of a radical-free polynomial in slot i."""
+def _half_partial(poly: dict, i: int) -> dict:
+    """Half the partial derivative of a radical-free polynomial in slot i."""
     out = {}
     for pm, pc in poly.items():
         if pm[i]:
             pl = list(pm)
             pl[i] -= 1
-            out[tuple(pl)] = canonical(pc * pm[i])
+            out[tuple(pl)] = canonical(pc * Fraction(pm[i], 2))
     return out
+
+
+def _partial_into(
+    ring: Ring, out: dict, mono: Monomial, c: Coefficient, i: int
+) -> None:
+    """out += d(c * mono)/da_i for a normal monomial, unreduced.
+
+    A radical power u^r p^-k, with visible exponent v = r - 2k, goes to
+    v * (1/2 dp/da_i) * u^r p^-(k+1), so every monomial added keeps its
+    radical exponent 0 or 1 and needs no _accumulate."""
+    e = mono[i]
+    if e:
+        lowered = list(mono)
+        lowered[i] = e - 1
+        _add_term(out, tuple(lowered), c, e)
+    for rslot, dslot, half_dp in ring.radical_partials[i]:
+        k = mono[dslot]
+        v = mono[rslot] - 2 * k
+        if v:
+            raised = list(mono)
+            raised[dslot] = k + 1
+            for pm, pc in half_dp.items():
+                _add_term(out, tuple(map(add, raised, pm)), c, v * pc)
+
+
+def _add_term(out: dict, mono: Monomial, c: Coefficient, f: Coefficient) -> None:
+    """out[mono] += c * f, unreduced, without multiplying by 1 or -1: the
+    factors of derivatives and constant products mostly are."""
+    if f == 1:
+        p = c
+    elif f == -1:
+        p = -c
+    else:
+        p = c * f
+    s = out.get(mono)
+    out[mono] = p if s is None else s + p
+
+
+def _lowest(x: dict, rslot: int, dslot: int) -> int:
+    """The lowest visible exponent of one radical over the monomials of x,
+    or 0 when none is negative."""
+    low = 0
+    for m in x:
+        if m[dslot] and m[rslot] - 2 * m[dslot] < low:
+            low = m[rslot] - 2 * m[dslot]
+    return low
+
+
+def _above_floor(ring: Ring, x: dict, y: dict) -> bool:
+    """Whether, for every radical, the lowest visible exponents of two
+    normal scalars add up to at least -depth, so that no product of a
+    monomial of x and one of y, and no normal form of a sum of them, goes
+    below the floor: normalization never goes below the lowest exponent it
+    is given."""
+    for rslot, dslot, _ in ring.radical_slots:
+        # y is normal, so at or above the floor: only a negative exponent
+        # of x can take a product below it
+        low = _lowest(x, rslot, dslot)
+        if low and low + _lowest(y, rslot, dslot) < -ring.depth:
+            return False
+    return True
 
 
 def differentiate(x: Scalar, var: str) -> Scalar:
     """Partial derivative with respect to a fiber variable.
 
     Radicals differentiate through their defining relation,
-    d(u^r)/da = (r/2) (dp/da) u^(r-2), and denominator slots through the
-    power rule for p^-k.
+    d(u^v)/da = (v/2) (dp/da) u^(v-2), v the visible exponent r - 2k.
     """
     ring = x.ring
     if var not in ring.index or not ring.is_fiber_index(ring.index[var]):
@@ -765,25 +789,93 @@ def differentiate(x: Scalar, var: str) -> Scalar:
     i = ring.index[var]
     out: dict[Monomial, Coefficient] = {}
     for mono, c in x.coeffs.items():
-        if mono[i]:
-            lowered = list(mono)
-            lowered[i] -= 1
-            _accumulate(ring, out, tuple(lowered), c * mono[i])
-        for rslot, dslot, dp in ring.radical_partials[i]:
-            r = mono[rslot]
-            k = mono[dslot]
-            if r:
-                lowered = list(mono)
-                lowered[rslot] = r - 2
-                half = Fraction(r, 2)
-                for pm, pc in dp.items():
-                    _accumulate(ring, out, tuple(map(add, lowered, pm)), c * pc * half)
-            if k:
-                raised = list(mono)
-                raised[dslot] = k + 1
-                for pm, pc in dp.items():
-                    _accumulate(ring, out, tuple(map(add, raised, pm)), c * pc * (-k))
+        _partial_into(ring, out, mono, c, i)
     return _finish(ring, out)
+
+
+def gradient(x: Scalar) -> list[dict]:
+    """The partial derivatives of x by every fiber variable, in one pass
+    over its monomials, each an unreduced coefficient map for finish.
+
+    A partial lowers a visible radical exponent by at most 2, and
+    normalization never goes below the lowest exponent it is given, so
+    when every exponent of x stays 2 clear of the depth floor no partial
+    can be refused.  Otherwise each partial is taken and normalized on its
+    own by differentiate, which refuses one below the floor as it always
+    has.
+    """
+    ring = x.ring
+    floor = -ring.depth
+    if any(_lowest(x.coeffs, r, d) - 2 < floor for r, d, _ in ring.radical_slots):
+        return [differentiate(x, name).coeffs for name in ring.fiber]
+    outs: list[dict] = [{} for _ in ring.fiber]
+    for mono, c in x.coeffs.items():
+        for i, out in enumerate(outs):
+            _partial_into(ring, out, mono, c, i)
+    return outs
+
+
+def accumulate_product(
+    ring: Ring, out: dict, x: dict, y: dict, sign: int = 1
+) -> None:
+    """out += sign * x * y on coefficient maps whose monomials are normal
+    in their radical slots, left unreduced.  It checks no bound: a caller
+    either knows that the product stays above the depth floor and
+    normalizes with finish, or checks it with _finish."""
+    if len(x) == 1 and len(y) > 1:
+        x, y = y, x  # a single term, a constant most often, goes second
+    if len(y) == 1:
+        ((m2, c2),) = y.items()
+        if not any(m2):
+            # a constant factor keeps every monomial
+            if sign < 0:
+                c2 = -c2
+            for m, a in x.items():
+                _add_term(out, m, a, c2)
+            return
+    # a radical in both factors is the only way to an exponent of 2
+    plain = True
+    for rslot, _, _ in ring.radical_slots:
+        if any(m[rslot] for m in x) and any(m[rslot] for m in y):
+            plain = False
+    for m1, c1 in x.items():
+        if sign < 0:
+            c1 = -c1
+        for m2, c2 in y.items():
+            m = tuple(map(add, m1, m2))
+            if plain:
+                s = out.get(m)
+                out[m] = c1 * c2 if s is None else s + c1 * c2
+            else:
+                _accumulate(ring, out, m, c1 * c2)
+
+
+def multiply_into(out: dict, x: Scalar, y: Scalar, sign: int = 1) -> None:
+    """out += sign * x * y, left unreduced for finish.
+
+    The normal form is additive and the p-adic reduction linear, so a sum
+    of products is normalized once, by finish, instead of product by
+    product.  A product that could go below the depth floor is formed on
+    its own by Scalar.__mul__, which refuses it as it always has.
+    """
+    ring = x.ring
+    a, b = x.coeffs, y.coeffs
+    if not _above_floor(ring, a, b):
+        a, b = (x * y).coeffs, ring.one.coeffs
+    accumulate_product(ring, out, a, b, sign)
+
+
+def finish(ring: Ring, out: dict) -> Scalar:
+    """The normal form of an unreduced sum, such as multiply_into,
+    accumulate_product and gradient leave.
+
+    It checks no bound: those kernels add only terms at or above the depth
+    floor, and normalization never goes below the lowest exponent it is
+    given."""
+    out = {m: c if type(c) is int else canonical(c) for m, c in out.items() if c}
+    if any(mono[dslot] for _, dslot, _ in ring.radical_slots for mono in out):
+        out = _canonical_terms(_reduce_denominators(ring, out))
+    return Scalar(ring, out)
 
 
 _ROOT = object()  # a radical image still to be derived from its square

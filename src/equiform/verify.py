@@ -18,11 +18,45 @@ from dataclasses import dataclass
 
 from equiform.forms import Form, wedge
 from equiform.homogeneous import HomogeneousSetup, InvariantForm, exterior_derivative
-from equiform.scalars import RingMap
+from equiform.scalars import RingMap, Scalar
 
 
 class VerifyError(ValueError):
     pass
+
+
+@dataclass(frozen=True)
+class _Sphere:
+    """What every sphere check on one setup reuses: the radicals squaring
+    to aa, the map sending them to 1, the replacement 1 - a2^2 - ... - ak^2
+    for a1^2, and d(aa)."""
+
+    radial_names: tuple[str, ...]
+    radial_to_one: RingMap
+    replacement: Scalar
+    d_aa: Form
+
+
+def _sphere(setup: HomogeneousSetup) -> _Sphere:
+    """The sphere pieces of setup, built on first use and kept on it."""
+    sphere = setup._sphere
+    if sphere is None:
+        ring = setup.ring
+        radial_names = ring.radicals_squaring_to(ring.radial_square)
+        images = {n: ring.one if n in radial_names else ring.var(n) for n in ring.index}
+        replacement = ring.one
+        for name in ring.fiber[1:]:
+            v = ring.var(name)
+            replacement = replacement - v * v
+        # aa is invariant because rho is skew, as validate_setup enforces
+        aa = InvariantForm.of(setup.frame.scalar_form(ring.radial_square))
+        sphere = setup._sphere = _Sphere(
+            radial_names,
+            RingMap(ring, ring, images),
+            replacement,
+            exterior_derivative(setup, aa),
+        )
+    return sphere
 
 
 def sphere_reduce(setup: HomogeneousSetup, x: Form) -> Form:
@@ -34,26 +68,19 @@ def sphere_reduce(setup: HomogeneousSetup, x: Form) -> Form:
     ring element.
     """
     ring = setup.ring
-    radial_names = ring.radicals_squaring_to(ring.radial_square)
-    images = {n: ring.one if n in radial_names else ring.var(n) for n in ring.index}
-    radial_to_one = RingMap(ring, ring, images)
+    sphere = _sphere(setup)
     first = ring.fiber[0]
-    replacement = ring.one
-    for name in ring.fiber[1:]:
-        v = ring.var(name)
-        replacement = replacement - v * v
-
     out: dict[int, object] = {}
     for mask, c in x.terms.items():
         for j, name in enumerate(ring.radical_names):
             rslot, dslot = ring.radical_slot(j), ring.denominator_slot(j)
             present = any(m[rslot] or m[dslot] for m in c.coeffs)
-            if present and name not in radial_names:
+            if present and name not in sphere.radial_names:
                 raise VerifyError(
                     f"cannot restrict to the unit sphere: radical {name} "
                     "does not square to the radial function"
                 )
-        c = radial_to_one(c).substitute_square(first, replacement)
+        c = sphere.radial_to_one(c).substitute_square(first, sphere.replacement)
         if not c.is_zero:
             out[mask] = c
     return Form(setup.frame, out)
@@ -63,10 +90,7 @@ def vanishes_on_sphere(setup: HomogeneousSetup, x: Form) -> bool:
     """Whether the pullback of x to the unit sphere of the fiber is zero."""
     if x.is_zero:
         return True
-    # aa is invariant because rho is skew, as validate_setup enforces
-    aa = InvariantForm.of(setup.frame.scalar_form(setup.ring.radial_square))
-    d_aa = exterior_derivative(setup, aa)
-    return sphere_reduce(setup, wedge(d_aa, x)).is_zero
+    return sphere_reduce(setup, wedge(_sphere(setup).d_aa, x)).is_zero
 
 
 @dataclass(frozen=True)

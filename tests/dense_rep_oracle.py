@@ -18,13 +18,13 @@ from equiform.homogeneous import (
     Representation,
     SetupError,
     Splitting,
-    _derivation,
     _is_skew,
 )
 from equiform.numberfield import NumberField
 from equiform.scalars import Ring, RingSpec
 
 from field_lift import as_field_element
+from per_product_oracle import _derivation
 
 # -- small exact matrix helpers ----------------------------------------------
 

@@ -4,7 +4,9 @@ rationals and keep a FieldElement only for an irrational part.
 
 `_accumulate`, `scalar_add` (the body of `Scalar.__add__`), `scalar_mul`
 (the body of `Scalar.__mul__`, with `_constant_coefficient`) and
-`differentiate` are copied unchanged.  They expect operands whose
+`differentiate` are copied unchanged; `_radical_partials` rebuilds the
+list of radical partials that `differentiate` read off the Ring, which now
+keeps half of each.  They expect operands whose
 coefficients are all FieldElements (see `lift`), and they normalize through
 the FieldElement `_finish` of exact_arith_oracle.py, the full lift and peel.
 """
@@ -122,6 +124,22 @@ def scalar_mul(self, other) -> "Scalar":
     return _finish(self.ring, out)
 
 
+def _radical_partials(ring: Ring, i: int):
+    """(radical slot, denominator slot, d square/d a_i) for each radical
+    whose square depends on fiber variable i, as the Ring once listed them."""
+    out = []
+    for rslot, dslot, square in ring.radical_slots:
+        dp = {}
+        for pm, pc in square.items():
+            if pm[i]:
+                pl = list(pm)
+                pl[i] -= 1
+                dp[tuple(pl)] = pc * pm[i]
+        if dp:
+            out.append((rslot, dslot, dp))
+    return out
+
+
 def differentiate(x: Scalar, var: str) -> Scalar:
     """Partial derivative with respect to a fiber variable.
 
@@ -139,7 +157,7 @@ def differentiate(x: Scalar, var: str) -> Scalar:
             lowered = list(mono)
             lowered[i] -= 1
             _accumulate(ring, out, tuple(lowered), c * mono[i])
-        for rslot, dslot, dp in ring.radical_partials[i]:
+        for rslot, dslot, dp in _radical_partials(ring, i):
             r = mono[rslot]
             k = mono[dslot]
             if r:

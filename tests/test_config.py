@@ -190,6 +190,27 @@ class TestParse:
         assert parse_field_constant(ctx, "sqrt3^2", "x") == 3
         assert parse_field_constant(ctx, "(1-sqrt3)*(1+sqrt3)", "x") == -2
 
+    def test_literals_are_parsed_once_per_text(self, monkeypatch):
+        import equiform.config as config
+
+        texts = []
+        parse = config.parse_form_expression
+
+        def counting(text, ctx):
+            texts.append(text)
+            return parse(text, ctx)
+
+        monkeypatch.setattr(config, "parse_form_expression", counting)
+        ctx = constant_context((3,))
+        texts_in = ("0", "-sqrt3", "0", "-sqrt3")
+        got = [parse_field_constant(ctx, t, "x") for t in texts_in]
+        assert got == [0, -ctx.scalars["sqrt3"].constant_term()] * 2
+        assert texts == ["0", "-sqrt3"]
+        # a failed parse is not kept: each place reports itself
+        for where in ("a", "b"):
+            with pytest.raises(ConfigError, match=rf"^{where}: bad exact constant"):
+                parse_field_constant(ctx, "sqrt2", where)
+
     def test_constant_rejects_d(self):
         doc = small_doc()
         doc["lie_algebra"]["constants"][0] = [1, "23", "d(1)"]

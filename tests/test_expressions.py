@@ -66,6 +66,31 @@ def test_contraction_call(su3_context):
     )
 
 
+def test_contraction_calls_are_made_once_per_context(
+    su3_setup, su3_alphabet, monkeypatch
+):
+    import equiform.expressions as expressions
+
+    calls = []
+
+    def counting(m, letters):
+        calls.append((m.name, *(x.name for x in letters)))
+        return contract_syllable(m, letters)
+
+    monkeypatch.setattr(expressions, "contract_syllable", counting)
+    letters, contractions = (list(m.values()) for m in su3_alphabet)
+    ctx = build_context(su3_setup, letters, contractions)
+    first = parse(ctx, "sigma(a,b)")
+    total = parse(ctx, "dot(a,b)*sigma(a,b) + 2*sigma(a,b)*dot(a,b)")
+    assert parse(ctx, "sigma(a, b)") is first
+    assert calls == [("sigma", "a", "b"), ("dot", "a", "b")]
+    assert not total.is_zero
+    # a fresh context starts with no calls kept, and agrees
+    monkeypatch.setattr(expressions, "contract_syllable", contract_syllable)
+    fresh = build_context(su3_setup, letters, contractions)
+    assert parse(fresh, "dot(a,b)*sigma(a,b) + 2*sigma(a,b)*dot(a,b)") == total
+
+
 # -- operators --------------------------------------------------------------
 
 

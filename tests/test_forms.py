@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +21,7 @@ from equiform.forms import (
 )
 from equiform.scalars import Point, PointError, Ring, RingSpec
 
+from form_strategies import ring_forms
 from test_numberfield import _assert_canonical_coefficient
 
 
@@ -165,35 +165,6 @@ def test_merge_sign_small_cases():
 # -- wedge on point values -------------------------------------------------------
 
 
-@cache  # one strategy per frame: building it is most of a draw's cost
-def _ring_forms(frame):
-    """Forms of one to four terms over a setup's frame, on words of at most
-    two generators.  Each coefficient is a sum of up to three monomials,
-    each a power of one fiber variable times parameters and radical powers
-    from -2 to 2, mostly 0, so that values at points on the first axes, the
-    origin among them, are often nonzero; its numbers are rational, or in
-    Q(sqrt3) over that field."""
-    ring = frame.ring
-    fiber = st.tuples(st.integers(0, ring.nf - 1), st.integers(0, 2)).map(
-        lambda ie: tuple(ie[1] if j == ie[0] else 0 for j in range(ring.nf))
-    )
-    mono = st.tuples(
-        fiber,
-        st.tuples(*[st.integers(0, 1)] * ring.np),
-        st.tuples(*[st.sampled_from((0, 0, 0, 0, 1, 2, -1, -2))] * ring.nr),
-    ).map(lambda parts: sum(parts, ()))
-    numbers = [1, -1, 2, Fraction(1, 2), Fraction(-2, 3)]
-    if 3 in ring.field.radicands:
-        s3 = ring.field.sqrt_radicand(3)
-        numbers += [s3, -2 * s3, 1 + s3, Fraction(1, 2) - s3 / 3]
-    number = st.sampled_from(numbers)
-    coeff = st.dictionaries(mono, number, min_size=1, max_size=3)
-    masks = st.sets(st.integers(0, frame.size - 1), max_size=2).map(
-        lambda gens: sum(1 << g for g in gens)
-    )
-    return st.dictionaries(masks, coeff, min_size=1, max_size=4).map(frame.form)
-
-
 def _points(setup):
     """The origin, the generic point and, over a field with sqrt(3), a point
     with an irrational coordinate: (sqrt3, 1, 0, ...), of radius 2."""
@@ -209,8 +180,8 @@ def _points(setup):
 @given(data=st.data())
 def test_wedge_vectors_is_the_wedge_of_point_values(request, name, data):
     setup = request.getfixturevalue(name)
-    x = data.draw(_ring_forms(setup.frame))
-    y = data.draw(_ring_forms(setup.frame))
+    x = data.draw(ring_forms(setup.frame))
+    y = data.draw(ring_forms(setup.frame))
     for pt in _points(setup):
         try:
             vx, vy = point_vector(map_form(x, pt)), point_vector(map_form(y, pt))

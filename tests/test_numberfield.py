@@ -252,13 +252,13 @@ def test_d_table_coefficients_are_canonical(monkeypatch):
     # d_table row, dictionary translation and verify residual; every row and
     # combination of a span; and the stabilizer bases, structure constants,
     # rho entries and contraction entries of each realized config
-    built = []
+    built = []  # kept alive, so that their ids stay distinct
     init = Scalar.__init__
 
     def checked_init(self, ring, coeffs):
         for c in coeffs.values():
             _assert_canonical_coefficient(c)
-        built.append(1)
+        built.append(self)
         init(self, ring, coeffs)
 
     tables, dictionaries, residuals = [], [], []
@@ -333,4 +333,19 @@ def test_d_table_coefficients_are_canonical(monkeypatch):
             _assert_form_canonical(entry.translation)
     for residual in residuals:
         _assert_form_canonical(residual)
-    assert len(built) > 10_000
+    # the scalars recorded above, each word's finished sum among them, were
+    # all built through the checked constructor
+    recorded = [
+        term.coefficient
+        for rows in tables
+        for row in rows
+        for term in row.differential.terms
+    ]
+    recorded += [
+        c
+        for form in [e.translation for d in dictionaries for e in d.entries] + residuals
+        for c in form.terms.values()
+    ]
+    checked = {id(s) for s in built}
+    assert len(recorded) > 1000
+    assert all(id(s) in checked for s in recorded)

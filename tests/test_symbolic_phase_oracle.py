@@ -26,6 +26,7 @@ from equiform.homogeneous import InvariantForm
 from equiform.scalars import PointError
 
 import symbolic_phase_oracle as oracle
+from form_strategies import ring_forms
 
 
 def _realize(name, square=None, letters=None, renames=None):
@@ -142,27 +143,13 @@ def test_point_error_raises_alike():
 # -- evaluation is a ring homomorphism on forms ----------------------------------
 
 
-def _forms(frame):
-    """Forms of up to three terms, each coefficient a sum of up to two
-    monomials with radical exponents from -2 to 2."""
-    ring = frame.ring
-    mono = st.tuples(
-        *[st.integers(0, 2)] * ring.nf,
-        *[st.integers(0, 1)] * ring.np,
-        *[st.integers(-2, 2)] * ring.nr,
-    )
-    coeff = st.dictionaries(mono, st.integers(-3, 3), max_size=2)
-    masks = st.integers(0, (1 << frame.size) - 1)
-    return st.dictionaries(masks, coeff, max_size=3).map(frame.form)
-
-
 @pytest.mark.parametrize("name", ["su2_setup", "su3_setup"])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_evaluation_commutes_with_wedge(request, name, data):
     setup = request.getfixturevalue(name)
-    x = data.draw(_forms(setup.frame))
-    y = data.draw(_forms(setup.frame))
+    x = data.draw(ring_forms(setup.frame))
+    y = data.draw(ring_forms(setup.frame))
     origin = setup.point([setup.field.zero] * setup.fiber_dim)
     for pt in (origin, setup.point(setup.generic_point_vector())):
         try:

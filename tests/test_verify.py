@@ -64,6 +64,32 @@ def test_vanishing_on_sphere_matches_hand_pullbacks(su3_context):
     )
 
 
+def test_sphere_pieces_are_built_once_per_setup(monkeypatch):
+    import equiform.verify as verify
+    from conftest import su3_raw, su3_ring_spec
+    from equiform.homogeneous import validate_setup
+
+    _, algebra, splitting, representation = su3_raw()
+    setup = validate_setup(algebra, splitting, representation, su3_ring_spec())
+    calls = []
+
+    def counting(setup, x):
+        calls.append(x)
+        return exterior_derivative(setup, x)
+
+    monkeypatch.setattr(verify, "exterior_derivative", counting)
+    frame, ring = setup.frame, setup.ring
+    b = [frame.generator(f"b{i}") for i in range(1, 5)]
+    half_d_aa = frame.zero
+    for i in range(4):
+        half_d_aa = half_d_aa + ring.var(f"a{i + 1}") * b[i]
+    # d(aa)/2 pulls back to zero on the sphere; b1^b2 does not
+    assert vanishes_on_sphere(setup, half_d_aa)
+    assert not vanishes_on_sphere(setup, wedge(b[0], b[1]))
+    assert not sphere_reduce(setup, frame.scalar_form(ring.var("s"))).is_zero
+    assert len(calls) == 1  # d(aa), on first use
+
+
 def test_verify_closed_global(su2_context):
     setup = su2_context.setup
     good = verify_closed(setup, parse(su2_context, "-dot(b,beta)"), name="omega2")
