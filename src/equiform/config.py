@@ -187,6 +187,13 @@ def _as_ident(x, where: str) -> str:
     return s
 
 
+def _list_at(obj: dict, key: str, where: str) -> list:
+    x = obj.get(key, [])
+    if not isinstance(x, list):
+        raise ConfigError(f"{where}.{key}: expected a list, got {x!r}")
+    return x
+
+
 def _index_list(x, where: str, dimension: int) -> tuple[int, ...]:
     if not isinstance(x, list) or not x:
         raise ConfigError(f"{where}: expected a nonempty list of indices")
@@ -273,16 +280,16 @@ def _parse_ring_section(raw) -> RingSection:
     _check_keys(raw, "ring", frozenset(), {"sqrt_constants", "params", "radicals"})
     sqrt_constants = tuple(
         _as_int(d, f"ring.sqrt_constants[{i}]", low=2)
-        for i, d in enumerate(raw.get("sqrt_constants", []))
+        for i, d in enumerate(_list_at(raw, "sqrt_constants", "ring"))
     )
     params = tuple(
         _as_ident(p, f"ring.params[{i}]")
-        for i, p in enumerate(raw.get("params", []))
+        for i, p in enumerate(_list_at(raw, "params", "ring"))
     )
     if len(set(params)) != len(params):
         raise ConfigError("ring.params: repeated name")
     radicals = []
-    for i, entry in enumerate(raw.get("radicals", [])):
+    for i, entry in enumerate(_list_at(raw, "radicals", "ring")):
         where = f"ring.radicals[{i}]"
         _check_keys(entry, where, {"name", "square"})
         radicals.append(
@@ -487,7 +494,7 @@ def _parse_tasks(raw) -> tuple[TaskSpec, ...]:
             ),
             forms=tuple(
                 _as_str(s, f"{where}.forms[{j}]")
-                for j, s in enumerate(entry.get("forms", []))
+                for j, s in enumerate(_list_at(entry, "forms", where))
             ),
             lhs=_as_str(entry["lhs"], f"{where}.lhs") if "lhs" in entry else None,
             rhs=_as_str(entry["rhs"], f"{where}.rhs") if "rhs" in entry else None,

@@ -20,19 +20,19 @@ off the same images: the e^a ^ e^b term of d b_i is
 (([rho_a, rho_b] + sum_g c^g_ab rho_g) a)_i, and [e_a, e_b] = -sum_g c^g_ab e_g,
 so that term vanishes exactly when rho respects the bracket [e_a, e_b].
 
-An InvariantForm carries a proof of invariance, and its d skips the gauge
-terms.  A basic x has no gauge letters, so a word of d x has a gauge letter
-exactly when the image it came from has one; the basic part of d x is
-therefore the same walker with hh-projected images (d e^t and d b_i
-without their gauge words, f to sum_i (df/da_i) b_i), and the gauge part,
-sum_A e^A ^ L_A x, vanishes because x is invariant.
+A basic x has no gauge letters, so a word of d x has a gauge letter exactly
+when the image it came from has one: the basic part of d x is the walker
+over hh-projected images with f to sum_i (df/da_i) b_i, and the gauge part,
+sum_A e^A ^ L_A x, the walker over the rest with f to the gauge half of df.
+An InvariantForm carries a proof of invariance, so its d is the basic part;
+a letter's equivariance is read off the gauge part.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from math import comb
 from typing import Iterable, Mapping, Sequence
 
@@ -221,7 +221,7 @@ class HomogeneousSetup:
         self._structure_2form: dict[int, Form] = {}
         self._d_images: dict[int, Form] | None = None
         self._coordinates: tuple[Form, ...] = ()  # da_i by fiber index
-        self._basic_images: dict[int, Form] | None = None
+        self._negated_connection: tuple[Form, ...] = ()  # da_i - b_i
         self._invariant_radicals: dict[str, bool] = {}
         self._dim_tables: InvariantDimensionTables | None = None
         self._generic_vector: list[Coefficient] | None = None
@@ -294,20 +294,18 @@ class HomogeneousSetup:
                 pos: self.structure_derivative(i) for i, pos in self._pos_e.items()
             }
             twists = [
-                (self.rho_apply(a, self._avars), frame.generator(f"e{a}"))
+                (1 << self._pos_e[a], self.rho_apply(a, self._avars))
                 for a in self.splitting.gauge
             ]
-            connection = []
-            for i in range(self.fiber_dim):
-                acc = frame.zero
-                for rho_a_on_coords, e_a in twists:
-                    if not rho_a_on_coords[i].is_zero:
-                        acc = acc + rho_a_on_coords[i] * e_a
-                connection.append(acc)
+            connection = [
+                Form(frame, {bit: v[i] for bit, v in twists if v[i]})
+                for i in range(self.fiber_dim)
+            ]
             self._d_images = (images, tuple(connection))
             self._coordinates = tuple(
                 b - acc for b, acc in zip(self._vertical, connection)
             )
+            self._negated_connection = tuple(-acc for acc in connection)
             for pos, acc in zip(self._pos_b, connection):
                 images[pos] = _derivation(acc, self._d_coefficient, images)
         return self._d_images
@@ -315,29 +313,33 @@ class HomogeneousSetup:
     def basic_images(self) -> dict[int, Form]:
         """derivative_images() projected to hh: every word with a gauge
         letter dropped, and the images left empty omitted."""
-        if self._basic_images is None:
-            gauge = self.frame.gauge_mask
-            self._basic_images = {}
-            for pos, img in self.derivative_images()[0].items():
-                terms = {m: s for m, s in img.terms.items() if not m & gauge}
-                if terms:
-                    self._basic_images[pos] = Form(self.frame, terms)
-        return self._basic_images
+        return self._image_halves[0]
+
+    def gauge_images(self) -> dict[int, Form]:
+        """The complement of basic_images(): the words with a gauge letter."""
+        return self._image_halves[1]
+
+    @cached_property
+    def _image_halves(self) -> tuple[dict[int, Form], ...]:
+        halves: tuple[dict, dict] = ({}, {})
+        for pos, img in self.derivative_images()[0].items():
+            for m, s in img.terms.items():
+                halves[bool(m & self.frame.gauge_mask)].setdefault(pos, {})[m] = s
+        return tuple({p: Form(self.frame, t) for p, t in h.items()} for h in halves)
 
     def _d_coefficient(self, c: Scalar, gauge: bool = True):
         """df = sum_i (df/da_i) da_i, with da_i = b_i - (rho(theta) a)_i, as
-        (partial, image of da_i) pairs, each partial normalized on its own.
+        (partial, image of da_i) pairs, the partials of one gradient pass.
 
         With gauge False only the vertical half sum_i (df/da_i) b_i, which
-        is the basic part of df, with the unreduced partials of one
-        gradient pass.
+        is the basic part of df.
         """
-        if not gauge:
-            return zip(gradient(c), self._vertical)
-        return [
-            (c.differentiate(name).coeffs, da)
-            for name, da in zip(self.ring.fiber, self._coordinates)
-        ]
+        return zip(gradient(c), self._coordinates if gauge else self._vertical)
+
+    def _gauge_coefficient(self, c: Scalar):
+        """The gauge half of df, -sum_i (df/da_i) (rho(theta) a)_i: every
+        partial is taken, so each depth refusal of the full pass stands."""
+        return zip(gradient(c), self._negated_connection)
 
     def radical_is_invariant(self, name: str) -> bool:
         """Whether the declared radical `name` is invariant, that is whether
@@ -544,7 +546,7 @@ def validate_setup(
 # -- derivations on the frame ----------------------------------------------
 
 
-def _derivation(x: Form, coeff_rule, gen_images: dict[int, Form]) -> Form:
+def _derivation(x: Form, coeff_rule, gen_images: dict[int, Form], words=None) -> Form:
     """Apply a derivation of degree 0 or 1 on the frame: coeff_rule(c) gives
     the image of a coefficient as (coefficient map, 1-form) pairs, none
     when coefficients go to zero, and gen_images maps frame positions to
@@ -556,10 +558,10 @@ def _derivation(x: Form, coeff_rule, gen_images: dict[int, Form]) -> Form:
     an even one moves its 1-form image in front past those generators.
 
     Every product lands unreduced in one coefficient map per output word,
-    and each map is normalized once at the end.
+    in words when given, and each map is normalized once at the end.
     """
     ring = x.ring
-    words: dict[int, dict] = {}
+    words = {} if words is None else words
     for mask, c in x.terms.items():
         for dc, image in coeff_rule(c):
             if not dc:
@@ -594,6 +596,17 @@ def frame_derivative(setup: HomogeneousSetup, x: Form) -> Form:
     return _derivation(x, setup._d_coefficient, setup.derivative_images()[0])
 
 
+def basic_derivative(setup: HomogeneousSetup, x: Form) -> Form:
+    """The basic part of d x, for basic x."""
+    rule = partial(setup._d_coefficient, gauge=False)
+    return _derivation(x, rule, setup.basic_images())
+
+
+def gauge_derivative(setup: HomogeneousSetup, x: Form, words=None) -> Form:
+    """The gauge part of d x, for basic x, added to the word maps words."""
+    return _derivation(x, setup._gauge_coefficient, setup.gauge_images(), words)
+
+
 def exterior_derivative(setup: HomogeneousSetup, x: Form) -> InvariantForm:
     """d on invariant basic forms.
 
@@ -605,8 +618,7 @@ def exterior_derivative(setup: HomogeneousSetup, x: Form) -> InvariantForm:
     and basic, and d x is invariant.
     """
     if isinstance(x, InvariantForm) and x.frame == setup.frame:
-        rule = partial(setup._d_coefficient, gauge=False)
-        dx = _derivation(x, rule, setup.basic_images())
+        dx = basic_derivative(setup, x)
     else:
         dx = frame_derivative(setup, x)
     if not (is_basic(setup, x) and is_basic(setup, dx)):

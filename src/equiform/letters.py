@@ -3,11 +3,11 @@
 A letter is a V-valued form on the bundle, given by its k component forms
 in the basic frame.  The components must be basic and jointly equivariant,
 so that contracting r letters with an invariant r-tensor on V produces an
-invariant form.  Equivariance is read off the gauge terms of one d pass:
-DX = dX + rho(theta) X is basic exactly when X is equivariant.  The
-canonical letters are the fiber coordinates (a) and the covariant vertical
-frame (b); constant horizontal letters and letters induced by equivariant
-bilinear maps cover the rest of the examples.
+invariant form.  DX = dX + rho(theta) X is basic exactly when X is
+equivariant: the check reads the gauge part of d X plus rho(theta) X, and
+DX is the basic part of d X.  The canonical letters are the fiber
+coordinates (a) and the covariant vertical frame (b); constant horizontal
+letters and letters induced by equivariant bilinear maps cover the rest.
 """
 
 from __future__ import annotations
@@ -16,14 +16,16 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Mapping, Sequence
 
-from equiform.forms import Form, bidegree_split, wedge
+from equiform.forms import Form, bidegree_split, merge_sign, wedge
 from equiform.homogeneous import (
     HomogeneousSetup,
     InvariantForm,
-    frame_derivative,
+    basic_derivative,
+    gauge_derivative,
     is_basic,
 )
 from equiform.numberfield import Coefficient, canonical, coefficient
+from equiform.scalars import accumulate_product
 
 
 class LetterError(ValueError):
@@ -120,25 +122,31 @@ def make_letter(
 
 def _check_equivariant(
     setup: HomogeneousSetup, name: str, comps: Sequence[Form]
-) -> list[Form]:
-    """Refuse a non-equivariant letter and return DX = dX + rho(theta) X.
+) -> None:
+    """Refuse a non-equivariant letter.
 
-    On basic components the e^A component of the gauge part of DX is the
-    variation of X along e_A plus rho_A X, so it vanishes exactly when X is
-    equivariant along e_A; DX is then basic."""
-    out = [frame_derivative(setup, c) for c in comps]
+    On basic components the gauge part of DX is sum_A e^A ^ (the variation
+    of X along e_A plus rho_A X), which vanishes exactly when X is
+    equivariant.  The twist rho_A[i][j] e^A ^ X_j and the gauge part of
+    d X_i fill one map per word of component i, normalized once."""
+    ring, index = setup.ring, setup.frame.index
+    (unit,) = ring.one.coeffs  # the monomial of the constants
+    gauge_parts = []
+    for i, x in enumerate(comps):
+        words: dict[int, dict] = {}
+        for a in setup.splitting.gauge:
+            bit = 1 << index[f"e{a}"]
+            for r, y in zip(setup.rho(a)[i], comps):
+                if r:
+                    rc = {unit: r}
+                    for m, s in y.terms.items():
+                        acc = words.setdefault(m | bit, {})
+                        accumulate_product(ring, acc, s.coeffs, rc, merge_sign(bit, m))
+        gauge_parts.append(gauge_derivative(setup, x, words))
     for a in setup.splitting.gauge:
-        rho_a = setup.rho(a)
-        e_a = setup.frame.generator(f"e{a}")
-        for i in range(setup.fiber_dim):
-            for j in range(setup.fiber_dim):
-                if rho_a[i][j]:
-                    out[i] = out[i] + rho_a[i][j] * wedge(e_a, comps[j])
-    for a in setup.splitting.gauge:
-        bit = 1 << setup.frame.index[f"e{a}"]
-        if any(mask & bit for total in out for mask in total.terms):
+        bit = 1 << index[f"e{a}"]
+        if any(mask & bit for total in gauge_parts for mask in total.terms):
             raise LetterError(f"letter {name} is not equivariant along e{a}")
-    return out
 
 
 def letter_a(setup: HomogeneousSetup) -> Letter:
@@ -319,8 +327,9 @@ def contract_syllable(m: Contraction, letters: Sequence[Letter]) -> Form:
 def covariant_derivative_DX(setup: HomogeneousSetup, letter: Letter) -> Letter:
     """Componentwise exterior derivative plus the representation twist.
 
-    One derivation pass gives DX with its gauge terms; the letter is refused
-    unless they vanish, and DX is the remaining basic part.
+    The letter is refused unless it is equivariant; DX is then basic, and
+    since rho(theta) X is purely gauge, DX is the basic part of d X.
     """
-    out = _check_equivariant(setup, letter.name, letter.components)
+    _check_equivariant(setup, letter.name, letter.components)
+    out = [basic_derivative(setup, c) for c in letter.components]
     return make_letter(setup, f"DX({letter.name})", out)

@@ -281,7 +281,7 @@ class FieldElement:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = self.field.rational(other)
+            return self.terms == ({0: other} if other else {})
         return (
             isinstance(other, FieldElement)
             and self.field == other.field

@@ -115,6 +115,28 @@ class TestExitStatus:
         assert needle in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("value", [None, 5])
+    @pytest.mark.parametrize(
+        "place, key",
+        [
+            ("ring", "sqrt_constants"),
+            ("ring", "params"),
+            ("ring", "radicals"),
+            ("task", "forms"),
+        ],
+    )
+    def test_non_list_value_exits_two(self, tmp_path, capsys, place, key, value):
+        doc = small_doc([{"kind": "verify_closed", "forms": ["dot(a,a)"]}])
+        section = doc["ring"] if place == "ring" else doc["tasks"][0]
+        section[key] = value
+        path = write_config(tmp_path, doc)
+        assert main(["run", "--config", path]) == 2
+        err = capsys.readouterr().err
+        where = "ring" if place == "ring" else "tasks[0]"
+        assert err.count("\n") == 1
+        assert f"{where}.{key}: expected a list, got {value!r}" in err
+        assert "Traceback" not in err
+
     def test_hopf_action_exits_two(self, tmp_path, capsys):
         # a1*a3+a2*a4 vanishes on the ray but not elsewhere: the ray solve
         # would report it as 0, so the hypothesis behind it is refused

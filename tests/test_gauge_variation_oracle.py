@@ -4,8 +4,12 @@ d keeps its gauge terms, and a basic form is invariant exactly when its d
 stays basic.  These tests compare that verdict with the per-index gauge
 variation of gauge_variation_oracle.py on both bundled configs: every
 dictionary translation, d of each, every task form, and seeded random basic
-forms, most of them not invariant.  Letters are compared the same way.
-They also pin d^2 = 0 with gauge terms kept, and that one d makes one pass.
+forms, most of them not invariant.  Letters, whose equivariance is read
+off the gauge half of d alone, are compared the same way and with the full
+pass of full_pass_equivariance_oracle.py, message for message, depth
+refusals included.  They also pin d^2 = 0 with gauge terms kept, that
+one d makes one pass, and that setup takes every partial from a gradient
+pass.
 """
 
 import random
@@ -16,9 +20,10 @@ from equiform.cli import resolve_config
 from equiform.config import parse_config, realize_config
 from equiform.expressions import parse_form_expression
 from equiform.homogeneous import exterior_derivative, frame_derivative, is_invariant
-from equiform.letters import Letter, LetterError, _check_equivariant
-from equiform.scalars import Scalar
+from equiform.letters import Letter, LetterError, _check_equivariant, make_letter
+from equiform.scalars import RingError, differentiate, gradient
 
+import full_pass_equivariance_oracle as full_pass
 import gauge_variation_oracle as oracle
 
 
@@ -111,24 +116,45 @@ def _twisted_letters(setup, letters, seed):
     return out
 
 
+def _floor_letters(setup):
+    """The coordinate letter over the depth floor of the first radical u:
+    u^-depth a, whose partials fall below the floor and are refused, and
+    u^(2-depth) a, whose partials reach the floor exactly."""
+    ring = setup.ring
+    u = ring.var(ring.radical_names[0])
+    out = []
+    for label, power in (("floor", -ring.depth), ("above", 2 - ring.depth)):
+        comps = tuple(
+            setup.frame.scalar_form(u**power * ring.var(f"a{i + 1}"))
+            for i in range(setup.fiber_dim)
+        )
+        out.append(Letter(f"a~{label}", (0, 0), comps))
+    return out
+
+
 def _equivariance_message(check, setup, letter):
     try:
         check(setup, letter.name, letter.components)
-    except LetterError as e:
-        return str(e)
+    except (LetterError, RingError) as e:
+        return type(e).__name__, str(e)
     return None
 
 
 def test_equivariance_verdict_matches_oracle(realized):
+    """The gauge-half check gives the verdict, and the message, of the
+    per-index gauge variation and of the full d pass with the Form twist."""
     setup = realized.setup
     letters = list(realized.letters.values())
     letters += _twisted_letters(setup, letters, seed=6)
+    letters += _floor_letters(setup)
     messages = [
         _equivariance_message(oracle._check_equivariant, setup, x) for x in letters
     ]
     assert any(m is None for m in messages) and any(messages)
+    assert messages[-2][0] == "RingError" and messages[-1] is None
     for x, want in zip(letters, messages):
-        assert _equivariance_message(_check_equivariant, setup, x) == want, x.name
+        for check in (full_pass.check_equivariant, _check_equivariant):
+            assert _equivariance_message(check, setup, x) == want, x.name
 
 
 @pytest.mark.parametrize("setup_name", ["su3_setup", "su2_setup"])
@@ -146,8 +172,9 @@ def test_d_squared_vanishes_with_gauge_terms(request, setup_name):
 
 
 def test_d_differentiates_each_coefficient_once(su3_setup, monkeypatch):
-    """On an invariant form, d takes the fiber_dim partials of each
-    coefficient once: one derivation pass and no separate invariance check."""
+    """On an invariant form, d takes the partials of each coefficient in one
+    gradient pass: one derivation pass and no separate invariance check.
+    Away from the depth floor no partial is taken on its own."""
     frame = su3_setup.frame
     ring = su3_setup.ring
     a = [ring.var(f"a{i}") for i in range(1, 5)]
@@ -157,13 +184,47 @@ def test_d_differentiates_each_coefficient_once(su3_setup, monkeypatch):
     x = sigma * dot
     assert len(x.terms) > 1
     su3_setup.derivative_images()
-    calls = []
-    original = Scalar.differentiate
-
-    def counting(self, var):
-        calls.append(var)
-        return original(self, var)
-
-    monkeypatch.setattr(Scalar, "differentiate", counting)
+    passes, partials = _count_calls(monkeypatch)
     exterior_derivative(su3_setup, x)
-    assert len(calls) == su3_setup.fiber_dim * len(x.terms)
+    assert passes == list(x.terms.values())
+    assert partials == []
+
+
+def _count_calls(monkeypatch):
+    """Record the scalar of every gradient pass the setup makes and the
+    variable of every partial taken on its own by scalars.differentiate."""
+    passes, partials = [], []
+
+    def counting_gradient(c):
+        passes.append(c)
+        return gradient(c)
+
+    def counting_differentiate(c, var):
+        partials.append(var)
+        return differentiate(c, var)
+
+    monkeypatch.setattr("equiform.homogeneous.gradient", counting_gradient)
+    monkeypatch.setattr("equiform.scalars.differentiate", counting_differentiate)
+    return passes, partials
+
+
+def test_setup_takes_no_partial_on_its_own(monkeypatch):
+    """Realizing su3_tcp2 (its setup, the equivariance check of every letter
+    and the invariance of its radicals) takes every partial from a gradient
+    pass."""
+    _, text = resolve_config("su3_tcp2")
+    passes, partials = _count_calls(monkeypatch)
+    realize_config(parse_config(text))
+    assert passes and partials == []
+
+
+def test_letters_skip_the_full_pass(realized, monkeypatch):
+    """make_letter checks equivariance on the gauge half of d alone."""
+
+    def refuse(setup, x):
+        raise AssertionError("make_letter took the full pass")
+
+    monkeypatch.setattr("equiform.homogeneous.frame_derivative", refuse)
+    monkeypatch.setattr("equiform.letters.frame_derivative", refuse, raising=False)
+    for x in realized.letters.values():
+        make_letter(realized.setup, x.name, x.components)

@@ -61,6 +61,34 @@ def test_inverse():
     assert y * y.inverse() == Q23.one
 
 
+@pytest.mark.parametrize(
+    "x, other, equal",
+    [
+        (Q3.zero, 0, True),
+        (Q3.zero, 1, False),
+        (Q3.one, 1, True),
+        (Q3.one, -1, False),
+        (-Q3.one, -1, True),
+        (Q3.rational(Fraction(1, 2)), Fraction(1, 2), True),
+        (Q3.rational(2), Fraction(2), True),
+        (Q3.rational(Fraction(1, 2)), Fraction(-1, 2), False),
+        (Q3.rational(Fraction(3, 4)), Q3.rational(Fraction(3, 4)), True),
+        (s3(), s3(), True),
+        (s3(), 0, False),
+        (s3(), 1, False),
+        (s3() + 1, 1, False),
+        (s3() * s3(), 3, True),
+        (s3(), Q3.one, False),
+    ],
+)
+def test_equality_with_rationals(x, other, equal):
+    """A FieldElement equals an int or Fraction exactly when it is that
+    rational, and equals another element exactly when their terms agree."""
+    assert (x == other) is equal
+    assert (other == x) is equal
+    assert (x != other) is (not equal)
+
+
 def test_mixed_radical_product():
     r2 = Q23.sqrt_radicand(2)
     r3 = Q23.sqrt_radicand(3)

@@ -3,7 +3,7 @@
 Both bundled configs are realized as the command line realizes them.  d is
 compared on every dictionary translation (the radial invariant included)
 and on every form that a verify or express task takes d of; DX is compared
-on every letter.
+on every letter and on DX of each, also with the full-pass oracle.
 """
 
 import pytest
@@ -14,6 +14,7 @@ from equiform.expressions import parse_form_expression
 from equiform.homogeneous import exterior_derivative
 from equiform.letters import covariant_derivative_DX
 
+import full_pass_equivariance_oracle as full_pass
 from raw_frame_oracle import RawFrame
 
 
@@ -64,8 +65,14 @@ def test_d_matches_oracle_on_task_forms(realized):
 
 
 def test_DX_matches_oracle_on_letters(realized):
+    """DX, the basic part of d X, against the raw frame and against the full
+    d pass with the representation twist, on every letter and on DX of
+    each."""
     setup = realized.setup
     oracle = RawFrame(setup)
-    for name, letter in realized.letters.items():
-        dx = covariant_derivative_DX(setup, letter)
-        assert list(dx.components) == oracle.covariant_derivative_DX(letter), name
+    letters = list(realized.letters.values())
+    letters += [covariant_derivative_DX(setup, x) for x in letters]
+    for letter in letters:
+        dx = list(covariant_derivative_DX(setup, letter).components)
+        assert dx == oracle.covariant_derivative_DX(letter), letter.name
+        assert dx == full_pass.covariant_derivative_DX(setup, letter), letter.name
