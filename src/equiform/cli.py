@@ -474,9 +474,7 @@ def main(argv=None) -> int:
         print(f"equiform: {e}", file=sys.stderr)
         return 2
     except SetupError as e:
-        print("equiform: setup rejected", file=sys.stderr)
-        for issue in e.issues:
-            print(f"  - {issue}", file=sys.stderr)
+        print(f"equiform: setup rejected: {e}", file=sys.stderr)
         return 2
 
     rendered = report.to_json() if args.fmt == "json" else report.render_text()

@@ -8,16 +8,15 @@ gauge group acts transitively on fiber spheres, which generation proves
 first) the two points decide everything, and the per-bidegree
 cardinalities must match the stabilizer-invariant dimension counts.
 
-Phases test independence on point values, held as sparse vectors
-{basis word: canonical coefficient}: each syllable form is evaluated once
-per point, and a word's vector is its prefix's vector wedged with its last
-syllable's (forms.wedge_vectors).  Evaluation is a ring homomorphism, so
-that is the value of the word's translation.  A candidate word is a tuple
-of indices into the sorted syllables, so nondecreasing order, subword
-lookups, sorting and bidegrees run on ints; it becomes a Word when it
-reaches a verdict.  A dictionary entry is a word: generation translates
-only (0,0) words and words of value zero, which need the zero test, and
-any other translation is built when a task first reads it.
+Phases test independence on point values, sparse vectors {basis word:
+canonical coefficient}: a word's vector is its prefix's wedged with its
+last syllable's (forms.wedge_vectors), which is the value of its
+translation, evaluation being a ring homomorphism.  A candidate word is a
+tuple of indices into the sorted syllables until it reaches a verdict.  A
+(0,0) word or a word of value zero takes the zero test on its ray image,
+composed the same way and exact for invariant forms under the hypothesis,
+so generation translates only the empty word unless a syllable form is
+uncertified; an entry is translated when a task first reads it.
 
 The (0,0) cell is special: beyond the empty word every rotation-invariant
 function evaluates to a constant at a single point, so the first nonzero
@@ -25,26 +24,25 @@ word of bidegree (0,0) is recorded as the distinguished radial invariant
 instead of joining the partition.  Coefficients in expressed combinations
 are Laurent polynomials in the radial square root.
 
-Expressing a form solves one span system per bidegree cell, whose columns
-are a radial power times a generator or a product of generators.  Fiber
-dilation a -> la commutes with the gauge action and with d, so it grades
-those columns: a coordinate (word, monomial) weighs 1 per vertical
-generator and per fiber exponent, and a radical whose square is
-homogeneous of fiber degree w weighs w/2 per visible power.  When every
-generator and every radial power has a single weight, the system is
-block-diagonal, and only the columns whose weight the target carries are
-built.  Weights add under wedge, so an entry's weight is the sum of its
-syllables' weights.
+Expressing a form solves span systems per bidegree cell over columns s^e
+times a product of entries, restricted to the ray a = t*e1
+(Ring.ray_restriction, a scalars.RingMap like evaluation at a point, the
+identity when the one-fiber ring refuses a restricted radical square).  An
+invariant form vanishes exactly when its ray image does, so restriction
+keeps every relation, and a target that is not an InvariantForm is checked
+first.  An entry's ray image is composed syllable by syllable.
 
-Every span system is solved on the ray a = t*e1 through the generic point.
-The gauge group acts transitively on fiber spheres, so an invariant form
-vanishes exactly when its restriction to the ray does, and restriction
-(Ring.ray_restriction, a scalars.RingMap like evaluation at a point) keeps
-the kept columns and the solution of a system of invariant forms.  A target
-that is not an InvariantForm is therefore checked for invariance before its
-solve.  An entry's ray image is composed syllable by syllable, as its value
-at a point is.  When the one-fiber ring refuses a restricted radical square,
-the restriction is the identity.
+Fiber dilation commutes with the gauge action and with d, so it grades the
+columns (_dilation_weigher); an entry weighs the sum of its syllables'
+weights.  When every entry and radial power has one weight, a cell splits
+into a block per weight the target carries.  When, besides, every radical
+squares to aa, a block fixes each coordinate's power of t = a1 = s by its
+basis word, so it is solved at t = 1 on vectors keyed by (basis word,
+parameter monomial), one column per product with s^e read back into its
+coefficient; that span does not depend on the target and is kept on the
+Dictionary per (cell, weight, Laurent window, triples).  Other systems
+build their columns s^e * product for each solve, all of them when a
+weight is missing.
 """
 
 from __future__ import annotations
@@ -58,7 +56,6 @@ from equiform.expressions import MAX_EXPONENT
 from equiform.forms import (
     Form,
     bidegree_split,
-    evaluate_to_vector,
     map_form,
     point_vector,
     wedge,
@@ -73,8 +70,8 @@ from equiform.homogeneous import (
     stabilizer_of_vector,
 )
 from equiform.letters import Contraction, Letter, contract_syllable
-from equiform.linalg import VectorSpan
-from equiform.scalars import Point, Scalar
+from equiform.linalg import VectorSpan, vec_iadd_scaled
+from equiform.scalars import Point, Ring, Scalar
 
 
 class EngineError(ValueError):
@@ -245,8 +242,8 @@ class Dictionary:
     radial: DictionaryEntry | None
     transcript: list[tuple[str, str, str]]
     # filled on first use by express_in_generators; entries are fixed once
-    # the dictionary is built, so weights and products are keyed by entry
-    # index, ray images by word and radial powers by Laurent window
+    # the dictionary is built, so weights, products and columns are keyed by
+    # entry indices, ray images by word, radial powers by Laurent window
     _weights: list[int | None] | None = dc_field(
         default=None, init=False, repr=False, compare=False
     )
@@ -254,6 +251,12 @@ class Dictionary:
         default_factory=dict, init=False, repr=False, compare=False
     )
     _windows: dict[tuple[int, int], tuple] = dc_field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _columns: dict[tuple[int, ...], dict] = dc_field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _spans: dict[tuple, VectorSpan] = dc_field(
         default_factory=dict, init=False, repr=False, compare=False
     )
     # left by generate_dictionary for completeness_check: the images of
@@ -284,8 +287,7 @@ class Dictionary:
             weigh = _dilation_weigher(self.setup)
             weights = {
                 s: _single_weight(weigh, self.alphabet.syllable_form(s))
-                for e in self.entries
-                for s in e.word.syllables
+                for s in {s for e in self.entries for s in e.word.syllables}
             }
             self._weights = []
             for e in self.entries:
@@ -315,12 +317,8 @@ class Dictionary:
 
     @cached_property
     def _on_ray(self) -> "_WordImages":
-        alphabet, restrict = self.alphabet, self.setup.ring.ray_restriction
-        return _WordImages(
-            lambda s: map_form(alphabet.syllable_form(s), restrict),
-            wedge,
-            map_form(self.setup.frame.one, restrict),
-        )
+        """Ray images of words; generation hands over its zero tests'."""
+        return _WordImages.on_ray(self.alphabet)
 
     def _ray_product(self, tag: tuple[int, ...]) -> Form:
         """Wedge of the ray images of the entries at these indices, one
@@ -332,6 +330,68 @@ class Dictionary:
             prod = reduce(wedge, (self._ray_product((i,)) for i in tag))
             self._ray_products[tag] = prod
         return prod
+
+    @cached_property
+    def _collapses(self) -> bool:
+        """Whether every radical squares to aa: weight blocks collapse."""
+        ring = self.setup.ring
+        return len(ring.radicals_squaring_to(ring.radial_square)) == ring.nr
+
+    @cached_property
+    def _ray_weigher(self):
+        return _dilation_weigher(self.setup, self.setup.ring.ray_restriction.target)
+
+    def _span(self, cell, weight, window, triples: bool) -> VectorSpan:
+        """The tracked span of one block of a cell: with weight None, every
+        column s^e * ray product, tagged (tag, e), which reaches no
+        weightless coordinate of a weighted system; else one column per tag
+        that a power s^e brings to the weight, the tag's ray product
+        collapsed at t = 1 if blocks collapse, and then kept, else s^e times
+        it."""
+        key = (cell, weight, window, triples)
+        span = self._spans.get(key)
+        if span is not None:
+            return span
+        span = VectorSpan(track=True)
+        collapse = weight is not None and self._collapses
+        _, power_weights, ray_powers = self._radial_window(*window)
+        weights = self._entry_weights()
+        for tag in self._tags(cell, triples):
+            w = None if weight is None else sum(weights[i] for i in tag)
+            for (ex, sc), pw in zip(ray_powers, power_weights):
+                if weight is not None and w + pw != weight:
+                    continue
+                if collapse:
+                    col = self._columns.get(tag)
+                    if col is None:
+                        ray = _blocks(self._ray_weigher, self._ray_product(tag), True)
+                        col = self._columns[tag] = ray.get(w, {})
+                else:
+                    col = _form_to_vector(sc * self._ray_product(tag))
+                if col:
+                    span.add(col, (tag, ex))
+        if collapse:
+            self._spans[key] = span
+        return span
+
+    def _tags(self, cell, triples: bool) -> list[tuple[int, ...]]:
+        """The entries of the cell, then the products of two (and three)
+        entries of positive length that land in it, as index tuples."""
+        cells = [e.bidegree for e in self.entries]
+        tags = [(i,) for i, c in enumerate(cells) if c == cell]
+        fits = [
+            i
+            for i, (p, q) in enumerate(cells)
+            if self.entries[i].word.length and p <= cell[0] and q <= cell[1]
+        ]
+        # a product's last factor is the cell minus its other factors
+        for r in (2, 3) if triples else (2,):
+            for head in combinations_with_replacement(range(len(fits)), r - 1):
+                tag = tuple(fits[k] for k in head)
+                p = cell[0] - sum(cells[i][0] for i in tag)
+                q = cell[1] - sum(cells[i][1] for i in tag)
+                tags.extend(tag + (i,) for i in fits[head[-1] :] if cells[i] == (p, q))
+        return tags
 
 
 def _check_transitive_sphere(setup: HomogeneousSetup) -> int:
@@ -369,8 +429,8 @@ class _WordImages:
     which is never built.  At a Point (at_point) keys are indices into
     Alphabet.syllables() and images are sparse vectors {basis word:
     canonical coefficient}, multiplied by wedge_vectors, with {0: 1} for
-    the empty word.  On the ray (Dictionary._on_ray) keys are a word's
-    syllables and images are Forms, multiplied by wedge.
+    the empty word.  On the ray (on_ray) keys are a word's syllables and
+    images are Forms, multiplied by wedge.
     """
 
     def __init__(self, syllable, multiply, empty):
@@ -386,6 +446,15 @@ class _WordImages:
             lambda i: point_vector(map_form(alphabet.syllable_form(sylls[i]), pt)),
             wedge_vectors,
             {0: 1},
+        )
+
+    @classmethod
+    def on_ray(cls, alphabet: Alphabet) -> "_WordImages":
+        restrict = alphabet.setup.ring.ray_restriction
+        return cls(
+            lambda s: map_form(alphabet.syllable_form(s), restrict),
+            wedge,
+            map_form(alphabet.setup.frame.one, restrict),
         )
 
     def of(self, key: tuple):
@@ -404,6 +473,7 @@ def _phase(
     alphabet: Alphabet,
     phase_name: str,
     values: _WordImages,
+    on_ray: _WordImages,
     seeds: Sequence[tuple[int, ...]],
     transcript: list,
     max_length: int,
@@ -413,13 +483,16 @@ def _phase(
     values at the point are independent.  Candidates stay index tuples:
     syllables are sorted by Syllable.key, whose values are distinct, so
     index order is syllable order.  A candidate becomes a Word when it
-    reaches a verdict, and is translated symbolically, with its prefixes,
-    only when it has bidegree (0,0) or value zero: the zero test tells a
-    zero translation from one that vanishes at the point.  Returns the new
-    entries, their index tuples and the radial entry."""
+    reaches a verdict.  One of bidegree (0,0) or value zero takes the zero
+    test, which tells a zero translation from one that vanishes at the
+    point: on its ray image, exact for an invariant form under the
+    transitive-sphere hypothesis, or on its translation when a syllable
+    form is uncertified.  Returns the new entries, their index tuples and
+    the radial entry."""
     setup = alphabet.setup
     sylls = alphabet.syllables()
     bidegrees = [s.bidegree for s in sylls]
+    certified = [isinstance(alphabet.syllable_form(s), InvariantForm) for s in sylls]
     span = VectorSpan()
     new_entries: list[DictionaryEntry] = []
     new_keys: list[tuple[int, ...]] = []
@@ -476,8 +549,11 @@ def _phase(
                 continue
             value = None if (p, q) == (0, 0) else values.of(cw)
             if not value:
-                form = alphabet.translate(word)
-                if form.is_zero:
+                if all(certified[i] for i in cw):
+                    zero = not on_ray.of(word.syllables)
+                else:
+                    zero = alphabet.translate(word).is_zero
+                if zero:
                     verdict = "pruned: zero translation"
                 elif value is not None:
                     verdict = "dependent: evaluates to zero"
@@ -511,12 +587,13 @@ def generate_dictionary(
     at_generic = _WordImages.at_point(
         alphabet, setup.point(setup.generic_point_vector())
     )
+    on_ray = _WordImages.on_ray(alphabet)
     transcript: list[tuple[str, str, str]] = []
     c0, k0, _ = _phase(
-        alphabet, "origin", at_origin, [], transcript, options.max_length, False
+        alphabet, "origin", at_origin, on_ray, [], transcript, options.max_length, False
     )
     new, k1, radial = _phase(
-        alphabet, "generic", at_generic, k0, transcript, options.max_length, True
+        alphabet, "generic", at_generic, on_ray, k0, transcript, options.max_length, True
     )
     dictionary = Dictionary(
         setup=setup,
@@ -525,6 +602,7 @@ def generate_dictionary(
         radial=radial,
         transcript=transcript,
     )
+    dictionary._on_ray = on_ray
     # every syllable of a generic-phase word was a length-one candidate of
     # the origin phase, so its value there is known: nothing new is evaluated
     keys = k0 + k1
@@ -577,25 +655,29 @@ def completeness_check(
     at both stabilizers, cell by cell.
 
     A dictionary from generate_dictionary carries every image; those of
-    any other dictionary are evaluated here."""
+    any other dictionary are composed here from its syllables' values."""
     k = setup.fiber_dim
     tables = setup.invariant_dimension_tables()
-    origin_pt = setup.point([0] * k)
-    v_pt = setup.point(setup.generic_point_vector())
-    known = dictionary.setup is setup
+    entries = dictionary.entries
+    origin, generic = dictionary._origin_vectors, dictionary._generic_vectors
+    if dictionary.setup is not setup or len(origin) < len(entries):
+        alphabet = dictionary.alphabet
+        index = {s: i for i, s in enumerate(alphabet.syllables())}
+        keys = [tuple(index[s] for s in e.word.syllables) for e in entries]
 
-    def image(kept: list[dict], i: int, e: DictionaryEntry, point) -> dict:
-        if known and i < len(kept):
-            return kept[i]
-        return evaluate_to_vector(e.translation, point)
+        def images(point) -> list[dict]:
+            values = _WordImages.at_point(alphabet, point)
+            return [values.of(key) for key in keys]
 
+        origin = images(setup.point([0] * k))
+        generic = images(setup.point(setup.generic_point_vector()))
     spans: dict[tuple[int, int], tuple[VectorSpan, VectorSpan]] = {}
-    for i, e in enumerate(dictionary.entries):
+    for e, at_origin, at_generic in zip(entries, origin, generic):
         cell = e.bidegree
         if cell not in spans:
             spans[cell] = (VectorSpan(), VectorSpan())
-        spans[cell][0].add(image(dictionary._origin_vectors, i, e, origin_pt))
-        spans[cell][1].add(image(dictionary._generic_vectors, i, e, v_pt))
+        spans[cell][0].add(at_origin)
+        spans[cell][1].add(at_generic)
     cells = []
     for p in range(setup.horizontal_dim + 1):
         for q in range(k + 1):
@@ -707,13 +789,14 @@ def _radial_powers(setup: HomogeneousSetup, lo: int, hi: int):
     return powers
 
 
-def _dilation_weigher(setup: HomogeneousSetup):
+def _dilation_weigher(setup: HomogeneousSetup, ring: Ring | None = None):
     """The weight of a coordinate (mask, monomial) under fiber dilation, in
     half-units: 2 per vertical generator and per fiber exponent, deg(p_j)
     per visible power of a radical whose square p_j is homogeneous of fiber
     degree deg(p_j), 0 for horizontal generators and parameters.  A
-    coordinate using a radical with an inhomogeneous square weighs None."""
-    ring = setup.ring
+    coordinate using a radical with an inhomogeneous square weighs None.
+    Monomials are those of ring, by default the setup's, or its ray ring's."""
+    ring = ring or setup.ring
     nf = ring.nf
     degrees: list[int | None] = []
     for square in ring.radical_squares:
@@ -734,13 +817,25 @@ def _dilation_weigher(setup: HomogeneousSetup):
     return weigh
 
 
-def _weights(weigh, x: Form) -> set[int | None]:
-    return {weigh(mask, mono) for mask, sc in x.terms.items() for mono in sc.coeffs}
-
-
 def _single_weight(weigh, x: Form) -> int | None:
-    found = _weights(weigh, x)
+    found = {weigh(mask, mono) for mask, sc in x.terms.items() for mono in sc.coeffs}
     return found.pop() if len(found) == 1 else None
+
+
+def _blocks(weigh, x: Form, collapse: bool) -> dict:
+    """x split by dilation weight into sparse vectors keyed by (basis word,
+    monomial).  Collapsed, x is taken at a1 = 1 with every radical, each
+    squaring to aa, at 1, and keys are (basis word, parameter monomial): on
+    the ray, a function of t > 0 with s = t = a1, a weight block loses
+    nothing, since its basis word fixes a coordinate's power of t."""
+    ring = x.ring
+    params = slice(ring.nf, ring.nf + ring.np)
+    blocks: dict[int | None, dict] = {}
+    for mask, sc in x.terms.items():
+        for mono, c in sc.coeffs.items():
+            key = (mask, mono[params]) if collapse else (mask, mono)
+            vec_iadd_scaled(blocks.setdefault(weigh(mask, mono), {}), {key: c}, 1)
+    return blocks
 
 
 def express_in_generators(
@@ -753,91 +848,57 @@ def express_in_generators(
     """Solve target = sum of Laurent-in-s coefficients times generator
     products, exactly, preferring single generators over products.
 
-    Each bidegree cell is one span system over the columns power * form.
-    When every entry and every radial power has a single dilation weight,
-    the system is block-diagonal by weight, so a column whose weight the
-    target part does not carry can neither enter the combination nor
-    change a pivot of the target's blocks: such columns, and the products
-    behind them, are never built.  Otherwise every column is solved.
-
-    Columns and target are restricted to the ray a = t*e1, which keeps
-    every relation among invariant forms, so the target must be basic and
-    invariant: any target but an InvariantForm is checked once before the
-    solve.  Coefficients are read back as full-ring powers of the radius.
+    Each bidegree cell of the target is solved on the ray a = t*e1, which
+    keeps every relation among invariant forms, so the target must be basic
+    and invariant: any target but an InvariantForm is checked once first.
+    When every entry and radial power has a single dilation weight, each
+    weight block of the cell is reduced against its own span
+    (Dictionary._span), else the cell against all its columns.
+    Coefficients are read back as full-ring powers of the radius.
     """
     if not is_basic(setup, target):
         raise EngineError("target is not an invariant basic form")
     hi, lo = degree_bounds
     if lo > hi:
         raise EngineError(f"empty Laurent window ({hi}, {lo})")
-    powers, power_weights, ray_powers = dictionary._radial_window(lo, hi)
+    powers, power_weights, _ = dictionary._radial_window(lo, hi)
     # restriction to the ray is injective on invariant forms only
     if not isinstance(target, InvariantForm) and not is_invariant(setup, target):
         raise EngineError("target is not an invariant basic form")
-    entries = dictionary.entries
-    positive = [i for i, e in enumerate(entries) if e.word.length > 0]
-    weigh = _dilation_weigher(setup)
-    entry_weights = dictionary._entry_weights()
-    graded = None not in entry_weights and None not in power_weights
+    ring = setup.ring
+    weighted = None not in dictionary._entry_weights() and None not in power_weights
     terms: list[CombinationTerm] = []
-    residual = False
     failed: list[tuple[int, int]] = []
     for cell, part in sorted(bidegree_split(target).items()):
-        wanted = _weights(weigh, part)
-        tags = [(i,) for i, e in enumerate(entries) if e.bidegree == cell]
-        # only entries within the cell can be factors; the order is kept
-        fits = [
-            i
-            for i in positive
-            if entries[i].bidegree[0] <= cell[0]
-            and entries[i].bidegree[1] <= cell[1]
-        ]
-        for r in (2, 3) if allow_triples else (2,):
-            for tag in combinations_with_replacement(fits, r):
-                p = q = 0
-                for i in tag:
-                    p += entries[i].bidegree[0]
-                    q += entries[i].bidegree[1]
-                if (p, q) == cell:
-                    tags.append(tag)
-        span = VectorSpan(track=True)
-        for tag in tags:
-            if graded:
-                w = sum(entry_weights[i] for i in tag)
-                usable = [
-                    power
-                    for power, pw in zip(ray_powers, power_weights)
-                    if w + pw in wanted
-                ]
-            else:
-                usable = ray_powers
-            if not usable:
-                continue
-            form = dictionary._ray_product(tag)
-            for ex, sc in usable:
-                col = sc * form
-                if col.is_zero:
-                    continue
-                span.add(_form_to_vector(col), (tag, ex))
-        on_ray = map_form(part, setup.ring.ray_restriction)
-        combo = span.combination(_form_to_vector(on_ray))
+        on_ray = map_form(part, ring.ray_restriction)
+        if weighted:
+            blocks = _blocks(dictionary._ray_weigher, on_ray, dictionary._collapses)
+        else:
+            blocks = {None: _form_to_vector(on_ray)}
+        combo: dict | None = {}
+        for weight, vec in blocks.items():
+            span = dictionary._span(cell, weight, (lo, hi), allow_triples)
+            found = span.combination(vec)
+            if found is None:
+                combo = None
+                break
+            combo.update(found)
         if combo is None:
-            residual = True
             failed.append(cell)
             continue
         grouped: dict[tuple[int, ...], Scalar] = {}
         for (tag, ex), c in combo.items():
-            sc = grouped.get(tag, setup.ring.zero)
+            sc = grouped.get(tag, ring.zero)
             power = next(p for e2, p in powers if e2 == ex)
             grouped[tag] = sc + c * power
         for tag in sorted(grouped, key=lambda t: (len(t), t)):
             coeff = grouped[tag]
             if coeff.is_zero:
                 continue
-            words = tuple(entries[i].word for i in tag)
+            words = tuple(dictionary.entries[i].word for i in tag)
             terms.append(CombinationTerm(coefficient=coeff, factors=words))
     return GeneratorCombination(
-        terms=tuple(terms), residual=residual, failed_cells=tuple(failed)
+        terms=tuple(terms), residual=bool(failed), failed_cells=tuple(failed)
     )
 
 

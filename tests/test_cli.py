@@ -137,6 +137,25 @@ class TestExitStatus:
         assert f"{where}.{key}: expected a list, got {value!r}" in err
         assert "Traceback" not in err
 
+    def test_setup_issues_share_one_line(self, tmp_path, capsys):
+        # rho(e1) made symmetric is not skew, and no longer a homomorphism
+        # on four brackets: five issues, one diagnostic line
+        doc = json.loads(resolve_config("su3_tcp2")[1])
+        doc["representation"]["1"] = [
+            [x.lstrip("-") for x in row] for row in doc["representation"]["1"]
+        ]
+        path = write_config(tmp_path, doc)
+        assert main(["run", "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(
+            "equiform: setup rejected: representation not orthogonal: "
+            "rho(e1) is not skew; representation not a homomorphism on [e1, e6]; "
+        )
+        assert captured.err.count("; ") == 4
+        assert "Traceback" not in captured.err
+
     def test_hopf_action_exits_two(self, tmp_path, capsys):
         # a1*a3+a2*a4 vanishes on the ray but not elsewhere: the ray solve
         # would report it as 0, so the hypothesis behind it is refused

@@ -28,7 +28,7 @@ from equiform.dictionary import (
     generate_dictionary,
 )
 from equiform.expressions import parse_form_expression
-from equiform.forms import wedge
+from equiform.forms import evaluate_to_vector, wedge
 from equiform.homogeneous import (
     Splitting,
     exterior_derivative,
@@ -116,19 +116,19 @@ def test_tcp2_completeness(su3_setup, su3_dictionary):
 def test_completeness_reuses_the_images_from_generation(
     su3_setup, su3_alphabet, su3_dictionary, monkeypatch
 ):
-    evaluate = dictionary_module.evaluate_to_vector
-    evaluated, added = [], []
+    translate = dictionary_module.Alphabet.translate
+    translated, added = [], []
 
-    def counting(form, point):
-        evaluated.append(form)
-        return evaluate(form, point)
+    def counting(self, word):
+        translated.append(word)
+        return translate(self, word)
 
     class Recording(dictionary_module.VectorSpan):
         def add(self, vec, tag=None):
             added.append(vec)
             return super().add(vec, tag)
 
-    monkeypatch.setattr(dictionary_module, "evaluate_to_vector", counting)
+    monkeypatch.setattr(dictionary_module.Alphabet, "translate", counting)
     monkeypatch.setattr(dictionary_module, "VectorSpan", Recording)
     letters, contractions = su3_alphabet
     fresh = generate_dictionary(
@@ -138,20 +138,51 @@ def test_completeness_reuses_the_images_from_generation(
     added.clear()
     report = completeness_check(su3_setup, su3_dictionary)
     # generation tests independence on point values and leaves every image
-    # at both points: nothing is evaluated symbolically, there or here
-    assert evaluated == []
+    # at both points: nothing is translated, there or here
+    assert translated == []
     # and every entry's cells received that entry's own symbolic images
-    origin = su3_setup.point([su3_setup.field.zero] * su3_setup.fiber_dim)
-    point = su3_setup.point(su3_setup.generic_point_vector())
-    assert added == [
-        evaluate(e.translation, pt)
-        for e in su3_dictionary.entries
+    images = _symbolic_images(su3_setup, su3_dictionary)
+    assert added == images
+    # a dictionary built without the images composes all of them from its
+    # syllables' values, alike, and translates nothing either
+    translated.clear()
+    added.clear()
+    assert completeness_check(su3_setup, replace(su3_dictionary)) == report
+    assert translated == []
+    assert added == images
+
+
+def _symbolic_images(setup, dictionary):
+    """Each entry's translation evaluated at the origin and at the generic
+    point of setup, in completeness_check's order."""
+    origin = setup.point([setup.field.zero] * setup.fiber_dim)
+    point = setup.point(setup.generic_point_vector())
+    return [
+        evaluate_to_vector(e.translation, pt)
+        for e in dictionary.entries
         for pt in (origin, point)
     ]
-    # a dictionary built without the images evaluates all of them, alike
-    evaluated.clear()
-    assert completeness_check(su3_setup, replace(su3_dictionary)) == report
-    assert len(evaluated) == 2 * len(su3_dictionary.entries)
+
+
+def test_completeness_of_a_dictionary_from_another_realization(monkeypatch):
+    text = resolve_config("su3_tcp2")[1]
+    first, second = (realize_config(parse_config(text)) for _ in range(2))
+    foreign = second.dictionary()
+    added = []
+
+    class Recording(dictionary_module.VectorSpan):
+        def add(self, vec, tag=None):
+            added.append(vec)
+            return super().add(vec, tag)
+
+    monkeypatch.setattr(dictionary_module, "VectorSpan", Recording)
+    got = completeness_check(first.setup, foreign)
+    # the images are composed at first's points, and equal the foreign
+    # translations evaluated there
+    assert added == _symbolic_images(first.setup, foreign)
+    assert got.passed
+    assert got == completeness_check(second.setup, foreign)
+    assert got == completeness_check(first.setup, first.dictionary())
 
 
 def test_su2_dictionary_contents(su2_dictionary):

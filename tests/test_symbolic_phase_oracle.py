@@ -1,8 +1,10 @@
 """Dictionary phases test independence on point values.
 
 A candidate's value at the phase point is the value of its prefix wedged
-with the value of its last syllable, and only (0,0) words and words of
-value zero are translated symbolically, with their prefixes.  This rests on evaluation
+with the value of its last syllable.  A (0,0) word or a word of value zero
+is tested for a zero translation on its ray image, so generation translates
+only the empty word, unless a syllable form is uncertified: then the word
+is translated, with its prefixes.  This rests on evaluation
 being a ring homomorphism, checked here with Hypothesis on both bundled
 rings, and the result is checked against symbolic_phase_oracle.py, which
 translates and evaluates every candidate: on su2_ts2, su3_tcp2, su2_ts2
@@ -23,6 +25,7 @@ from equiform.config import parse_config, realize_config
 from equiform.dictionary import DictionaryOptions, EngineError, generate_dictionary
 from equiform.forms import evaluate_to_vector, map_form, wedge
 from equiform.homogeneous import InvariantForm
+from equiform.letters import Contraction
 from equiform.scalars import PointError
 
 import symbolic_phase_oracle as oracle
@@ -87,33 +90,49 @@ def test_generation_matches_the_symbolic_kernel(generated):
     assert got._origin_vectors[: len(want._origin_vectors)] == want._origin_vectors
 
 
-# translations left in the alphabet by generation alone: 120 on su3_tcp2
-# when every kept word was translated as well
-TRANSLATED = {"su2_ts2": 12, "su3_tcp2": 40, "u=k+a1*a1": 12, "renamed": 40}
+ZERO_TESTED = {
+    "pruned: zero translation",
+    "dependent: evaluates to zero",
+    "radial invariant",
+    "dependent: constant on orbits",
+}
+
+
+def _prefixes(word: str) -> set[str]:
+    syllables = word.split("*")
+    return {"*".join(syllables[:i]) for i in range(1, len(syllables) + 1)}
 
 
 @pytest.mark.parametrize("name", list(VARIANTS))
 def test_only_words_that_need_a_symbolic_form_are_translated(name):
-    # a fresh dictionary: reading an entry's translation builds it
+    # a fresh dictionary: reading an entry's translation builds it.  Every
+    # syllable form is certified, so each zero test reads the word's ray
+    # image and generation translates only the empty word, which the
+    # alphabet starts with
     got = _generate(generate_dictionary, _realize(*VARIANTS[name]))
-    zero_tested = {
-        "pruned: zero translation",
-        "dependent: evaluates to zero",
-        "radial invariant",
-        "dependent: constant on orbits",
+    assert any(verdict in ZERO_TESTED for _, _, verdict in got.transcript)
+    assert {w.render() for w in got.alphabet._translations} == {"1"}
+
+
+def test_an_uncertified_alphabet_still_translates():
+    # a contraction built without make_contraction is not certified
+    # invariant, so a ray image cannot decide the zero test of a word that
+    # uses it: such words are translated, with their prefixes, and no other
+    rc = _realize("su2_ts2")
+    first = Contraction("first", 2, (((0, 0), 1),))
+    letters = list(rc.letters.values())
+    contractions = list(rc.contractions.values()) + [first]
+    got = generate_dictionary(rc.setup, letters, contractions)
+    want = oracle.generate_dictionary(rc.setup, letters, contractions)
+    assert got.transcript == want.transcript
+    uncertified = {
+        word
+        for _, word, verdict in got.transcript
+        if verdict in ZERO_TESTED and "first(" in word
     }
-    wanted = {"1"}
-    for _, word, verdict in got.transcript:
-        if verdict in zero_tested:
-            syllables = word.split("*")
-            wanted.update(
-                "*".join(syllables[:i]) for i in range(1, len(syllables) + 1)
-            )
-    translated = {w.render() for w in got.alphabet._translations}
-    # (0,0) words, words of value zero and their prefixes; no kept word
-    # is translated unless it is one of those prefixes
-    assert translated == wanted
-    assert len(translated) == TRANSLATED[name]
+    assert uncertified
+    wanted = {"1"}.union(*(_prefixes(w) for w in uncertified))
+    assert {w.render() for w in got.alphabet._translations} == wanted
 
 
 @pytest.mark.parametrize("max_length", [1, 3])
