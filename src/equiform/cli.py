@@ -98,11 +98,14 @@ def _bounds_for(task: TaskSpec, ov: Overrides) -> tuple[int, int]:
     return DEFAULT_BOUNDS
 
 
-def _dictionary_for(rc: RealizedConfig, task: TaskSpec, ov: Overrides):
+def _dictionary_for(
+    rc: RealizedConfig, task: TaskSpec, ov: Overrides, max_degree: int | None = None
+):
+    """The dictionary up to the degree a task reads, None for all of it."""
     length = ov.max_length
     if length is None:
         length = task.max_length
-    return rc.dictionary(length)
+    return rc.dictionary(length, max_degree)
 
 
 def _cell_key(bidegree: tuple[int, int]) -> str:
@@ -201,7 +204,8 @@ def _run_d_table(rc: RealizedConfig, task: TaskSpec, ov: Overrides) -> TaskRepor
     max_degree = ov.max_degree if ov.max_degree is not None else task.max_degree
     if max_degree is None:
         raise UsageError(f"task {task.name}: d_table needs max_degree")
-    dictionary = _dictionary_for(rc, task, ov)
+    # d raises degree by one
+    dictionary = _dictionary_for(rc, task, ov, max_degree + 1)
     rows = differential_table(
         rc.setup,
         dictionary,
@@ -285,7 +289,7 @@ def _run_verify_equation(
 
 def _run_express(rc: RealizedConfig, task: TaskSpec, ov: Overrides) -> TaskReport:
     form = _parse(rc, task.expression, f"task {task.name}: expression")
-    dictionary = _dictionary_for(rc, task, ov)
+    dictionary = _dictionary_for(rc, task, ov, max(form.degrees(), default=0))
     comb = express_in_generators(
         rc.setup,
         dictionary,

@@ -667,18 +667,28 @@ class RealizedConfig:
         self.context = context
         self._dictionaries: dict[int, object] = {}
 
-    def dictionary(self, max_length: int | None = None):
+    def dictionary(
+        self, max_length: int | None = None, max_degree: int | None = None
+    ):
+        """The dictionary of words up to max_degree, None for all of them.
+        One dictionary is kept per length cap: it serves every request up
+        to its own degree bound, and a request above it generates afresh."""
         key = (
             max_length if max_length is not None else DictionaryOptions().max_length
         )
-        if key not in self._dictionaries:
-            self._dictionaries[key] = generate_dictionary(
+        cached = self._dictionaries.get(key)
+        covered = cached is not None and (
+            cached.max_degree is None
+            or (max_degree is not None and max_degree <= cached.max_degree)
+        )
+        if not covered:
+            cached = self._dictionaries[key] = generate_dictionary(
                 self.setup,
                 list(self.letters.values()),
                 list(self.contractions.values()),
-                DictionaryOptions(max_length=key),
+                DictionaryOptions(max_length=key, max_degree=max_degree),
             )
-        return self._dictionaries[key]
+        return cached
 
 
 def realize_config(document: ConfigDocument) -> RealizedConfig:

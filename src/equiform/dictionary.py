@@ -39,14 +39,21 @@ into a block per weight the target carries.  When, besides, every radical
 squares to aa, a block fixes each coordinate's power of t = a1 = s by its
 basis word, so it is solved at t = 1 on vectors keyed by (basis word,
 parameter monomial), one column per product with s^e read back into its
-coefficient; that span does not depend on the target and is kept on the
-Dictionary per (cell, weight, Laurent window, triples).  Other systems
-build their columns s^e * product for each solve, all of them when a
-weight is missing.
+coefficient.  Other systems take the columns s^e * product, all of them
+when a weight is missing.  No span depends on the target, so each is kept
+on the Dictionary per (cell, weight, Laurent window, triples).
+
+Generation can stop at a total degree (DictionaryOptions.max_degree).  A
+word's subwords have at most its degree, and values of different
+bidegrees have disjoint supports, so the bounded dictionary's entries,
+radial invariant and verdicts are the full dictionary's of degree up to
+the bound, in the same order.  A task that reads cells up to degree D
+needs no more: d raises degree by one.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, reduce
 from itertools import combinations_with_replacement
@@ -141,15 +148,18 @@ class Word:
 
 
 class Alphabet:
-    """Letters plus contractions, with the derived syllable universe."""
+    """Letters plus contractions, with the derived syllable universe, up to
+    a total degree when max_degree is set."""
 
     def __init__(
         self,
         setup: HomogeneousSetup,
         letters: Sequence[Letter],
         contractions: Sequence[Contraction],
+        max_degree: int | None = None,
     ):
         self.setup = setup
+        self.max_degree = max_degree
         self.letters: dict[str, Letter] = {}
         for let in letters:
             if let.name in self.letters:
@@ -168,19 +178,24 @@ class Alphabet:
 
     def syllables(self) -> list[Syllable]:
         """All syllables with nonzero translation, in the fixed total order:
-        (total degree, contraction name, letter-name tuple)."""
+        (total degree, contraction name, letter-name tuple).  With a degree
+        bound, only those of degree at most it are contracted: they are a
+        prefix of the unbounded list."""
         if self._syllables is None:
             out = []
             names = sorted(self.letters)
+            bound = self.max_degree
             for cname in sorted(self.contractions):
                 m = self.contractions[cname]
                 for tup in combinations_with_replacement(names, m.arity):
                     lets = tuple(self.letters[n] for n in tup)
+                    p = sum(l.bidegree[0] for l in lets)
+                    q = sum(l.bidegree[1] for l in lets)
+                    if bound is not None and p + q > bound:
+                        continue
                     form = contract_syllable(m, lets)
                     if form.is_zero:
                         continue
-                    p = sum(l.bidegree[0] for l in lets)
-                    q = sum(l.bidegree[1] for l in lets)
                     syll = Syllable(cname, tup, (p, q))
                     self._syllable_forms[syll] = form
                     out.append(syll)
@@ -231,7 +246,12 @@ class DictionaryEntry:
 
 @dataclass(frozen=True)
 class DictionaryOptions:
+    """max_length caps the length of the words generation extends;
+    max_degree, when set, bounds the total degree of every word, None
+    meaning the full dictionary."""
+
     max_length: int = 8
+    max_degree: int | None = None
 
 
 @dataclass
@@ -267,6 +287,12 @@ class Dictionary:
     _generic_vectors: list[dict] = dc_field(
         default_factory=list, init=False, repr=False, compare=False
     )
+
+    @property
+    def max_degree(self) -> int | None:
+        """The degree bound it was generated with; None for the full
+        dictionary."""
+        return self.alphabet.max_degree
 
     def per_bidegree(self) -> dict[tuple[int, int], list[DictionaryEntry]]:
         out: dict[tuple[int, int], list[DictionaryEntry]] = {}
@@ -342,12 +368,11 @@ class Dictionary:
         return _dilation_weigher(self.setup, self.setup.ring.ray_restriction.target)
 
     def _span(self, cell, weight, window, triples: bool) -> VectorSpan:
-        """The tracked span of one block of a cell: with weight None, every
-        column s^e * ray product, tagged (tag, e), which reaches no
+        """The tracked span of one block of a cell, kept: with weight None,
+        every column s^e * ray product, tagged (tag, e), which reaches no
         weightless coordinate of a weighted system; else one column per tag
         that a power s^e brings to the weight, the tag's ray product
-        collapsed at t = 1 if blocks collapse, and then kept, else s^e times
-        it."""
+        collapsed at t = 1 if blocks collapse, else s^e times it."""
         key = (cell, weight, window, triples)
         span = self._spans.get(key)
         if span is not None:
@@ -370,8 +395,7 @@ class Dictionary:
                     col = _form_to_vector(sc * self._ray_product(tag))
                 if col:
                     span.add(col, (tag, ex))
-        if collapse:
-            self._spans[key] = span
+        self._spans[key] = span
         return span
 
     def _tags(self, cell, triples: bool) -> list[tuple[int, ...]]:
@@ -487,11 +511,15 @@ def _phase(
     test, which tells a zero translation from one that vanishes at the
     point: on its ray image, exact for an invariant form under the
     transitive-sphere hypothesis, or on its translation when a syllable
-    form is uncertified.  Returns the new entries, their index tuples and
-    the radial entry."""
+    form is uncertified.  Under the alphabet's degree bound, a word is
+    extended only by the syllables that keep it within the bound: syllables
+    are sorted by degree first, so these are a prefix.  Returns the new
+    entries, their index tuples and the radial entry."""
     setup = alphabet.setup
     sylls = alphabet.syllables()
     bidegrees = [s.bidegree for s in sylls]
+    degrees = [s.degree for s in sylls]
+    bound = alphabet.max_degree
     certified = [isinstance(alphabet.syllable_form(s), InvariantForm) for s in sylls]
     span = VectorSpan()
     new_entries: list[DictionaryEntry] = []
@@ -529,7 +557,10 @@ def _phase(
         # once; w is pooled, and every other subword must be
         cands: list[tuple[int, ...]] = []
         for w in pool[l - 1]:
-            for i in range(w[-1] if w else 0, len(sylls)):
+            stop = len(sylls)
+            if bound is not None:
+                stop = bisect_right(degrees, bound - sum(degrees[i] for i in w))
+            for i in range(w[-1] if w else 0, stop):
                 cw = w + (i,)
                 if cw not in pooled and all(
                     cw[:j] + cw[j + 1 :] in pooled for j in range(l - 1)
@@ -581,7 +612,7 @@ def generate_dictionary(
     options: DictionaryOptions | None = None,
 ) -> Dictionary:
     options = options or DictionaryOptions()
-    alphabet = Alphabet(setup, letters, contractions)
+    alphabet = Alphabet(setup, letters, contractions, options.max_degree)
     _check_transitive_sphere(setup)
     at_origin = _WordImages.at_point(alphabet, setup.point([0] * setup.fiber_dim))
     at_generic = _WordImages.at_point(
@@ -655,7 +686,14 @@ def completeness_check(
     at both stabilizers, cell by cell.
 
     A dictionary from generate_dictionary carries every image; those of
-    any other dictionary are composed here from its syllables' values."""
+    any other dictionary are composed here from its syllables' values.  A
+    dictionary bounded in degree misses the cells above its bound, and is
+    refused."""
+    if dictionary.max_degree is not None:
+        raise EngineError(
+            "completeness needs the full dictionary, not one bounded at "
+            f"degree {dictionary.max_degree}"
+        )
     k = setup.fiber_dim
     tables = setup.invariant_dimension_tables()
     entries = dictionary.entries

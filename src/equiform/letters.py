@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Mapping, Sequence
 
-from equiform.forms import Form, bidegree_split, merge_sign, wedge
+from equiform.forms import Form, bidegree_split, finish_form, merge_sign, wedge
 from equiform.homogeneous import (
     HomogeneousSetup,
     InvariantForm,
@@ -25,7 +25,7 @@ from equiform.homogeneous import (
     is_basic,
 )
 from equiform.numberfield import Coefficient, canonical, coefficient
-from equiform.scalars import accumulate_product
+from equiform.scalars import accumulate_product, multiply_into
 
 
 class LetterError(ValueError):
@@ -296,27 +296,36 @@ def det_contraction(setup: HomogeneousSetup) -> Contraction:
 def contract_syllable(m: Contraction, letters: Sequence[Letter]) -> Form:
     """Wedge the letter components against the coefficient tensor.
 
-    When the tensor passed the invariance check of make_contraction and
-    every letter the equivariance check of make_letter, the result is
-    invariant and comes as an InvariantForm; a Letter or Contraction built
-    directly gives a plain Form, whose d takes the full check.
+    Each entry's product of components, its last factor scaled by the
+    entry's coefficient, is added unreduced into one map per basis word,
+    and each word is normalized once.  When the tensor passed the
+    invariance check of make_contraction and every letter the equivariance
+    check of make_letter, the result is invariant and comes as an
+    InvariantForm; a Letter or Contraction built directly gives a plain
+    Form, whose d takes the full check.
     """
     if len(letters) != m.arity:
         raise LetterError(
             f"contraction {m.name} has arity {m.arity}, got {len(letters)} letters"
         )
     frame = letters[0].components[0].frame
-    out = frame.zero
+    words: dict[int, dict] = {}
     for idx, c in m.entries:
-        term = None
-        for slot, i in enumerate(idx):
-            comp = letters[slot].components[i]
-            if comp.is_zero:
-                term = None
+        *head, last = (letters[slot].components[i] for slot, i in enumerate(idx))
+        # wedged slot by slot up to the first zero component, so that a
+        # product below the depth floor is refused where it always was
+        prefix = frame.one
+        for j, comp in enumerate(head):
+            if not comp:
                 break
-            term = comp if term is None else wedge(term, comp)
-        if term is not None:
-            out = out + c * term
+            prefix = wedge(prefix, comp) if j else comp
+        else:
+            for mx, cx in prefix.terms.items():
+                for my, cy in last.terms.items():
+                    if not mx & my:
+                        acc = words.setdefault(mx | my, {})
+                        multiply_into(acc, cx, cy, merge_sign(mx, my), c)
+    out = finish_form(frame, words)
     if isinstance(m, CheckedContraction) and all(
         isinstance(x, CheckedLetter) for x in letters
     ):

@@ -850,8 +850,11 @@ def accumulate_product(
                 _accumulate(ring, out, m, c1 * c2)
 
 
-def multiply_into(out: dict, x: Scalar, y: Scalar, sign: int = 1) -> None:
-    """out += sign * x * y, left unreduced for finish.
+def multiply_into(
+    out: dict, x: Scalar, y: Scalar, sign: int = 1, scale: Coefficient = 1
+) -> None:
+    """out += sign * scale * x * y, left unreduced for finish; scale is a
+    nonzero canonical coefficient.
 
     The normal form is additive and the p-adic reduction linear, so a sum
     of products is normalized once, by finish, instead of product by
@@ -862,6 +865,8 @@ def multiply_into(out: dict, x: Scalar, y: Scalar, sign: int = 1) -> None:
     a, b = x.coeffs, y.coeffs
     if not _above_floor(ring, a, b):
         a, b = (x * y).coeffs, ring.one.coeffs
+    if scale != 1:
+        b = {m: c * scale for m, c in b.items()}
     accumulate_product(ring, out, a, b, sign)
 
 

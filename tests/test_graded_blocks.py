@@ -5,9 +5,10 @@ one radical s squares to aa, so each cell splits by weight, each block is
 collapsed at a1 = s = 1 with the parameters kept, and its span is built
 once per (cell, weight, Laurent window, triples) and kept on the
 Dictionary.  su2_ts2, whose radical squares to k+aa, keeps the uncollapsed
-columns s^e * product.  The results must equal, term for term, the ray
-solve that kept a1 and s apart (ray_express_oracle.py) and the full-fiber
-solve over every column (unfiltered_express_oracle.py).
+columns s^e * product, in spans kept the same way.  The results must
+equal, term for term, the ray solve that kept a1 and s apart
+(ray_express_oracle.py) and the full-fiber solve over every column
+(unfiltered_express_oracle.py).
 """
 
 from dataclasses import replace
@@ -71,11 +72,13 @@ def test_su3_degree_three_rows_match_both_oracles(su3_setup, su3_dictionary, su3
 
 
 def test_su2_rows_match_both_oracles(su2_setup, su2_dictionary):
-    for target in _row_targets(su2_setup, su2_dictionary, 2):
-        _assert_matches_oracles(su2_setup, su2_dictionary, target)
-    # u^2 = k+aa cannot be set to 1 with a1: no block is collapsed or kept
-    assert not su2_dictionary._collapses
-    assert su2_dictionary._spans == {}
+    fresh = replace(su2_dictionary)
+    for target in _row_targets(su2_setup, fresh, 2):
+        _assert_matches_oracles(su2_setup, fresh, target)
+    # u^2 = k+aa cannot be set to 1 with a1: no block is collapsed, but
+    # each weight block's uncollapsed span is kept
+    assert not fresh._collapses
+    assert fresh._spans and all(key[1] is not None for key in fresh._spans)
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ file, unchanged, and installed on the imported package.
 """
 
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import equiform
@@ -37,14 +38,15 @@ def test_every_traced_target_resolves():
 
 def test_express_bindings_reach_the_tracer(su2_setup, su2_dictionary, su2_context):
     # the tracer binds express_in_generators' parameters by name, so a
-    # renamed one would break only traced benchmark runs
+    # renamed one would break only traced benchmark runs; spans are kept on
+    # a dictionary, so the traced call takes a fresh one to build columns
     target = parse_form_expression("d(det(b,b))", su2_context)
     want = express_in_generators(su2_setup, su2_dictionary, target)
     tracer = _load_tracer().Tracer(equiform)
     tracer.install(0)
     try:
         got = equiform.dictionary.express_in_generators(
-            su2_setup, su2_dictionary, target
+            su2_setup, replace(su2_dictionary), target
         )
         extra = dict(tracer.extra)
     finally:
