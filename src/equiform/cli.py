@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 
 from equiform import verify
@@ -53,6 +53,9 @@ class Overrides:
     max_length: int | None = None
     max_degree: int | None = None
     bounds: tuple[int, int] | None = None  # engine order
+    # length caps at which a generate task of the run reads the whole
+    # dictionary, so that a task before it does not generate a bounded one
+    full_caps: frozenset = frozenset()
 
 
 # -- config resolution -------------------------------------------------------
@@ -102,10 +105,13 @@ def _dictionary_for(
     rc: RealizedConfig, task: TaskSpec, ov: Overrides, max_degree: int | None = None
 ):
     """The dictionary up to the degree a task reads, None for all of it."""
-    length = ov.max_length
-    if length is None:
-        length = task.max_length
-    return rc.dictionary(length, max_degree)
+    cap = ov.max_length or task.max_length
+    return rc.dictionary(cap, None if cap in ov.full_caps else max_degree)
+
+
+def _report(task: TaskSpec, passed: bool, details: dict) -> TaskReport:
+    status = "pass" if passed else "fail"
+    return TaskReport(name=task.name, kind=task.kind, status=status, details=details)
 
 
 def _cell_key(bidegree: tuple[int, int]) -> str:
@@ -115,16 +121,7 @@ def _cell_key(bidegree: tuple[int, int]) -> str:
 def _run_generate(rc: RealizedConfig, task: TaskSpec, ov: Overrides) -> TaskReport:
     dictionary = _dictionary_for(rc, task, ov)
     comp = completeness_check(rc.setup, dictionary)
-    cells = [
-        {
-            "bidegree": list(c.bidegree),
-            "span_origin": c.span_origin,
-            "target_origin": c.target_origin,
-            "span_generic": c.span_generic,
-            "target_generic": c.target_generic,
-        }
-        for c in sorted(comp.cells, key=lambda c: c.bidegree)
-    ]
+    cells = [vars(c) for c in sorted(comp.cells, key=lambda c: c.bidegree)]
     details = {
         "total_entries": len(dictionary.entries),
         "origin_entries": len(dictionary.origin_entries()),
@@ -152,15 +149,11 @@ def _run_generate(rc: RealizedConfig, task: TaskSpec, ov: Overrides) -> TaskRepo
             "cells_detail": cells,
         },
     }
-    status = "pass" if comp.passed else "fail"
-    return TaskReport(name=task.name, kind=task.kind, status=status, details=details)
+    return _report(task, comp.passed, details)
 
 
 def _duality_classes(n: int) -> list[list[int]]:
-    out = []
-    for p in range(n // 2 + 1):
-        out.append(sorted({p, n - p}))
-    return out
+    return [sorted({p, n - p}) for p in range(n // 2 + 1)]
 
 
 def _grouped(grid: tuple[tuple[int, ...], ...], cp, cq) -> dict:
@@ -190,14 +183,11 @@ def _run_dim_table(rc: RealizedConfig, task: TaskSpec, ov: Overrides) -> TaskRep
     cp = _duality_classes(setup.horizontal_dim)
     cq = _duality_classes(setup.fiber_dim)
     details = {
-        "origin": tables.origin,
-        "generic": tables.generic,
-        "stabilizer_dim_origin": tables.stabilizer_dim_origin,
-        "stabilizer_dim_generic": tables.stabilizer_dim_generic,
+        **vars(tables),
         "grouped_origin": _grouped(tables.origin, cp, cq),
         "grouped_generic": _grouped(tables.generic, cp, cq),
     }
-    return TaskReport(name=task.name, kind=task.kind, status="pass", details=details)
+    return _report(task, True, details)
 
 
 def _run_d_table(rc: RealizedConfig, task: TaskSpec, ov: Overrides) -> TaskReport:
@@ -226,8 +216,7 @@ def _run_d_table(rc: RealizedConfig, task: TaskSpec, ov: Overrides) -> TaskRepor
         ],
         "failed_rows": failed,
     }
-    status = "pass" if not failed else "fail"
-    return TaskReport(name=task.name, kind=task.kind, status=status, details=details)
+    return _report(task, not failed, details)
 
 
 def _run_verify_closed(
@@ -250,13 +239,7 @@ def _run_verify_closed(
                 "residual": str(v.residual),
             }
         )
-    details = {"on_sphere": task.on_sphere, "verdicts": verdicts}
-    return TaskReport(
-        name=task.name,
-        kind=task.kind,
-        status="pass" if ok else "fail",
-        details=details,
-    )
+    return _report(task, ok, {"on_sphere": task.on_sphere, "verdicts": verdicts})
 
 
 def _run_verify_equation(
@@ -279,12 +262,7 @@ def _run_verify_equation(
             }
         ],
     }
-    return TaskReport(
-        name=task.name,
-        kind=task.kind,
-        status="pass" if v.holds else "fail",
-        details=details,
-    )
+    return _report(task, v.holds, details)
 
 
 def _run_express(rc: RealizedConfig, task: TaskSpec, ov: Overrides) -> TaskReport:
@@ -301,12 +279,7 @@ def _run_express(rc: RealizedConfig, task: TaskSpec, ov: Overrides) -> TaskRepor
         "target": task.expression,
         "expression": None if comb.residual else comb.render(),
     }
-    return TaskReport(
-        name=task.name,
-        kind=task.kind,
-        status="fail" if comb.residual else "pass",
-        details=details,
-    )
+    return _report(task, not comb.residual, details)
 
 
 def _parse(rc: RealizedConfig, text: str, where: str):
@@ -361,6 +334,8 @@ def run_config(
     tasks: list[TaskSpec],
     ov: Overrides,
 ) -> ReportDocument:
+    caps = (ov.max_length or t.max_length for t in tasks if t.kind == "generate")
+    ov = replace(ov, full_caps=frozenset(caps))
     reports = [run_task(rc, t, ov) for t in tasks]
     return ReportDocument(
         source=source,

@@ -716,21 +716,18 @@ def completeness_check(
             spans[cell] = (VectorSpan(), VectorSpan())
         spans[cell][0].add(at_origin)
         spans[cell][1].add(at_generic)
-    cells = []
-    for p in range(setup.horizontal_dim + 1):
-        for q in range(k + 1):
-            cell = (p, q)
-            s0 = spans[cell][0].rank if cell in spans else 0
-            sv = spans[cell][1].rank if cell in spans else 0
-            cells.append(
-                CompletenessCell(
-                    bidegree=cell,
-                    span_origin=s0,
-                    target_origin=tables.origin[p][q],
-                    span_generic=sv,
-                    target_generic=tables.generic[p][q],
-                )
-            )
+    empty = (VectorSpan(), VectorSpan())
+    cells = [
+        CompletenessCell(
+            bidegree=(p, q),
+            span_origin=spans.get((p, q), empty)[0].rank,
+            target_origin=tables.origin[p][q],
+            span_generic=spans.get((p, q), empty)[1].rank,
+            target_generic=tables.generic[p][q],
+        )
+        for p in range(setup.horizontal_dim + 1)
+        for q in range(k + 1)
+    ]
     return CompletenessReport(
         cells=tuple(cells),
         stabilizer_dim_origin=tables.stabilizer_dim_origin,

@@ -37,14 +37,13 @@ from math import comb
 from typing import Iterable, Mapping, Sequence
 
 from equiform.forms import Form, Frame, FrameSpec, bits, finish_form, merge_sign
-from equiform.linalg import VectorSpan, nullspace_basis
+from equiform.linalg import VectorSpan, nullspace_basis, vec_iadd_scaled
 from equiform.numberfield import (
     Coefficient,
     FieldElement,
     NumberField,
     canonical,
     coefficient,
-    inverse,
 )
 from equiform.scalars import (
     Point,
@@ -390,8 +389,9 @@ class HomogeneousSetup:
             }
             grids = []
             for stab in (stab0, stabv):
+                action = StabilizerAction(self, stab)
                 dims = {
-                    c: invariant_dimension(self, c, stab)
+                    c: invariant_dimension(self, c, action)
                     for c in dict.fromkeys(cls.values())
                 }
                 grids.append(
@@ -646,111 +646,139 @@ def stabilizer_of_vector(
     return nullspace_basis(list(zip(*columns)))
 
 
-def _wedge_power_basis(n: int, p: int) -> list[int]:
-    """Bitmasks of the p-element subsets of range(n), ascending."""
-    out = [m for m in range(1 << n) if m.bit_count() == p]
-    out.sort()
-    return out
+class StabilizerAction:
+    """One stabilizer's derivations on the cells Lambda^p T x Lambda^q V.
+
+    A basis vector lambda gives its combinations of ad|T and rho as a pair,
+    a sparse vector keyed by (side, i, j), side 0 for T and 1 for V.  Only
+    Lie generators among the pairs act (see _lie_generators)."""
+
+    def __init__(self, setup: HomogeneousSetup, stab_basis: Sequence[Sequence]):
+        self.dims = (setup.horizontal_dim, setup.fiber_dim)
+        gens = [
+            {
+                (s, i, j): x
+                for s, m in enumerate((setup.ad_on_horizontal(a), setup.rho(a)))
+                for i, row in enumerate(m)
+                for j, x in enumerate(row)
+                if x
+            }
+            for a in setup.splitting.gauge
+        ]
+        pairs: list[dict] = [{} for _ in stab_basis]
+        for lam, pair in zip(stab_basis, pairs):
+            for c, gen in zip(lam, gens):
+                vec_iadd_scaled(pair, gen, c)
+        self.generators = _lie_generators(pairs)
+        self._wedge: dict = {}
+
+    def wedge(self, g: int, side: int, degree: int) -> list[dict[int, Coefficient]]:
+        """Generator g's derivation on Lambda^degree T (side 0) or V (side
+        1), built on first use: one row per target word, keyed by source."""
+        if (key := (g, side, degree)) not in self._wedge:
+            basis = [m for m in range(1 << self.dims[side]) if m.bit_count() == degree]
+            index = {mask: n for n, mask in enumerate(basis)}
+            rows: list[dict] = [{} for _ in basis]
+            for (s, i, j), x in self.generators[g].items():
+                for src, mask in enumerate(basis if s == side else ()):
+                    rest = mask ^ (1 << j)  # e_j goes to x e_i
+                    if mask >> j & 1 and not rest >> i & 1:
+                        flips = (rest & ((1 << i) - 1)) ^ (rest & ((1 << j) - 1))
+                        row = rows[index[rest | (1 << i)]]
+                        c = -x if flips.bit_count() & 1 else x
+                        row[src] = row.get(src, 0) + c
+            self._wedge[key] = [_nonzero(row) for row in rows]
+        return self._wedge[key]
+
+    def rows(self, p: int, q: int):
+        """Nonzero equation rows on cell (p, q), per generator the Kronecker
+        sum of its derivations on Lambda^p T and on Lambda^q V, ordered by
+        first column, which keeps the elimination sparse."""
+        for g in range(len(self.generators)):
+            on_t, on_v = self.wedge(g, 0, p), self.wedge(g, 1, q)
+            block = []
+            for tt, t_row in enumerate(on_t):
+                for tv, v_row in enumerate(on_v):
+                    row = {st * len(on_v) + tv: c for st, c in t_row.items()}
+                    for sv, c in v_row.items():
+                        k = tt * len(on_v) + sv
+                        c = canonical(row.pop(k) + c) if k in row else c
+                        if c:
+                            row[k] = c
+                    if row:
+                        block.append(row)
+            yield from sorted(block, key=min)
 
 
-def _derivation_equations(m_t, m_v, p: int, q: int) -> list[dict[int, Coefficient]]:
-    """Equation rows of the induced derivation on Lambda^p T x Lambda^q V.
+def _nonzero(vec: dict) -> dict:
+    return {k: c for k, c in ((k, canonical(c)) for k, c in vec.items()) if c}
 
-    One sparse row per target basis element, keyed by source index, so the
-    rows of several generators together span the joint kernel system.
-    """
-    nt = len(m_t) if m_t else 0
-    nv = len(m_v) if m_v else 0
-    basis_t = _wedge_power_basis(nt, p)
-    basis_v = _wedge_power_basis(nv, q)
-    basis = [(mt, mv) for mt in basis_t for mv in basis_v]
-    index = {bm: i for i, bm in enumerate(basis)}
-    rows: list[dict[int, Coefficient]] = [{} for _ in basis]
-    for src, (mt, mv) in enumerate(basis):
 
-        def act(mask, m, which):
-            for i in bits(mask):
-                for knew in range(len(m)):
-                    c = m[knew][i]
-                    if not c:
-                        continue
-                    if knew == i:
-                        tgt = mask
-                        sign = 1
-                    elif mask >> knew & 1:
-                        continue
-                    else:
-                        tgt = (mask ^ (1 << i)) | (1 << knew)
-                        below_i = (mask & ((1 << i) - 1)).bit_count()
-                        below_k = ((mask ^ (1 << i)) & ((1 << knew) - 1)).bit_count()
-                        sign = -1 if (below_i + below_k) % 2 else 1
-                    if which == "t":
-                        row = rows[index[(tgt, mv)]]
-                    else:
-                        row = rows[index[(mt, tgt)]]
-                    term = c if sign > 0 else -c
-                    row[src] = row[src] + term if src in row else term
+def _lie_generators(pairs: list[dict]) -> list[dict]:
+    """Pairs whose commutators generate an algebra holding every pair.
 
-        if m_t:
-            act(mt, m_t, "t")
-        if m_v:
-            act(mv, m_v, "v")
-    return [{j: canonical(c) for j, c in row.items() if c} for row in rows]
+    A pair sum_d sqrt(d) P_d, one rational part P_d per radical mask d, is
+    replaced by its parts when each lies in the span of the pairs, which
+    leaves the span alone; on su3_tcp2 every pair is then rational.  A pair
+    in the algebra the kept ones generate is dropped: the derivation induced
+    on a cell is a Lie homomorphism, so what kills the kept pairs kills it."""
+    parts: list[dict] = [{} for _ in pairs]
+    for pair, by_mask in zip(pairs, parts):
+        for key, x in pair.items():
+            for mask, c in (x.terms if type(x) is FieldElement else {0: x}).items():
+                by_mask.setdefault(mask, {})[key] = c
+    if any(len(by_mask) > 1 for by_mask in parts):
+        span = VectorSpan()
+        for pair in pairs:
+            span.add(pair)
+        parts = [
+            ps if all(map(span.contains, ps.values())) else {0: pair}
+            for pair, ps in zip(pairs, parts)
+        ]
+    kept, closure, algebra = [], [], VectorSpan()
+    for x in (x for by_mask in parts for x in by_mask.values()):
+        if not algebra.contains(x):
+            kept.append(x)
+            new = [x]
+            while new:
+                y = new.pop()
+                if algebra.add(y):
+                    new += [_bracket(y, z) for z in closure]
+                    closure.append(y)
+    return kept
+
+
+def _bracket(x: dict, y: dict) -> dict:
+    """The commutator xy - yx of two pairs, side by side."""
+    out: dict = {}
+    for (s, i, k), a in x.items():
+        for (r, l, j), b in y.items():
+            if s == r and k == l:
+                out[s, i, j] = out.get((s, i, j), 0) + a * b
+            if s == r and j == i:
+                out[s, l, k] = out.get((s, l, k), 0) - a * b
+    return _nonzero(out)
 
 
 def invariant_dimension(
     setup: HomogeneousSetup,
     bidegree: tuple[int, int],
-    stab_basis: Sequence[Sequence[Coefficient]],
+    stab: Sequence[Sequence[Coefficient]] | StabilizerAction,
 ) -> int:
     """Dimension of the stabilizer-invariant subspace of Lambda^p T x Lambda^q V.
 
-    stab_basis holds coefficient vectors over the gauge basis.  Each vector
-    lambda gives the lambda-combinations (m_t, m_v) of ad|T and of rho,
-    whose equation rows on the cell join one span.  A nonzero scale leaves
-    their kernel alone, so when the first nonzero entry of the pair is
-    irrational every entry is divided by it: an irrational multiple of a
-    rational pair then gives rational rows.  On su3_tcp2, ad|T and rho of
-    e8 are sqrt3 times rational matrices, and the generic stabilizer is
-    -sqrt3*e7 + e8, so no row carries sqrt3.  Equations stop once they have
-    full rank: the dimension is then 0.
-    """
+    stab is a basis of coefficient vectors over the gauge basis, or its
+    StabilizerAction.  Equations stop once they have full rank: the
+    dimension is then 0."""
     p, q = bidegree
-    nt = setup.horizontal_dim
-    nv = setup.fiber_dim
-    if p < 0 or q < 0 or p > nt or q > nv:
+    if not (0 <= p <= setup.horizontal_dim and 0 <= q <= setup.fiber_dim):
         return 0
-    # per gauge index, the nonzero entries (i, j, x) of ad|T and of rho
-    gens = [
-        [
-            [(i, j, x) for i, row in enumerate(m) for j, x in enumerate(row) if x]
-            for m in (setup.ad_on_horizontal(a), setup.rho(a))
-        ]
-        for a in setup.splitting.gauge
-    ]
-    full = comb(nt, p) * comb(nv, q)
+    if not isinstance(stab, StabilizerAction):
+        stab = StabilizerAction(setup, stab)
+    full = comb(setup.horizontal_dim, p) * comb(setup.fiber_dim, q)
     span = VectorSpan()
-    for lam in stab_basis:
+    for row in stab.rows(p, q):
         if span.rank == full:
-            break
-        # the lambda-combinations of ad|T and of rho
-        m_t = [[0] * nt for _ in range(nt)]
-        m_v = [[0] * nv for _ in range(nv)]
-        for c, pair in zip(lam, gens):
-            if c:
-                for m, entries in zip((m_t, m_v), pair):
-                    for i, j, x in entries:
-                        m[i][j] = canonical(m[i][j] + c * x)
-        first = next((x for m in (m_t, m_v) for row in m for x in row if x), 0)
-        if type(first) is FieldElement:
-            scale = inverse(first)
-            for m in (m_t, m_v):
-                for row in m:
-                    for j, x in enumerate(row):
-                        if x:
-                            row[j] = canonical(x * scale)
-        for row in _derivation_equations(m_t, m_v, p, q):
-            span.add(row)
-            if span.rank == full:
-                break
+            return 0
+        span.add(row)
     return full - span.rank

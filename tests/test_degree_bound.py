@@ -156,8 +156,23 @@ def test_generate_then_d_table_generates_once(monkeypatch):
     assert _run([("generate", None), ("d_table", 2)], monkeypatch) == [None]
 
 
-def test_d_table_then_generate_generates_twice(monkeypatch):
-    assert _run([("d_table", 2), ("generate", None)], monkeypatch) == [3, None]
+def test_d_table_then_generate_generates_once(monkeypatch):
+    # a later generate task reads the full dictionary, so the d_table asks
+    # for it instead of a bounded one
+    assert _run([("d_table", 2), ("generate", None)], monkeypatch) == [None]
+
+
+def test_reordered_bundled_run_generates_once(monkeypatch):
+    source, rc = _realized("su2_ts2")
+    declared = list(rc.document.tasks)
+    want = run_config(rc, source, declared, Overrides()).tasks
+    source, rc = _realized("su2_ts2")
+    bounds = _count_generations(monkeypatch)
+    assert [t.kind for t in declared[:2]] == ["generate", "dim_table"]
+    reordered = declared[2:] + declared[:2]  # generate and dim_table last
+    report = run_config(rc, source, reordered, Overrides())
+    assert bounds == [None]
+    assert report.tasks == want[2:] + want[:2]
 
 
 def test_a_lower_bound_reuses_a_higher_one(monkeypatch):

@@ -8,16 +8,13 @@ from math import comb
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from equiform.homogeneous import (
-    _derivation_equations,
-    invariant_dimension,
-    stabilizer_of_vector,
-)
+from equiform.homogeneous import invariant_dimension, stabilizer_of_vector
 from equiform.linalg import VectorSpan, nullspace_basis, rref
 from equiform.numberfield import NumberField, canonical
 
 from dense_rref_oracle import matrix_rank as oracle_rank
 from dense_rref_oracle import rref as oracle_rref
+from invariant_dimension_oracle import _derivation_equations
 from test_numberfield import _assert_canonical_coefficient
 
 Q3 = NumberField((3,))
