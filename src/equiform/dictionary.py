@@ -30,18 +30,20 @@ times a product of entries, restricted to the ray a = t*e1
 identity when the one-fiber ring refuses a restricted radical square).  An
 invariant form vanishes exactly when its ray image does, so restriction
 keeps every relation, and a target that is not an InvariantForm is checked
-first.  An entry's ray image is composed syllable by syllable.
+first.  A product's ray image is composed syllable by syllable.
 
 Fiber dilation commutes with the gauge action and with d, so it grades the
 columns (_dilation_weigher); an entry weighs the sum of its syllables'
-weights.  When every entry and radial power has one weight, a cell splits
-into a block per weight the target carries.  When, besides, every radical
-squares to aa, a block fixes each coordinate's power of t = a1 = s by its
-basis word, so it is solved at t = 1 on vectors keyed by (basis word,
-parameter monomial), one column per product with s^e read back into its
-coefficient.  Other systems take the columns s^e * product, all of them
-when a weight is missing.  No span depends on the target, so each is kept
-on the Dictionary per (cell, weight, Laurent window, triples).
+weights and s^e weighs 2e.  When the ray ring has the one fiber coordinate
+a1 and every entry has one weight, a cell splits into a block per weight
+the target carries, each solved at t = 1: on the ray a1 = t, and so does
+every radical whose ray square is a1^2, so a weighted coordinate keeps its
+basis word, its parameters and the other radicals' slots, which fix its
+power of t within the block.  A block has one column per product, with
+s^e read back into its coefficient.  Otherwise the system is one block of
+the columns s^e * product, keyed by full monomials, as is a target's
+weightless part.  No span depends on the target, so each is kept on the
+Dictionary per (cell, weight, Laurent window, triples).
 
 Generation can stop at a total degree (DictionaryOptions.max_degree).  A
 word's subwords have at most its degree, and values of different
@@ -55,8 +57,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import combinations_with_replacement
+from operator import itemgetter
 from typing import Sequence
 
 from equiform.expressions import MAX_EXPONENT
@@ -74,7 +77,6 @@ from equiform.homogeneous import (
     exterior_derivative,
     is_basic,
     is_invariant,
-    stabilizer_of_vector,
 )
 from equiform.letters import Contraction, Letter, contract_syllable
 from equiform.linalg import VectorSpan, vec_iadd_scaled
@@ -262,13 +264,10 @@ class Dictionary:
     radial: DictionaryEntry | None
     transcript: list[tuple[str, str, str]]
     # filled on first use by express_in_generators; entries are fixed once
-    # the dictionary is built, so weights, products and columns are keyed by
-    # entry indices, ray images by word, radial powers by Laurent window
+    # the dictionary is built, so weights and columns are keyed by entry
+    # indices, radial powers by Laurent window
     _weights: list[int | None] | None = dc_field(
         default=None, init=False, repr=False, compare=False
-    )
-    _ray_products: dict[tuple[int, ...], Form] = dc_field(
-        default_factory=dict, init=False, repr=False, compare=False
     )
     _windows: dict[tuple[int, int], tuple] = dc_field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -322,22 +321,14 @@ class Dictionary:
         return self._weights
 
     def _radial_window(self, lo: int, hi: int):
-        """The radial powers (e, s^e) of the Laurent window lo..hi, their
-        dilation weights and their ray images, cached by window.  A window
-        the ring cannot represent raises, and is never cached."""
+        """The radial powers (e, s^e) of the Laurent window lo..hi and their
+        ray images, cached by window.  A window the ring cannot represent
+        raises, and is never cached."""
         window = self._windows.get((lo, hi))
         if window is None:
             powers = _radial_powers(self.setup, lo, hi)
-            weigh = _dilation_weigher(self.setup)
             restrict = self.setup.ring.ray_restriction
-            window = (
-                powers,
-                [
-                    _single_weight(weigh, self.setup.frame.scalar_form(sc))
-                    for _, sc in powers
-                ],
-                [(ex, restrict(sc)) for ex, sc in powers],
-            )
+            window = (powers, [(ex, restrict(sc)) for ex, sc in powers])
             self._windows[lo, hi] = window
         return window
 
@@ -347,52 +338,78 @@ class Dictionary:
         return _WordImages.on_ray(self.alphabet)
 
     def _ray_product(self, tag: tuple[int, ...]) -> Form:
-        """Wedge of the ray images of the entries at these indices, one
-        index giving the ray image itself."""
-        if len(tag) == 1:
-            return self._on_ray.of(self.entries[tag[0]].word.syllables)
-        prod = self._ray_products.get(tag)
-        if prod is None:
-            prod = reduce(wedge, (self._ray_product((i,)) for i in tag))
-            self._ray_products[tag] = prod
-        return prod
-
-    @cached_property
-    def _collapses(self) -> bool:
-        """Whether every radical squares to aa: weight blocks collapse."""
-        ring = self.setup.ring
-        return len(ring.radicals_squaring_to(ring.radial_square)) == ring.nr
+        """Wedge of the ray images of the entries at these indices: the ray
+        image of their syllables in turn, wedge being associative."""
+        return self._on_ray.of(sum((self.entries[i].word.syllables for i in tag), ()))
 
     @cached_property
     def _ray_weigher(self):
-        return _dilation_weigher(self.setup, self.setup.ring.ray_restriction.target)
+        """The dilation weight of a ray coordinate, or None throughout when
+        the system is ungraded: when the ray ring kept more fiber coordinates
+        than a1, or an entry has no single weight."""
+        ring = self.setup.ring.ray_restriction.target
+        if ring.nf != 1 or None in self._entry_weights():
+            return lambda mask, mono: None
+        return _dilation_weigher(self.setup, ring)
+
+    @cached_property
+    def _ray_key(self):
+        """The slots a weighted ray coordinate keeps at t = 1: the parameters
+        and each radical whose ray square is not a1^2."""
+        ring = self.setup.ring.ray_restriction.target
+        merged = ring.radicals_squaring_to(ring.radial_square)
+        slots = list(range(ring.nf, ring.nf + ring.np))
+        for j, name in enumerate(ring.radical_names):
+            if name not in merged:
+                slots += [ring.radical_slot(j), ring.denominator_slot(j)]
+        return itemgetter(*slots) if slots else lambda mono: ()
+
+    def _blocks(self, x: Form) -> dict:
+        """A ray image split by dilation weight into sparse vectors, a
+        weighted coordinate keyed by (basis word, _ray_key) at t = 1, a
+        weightless one by (basis word, monomial)."""
+        weigh, key = self._ray_weigher, self._ray_key
+        blocks: dict[int | None, dict] = {}
+        for mask, sc in x.terms.items():
+            for mono, c in sc.coeffs.items():
+                w = weigh(mask, mono)
+                k = (mask, mono if w is None else key(mono))
+                vec_iadd_scaled(blocks.setdefault(w, {}), {k: c}, 1)
+        return blocks
+
+    def _column(self, tag: tuple[int, ...], weight: int) -> dict:
+        """The t = 1 block of the tag's ray product at its weight, built once
+        and shared by every power s^e."""
+        if tag not in self._columns:
+            blocks = self._blocks(self._ray_product(tag))
+            self._columns[tag] = blocks.get(weight, {})
+        return self._columns[tag]
 
     def _span(self, cell, weight, window, triples: bool) -> VectorSpan:
-        """The tracked span of one block of a cell, kept: with weight None,
-        every column s^e * ray product, tagged (tag, e), which reaches no
-        weightless coordinate of a weighted system; else one column per tag
-        that a power s^e brings to the weight, the tag's ray product
-        collapsed at t = 1 if blocks collapse, else s^e times it."""
+        """The tracked span of one block of a cell, kept, with columns tagged
+        (tag, e).  A weight block takes a tag's t = 1 column for the power
+        s^e that brings it to the weight; the None block takes the blocks
+        s^e times the ray product for every power, none of them in a graded
+        system."""
         key = (cell, weight, window, triples)
         span = self._spans.get(key)
         if span is not None:
             return span
         span = VectorSpan(track=True)
-        collapse = weight is not None and self._collapses
-        _, power_weights, ray_powers = self._radial_window(*window)
+        _, powers = self._radial_window(*window)
         weights = self._entry_weights()
         for tag in self._tags(cell, triples):
-            w = None if weight is None else sum(weights[i] for i in tag)
-            for (ex, sc), pw in zip(ray_powers, power_weights):
-                if weight is not None and w + pw != weight:
-                    continue
-                if collapse:
-                    col = self._columns.get(tag)
-                    if col is None:
-                        ray = _blocks(self._ray_weigher, self._ray_product(tag), True)
-                        col = self._columns[tag] = ray.get(w, {})
-                else:
-                    col = _form_to_vector(sc * self._ray_product(tag))
+            if weight is None:
+                prod = self._ray_product(tag)
+                cols = [(ex, self._blocks(sc * prod).get(None)) for ex, sc in powers]
+            else:
+                w = sum(weights[i] for i in tag)
+                cols = [
+                    (ex, self._column(tag, w))
+                    for ex, _ in powers
+                    if w + 2 * ex == weight
+                ]
+            for ex, col in cols:
                 if col:
                     span.add(col, (tag, ex))
         self._spans[key] = span
@@ -433,7 +450,7 @@ def _check_transitive_sphere(setup: HomogeneousSetup) -> int:
             "transitive-sphere hypothesis violated: a one-dimensional fiber "
             "has a disconnected unit sphere"
         )
-    dimv = len(stabilizer_of_vector(setup, setup.generic_point_vector()))
+    dimv = len(setup._generic_stabilizer)
     orbit = len(setup.splitting.gauge) - dimv
     if orbit != k - 1:
         raise EngineError(
@@ -787,15 +804,6 @@ class GeneratorCombination:
         return out
 
 
-def _form_to_vector(x: Form) -> dict:
-    """x as a sparse vector keyed by (basis word, monomial)."""
-    return {
-        (mask, mono): c
-        for mask, sc in x.terms.items()
-        for mono, c in sc.coeffs.items()
-    }
-
-
 def _radial_powers(setup: HomogeneousSetup, lo: int, hi: int):
     """Available powers of the radial invariant: s^e when the ring declares
     a radical with square |a|^2, else even powers of |a|^2 with e >= 0.
@@ -857,22 +865,6 @@ def _single_weight(weigh, x: Form) -> int | None:
     return found.pop() if len(found) == 1 else None
 
 
-def _blocks(weigh, x: Form, collapse: bool) -> dict:
-    """x split by dilation weight into sparse vectors keyed by (basis word,
-    monomial).  Collapsed, x is taken at a1 = 1 with every radical, each
-    squaring to aa, at 1, and keys are (basis word, parameter monomial): on
-    the ray, a function of t > 0 with s = t = a1, a weight block loses
-    nothing, since its basis word fixes a coordinate's power of t."""
-    ring = x.ring
-    params = slice(ring.nf, ring.nf + ring.np)
-    blocks: dict[int | None, dict] = {}
-    for mask, sc in x.terms.items():
-        for mono, c in sc.coeffs.items():
-            key = (mask, mono[params]) if collapse else (mask, mono)
-            vec_iadd_scaled(blocks.setdefault(weigh(mask, mono), {}), {key: c}, 1)
-    return blocks
-
-
 def express_in_generators(
     setup: HomogeneousSetup,
     dictionary: Dictionary,
@@ -886,32 +878,26 @@ def express_in_generators(
     Each bidegree cell of the target is solved on the ray a = t*e1, which
     keeps every relation among invariant forms, so the target must be basic
     and invariant: any target but an InvariantForm is checked once first.
-    When every entry and radial power has a single dilation weight, each
-    weight block of the cell is reduced against its own span
-    (Dictionary._span), else the cell against all its columns.
-    Coefficients are read back as full-ring powers of the radius.
+    Each block of the cell's ray image (Dictionary._blocks) is reduced
+    against its own span (Dictionary._span).  Coefficients are read back as
+    full-ring powers of the radius.
     """
     if not is_basic(setup, target):
         raise EngineError("target is not an invariant basic form")
     hi, lo = degree_bounds
     if lo > hi:
         raise EngineError(f"empty Laurent window ({hi}, {lo})")
-    powers, power_weights, _ = dictionary._radial_window(lo, hi)
+    powers = dict(dictionary._radial_window(lo, hi)[0])
     # restriction to the ray is injective on invariant forms only
     if not isinstance(target, InvariantForm) and not is_invariant(setup, target):
         raise EngineError("target is not an invariant basic form")
     ring = setup.ring
-    weighted = None not in dictionary._entry_weights() and None not in power_weights
     terms: list[CombinationTerm] = []
     failed: list[tuple[int, int]] = []
     for cell, part in sorted(bidegree_split(target).items()):
-        on_ray = map_form(part, ring.ray_restriction)
-        if weighted:
-            blocks = _blocks(dictionary._ray_weigher, on_ray, dictionary._collapses)
-        else:
-            blocks = {None: _form_to_vector(on_ray)}
         combo: dict | None = {}
-        for weight, vec in blocks.items():
+        on_ray = map_form(part, ring.ray_restriction)
+        for weight, vec in dictionary._blocks(on_ray).items():
             span = dictionary._span(cell, weight, (lo, hi), allow_triples)
             found = span.combination(vec)
             if found is None:
@@ -923,9 +909,7 @@ def express_in_generators(
             continue
         grouped: dict[tuple[int, ...], Scalar] = {}
         for (tag, ex), c in combo.items():
-            sc = grouped.get(tag, ring.zero)
-            power = next(p for e2, p in powers if e2 == ex)
-            grouped[tag] = sc + c * power
+            grouped[tag] = grouped.get(tag, ring.zero) + c * powers[ex]
         for tag in sorted(grouped, key=lambda t: (len(t), t)):
             coeff = grouped[tag]
             if coeff.is_zero:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from math import comb
 from typing import Iterable, Mapping, Sequence
 
@@ -306,7 +306,7 @@ class HomogeneousSetup:
             )
             self._negated_connection = tuple(-acc for acc in connection)
             for pos, acc in zip(self._pos_b, connection):
-                images[pos] = _derivation(acc, self._d_coefficient, images)
+                images[pos] = _derivation(acc, images, self._coordinates)
         return self._d_images
 
     def basic_images(self) -> dict[int, Form]:
@@ -325,20 +325,6 @@ class HomogeneousSetup:
             for m, s in img.terms.items():
                 halves[bool(m & self.frame.gauge_mask)].setdefault(pos, {})[m] = s
         return tuple({p: Form(self.frame, t) for p, t in h.items()} for h in halves)
-
-    def _d_coefficient(self, c: Scalar, gauge: bool = True):
-        """df = sum_i (df/da_i) da_i, with da_i = b_i - (rho(theta) a)_i, as
-        (partial, image of da_i) pairs, the partials of one gradient pass.
-
-        With gauge False only the vertical half sum_i (df/da_i) b_i, which
-        is the basic part of df.
-        """
-        return zip(gradient(c), self._coordinates if gauge else self._vertical)
-
-    def _gauge_coefficient(self, c: Scalar):
-        """The gauge half of df, -sum_i (df/da_i) (rho(theta) a)_i: every
-        partial is taken, so each depth refusal of the full pass stands."""
-        return zip(gradient(c), self._negated_connection)
 
     def radical_is_invariant(self, name: str) -> bool:
         """Whether the declared radical `name` is invariant, that is whether
@@ -368,6 +354,12 @@ class HomogeneousSetup:
             self._generic_vector = v
         return list(self._generic_vector)
 
+    @cached_property
+    def _generic_stabilizer(self) -> list[list[Coefficient]]:
+        """A basis of the stabilizer of generic_point_vector(), which the
+        transitive-sphere proof and the generic table both read."""
+        return stabilizer_of_vector(self, self.generic_point_vector())
+
     def invariant_dimension_tables(self) -> InvariantDimensionTables:
         """Invariant dimensions at the origin and at generic_point_vector().
 
@@ -377,7 +369,7 @@ class HomogeneousSetup:
         One cell is ranked per class and copied to the rest."""
         if self._dim_tables is None:
             stab0 = stabilizer_of_vector(self, [0] * self.fiber_dim)
-            stabv = stabilizer_of_vector(self, self.generic_point_vector())
+            stabv = self._generic_stabilizer
             n, k = self.horizontal_dim, self.fiber_dim
             t_skew = all(
                 _is_skew(self.ad_on_horizontal(a)) for a in self.splitting.gauge
@@ -491,7 +483,7 @@ def validate_setup(
     # Jacobi: d(d e^i) = 0 with d e^i from the constants
     images, _ = setup.derivative_images()
     for i in range(1, n + 1):
-        if not _derivation(images[setup._pos_e[i]], lambda c: (), images).is_zero:
+        if not _derivation(images[setup._pos_e[i]], images).is_zero:
             issues.append(f"Jacobi identity fails: d(d e^{i}) != 0")
 
     # gauge part closed under bracket; reductivity
@@ -546,11 +538,13 @@ def validate_setup(
 # -- derivations on the frame ----------------------------------------------
 
 
-def _derivation(x: Form, coeff_rule, gen_images: dict[int, Form], words=None) -> Form:
-    """Apply a derivation of degree 0 or 1 on the frame: coeff_rule(c) gives
-    the image of a coefficient as (coefficient map, 1-form) pairs, none
-    when coefficients go to zero, and gen_images maps frame positions to
-    generator images.
+def _derivation(
+    x: Form, gen_images: dict[int, Form], da: Sequence[Form] = (), words=None
+) -> Form:
+    """Apply a derivation of degree 0 or 1 on the frame: gen_images maps
+    frame positions to generator images, and a coefficient f goes to
+    sum_i (df/da_i) da[i], from one gradient pass, or to zero when da is
+    empty.  da is the image of the da_i under d, or its basic or gauge half.
 
     One walker serves both degrees.  Removing generator g from a word costs
     the sign (-1)^(set bits below g) either way: an odd derivation takes it
@@ -563,7 +557,7 @@ def _derivation(x: Form, coeff_rule, gen_images: dict[int, Form], words=None) ->
     ring = x.ring
     words = {} if words is None else words
     for mask, c in x.terms.items():
-        for dc, image in coeff_rule(c):
+        for dc, image in zip(gradient(c), da) if da else ():
             if not dc:
                 continue
             # the coefficients of da_i are polynomials in a: no product
@@ -593,18 +587,18 @@ def frame_derivative(setup: HomogeneousSetup, x: Form) -> Form:
     """
     if x.frame != setup.frame:
         raise SetupError(["form does not belong to this setup's frame"])
-    return _derivation(x, setup._d_coefficient, setup.derivative_images()[0])
+    return _derivation(x, setup.derivative_images()[0], setup._coordinates)
 
 
 def basic_derivative(setup: HomogeneousSetup, x: Form) -> Form:
     """The basic part of d x, for basic x."""
-    rule = partial(setup._d_coefficient, gauge=False)
-    return _derivation(x, rule, setup.basic_images())
+    return _derivation(x, setup.basic_images(), setup._vertical)
 
 
 def gauge_derivative(setup: HomogeneousSetup, x: Form, words=None) -> Form:
-    """The gauge part of d x, for basic x, added to the word maps words."""
-    return _derivation(x, setup._gauge_coefficient, setup.gauge_images(), words)
+    """The gauge part of d x, for basic x, added to the word maps words.
+    Every partial is taken, so each depth refusal of the full pass stands."""
+    return _derivation(x, setup.gauge_images(), setup._negated_connection, words)
 
 
 def exterior_derivative(setup: HomogeneousSetup, x: Form) -> InvariantForm:

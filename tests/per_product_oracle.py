@@ -3,8 +3,8 @@ normalized on its own, kept as an oracle for the kernels that sum each
 output word unreduced and normalize it once.
 
 `merge_sign`, `wedge` and `_derivation` are copied unchanged.
-`d_coefficient` is the body of `HomogeneousSetup._d_coefficient` then,
-which took each partial derivative through `Scalar.differentiate`; its
+`d_coefficient` is the coefficient rule of `HomogeneousSetup` then (its
+`_d_coefficient`), which took each partial through `Scalar.differentiate`; its
 negated connection is rebuilt from the setup's connection forms, which
 involve no derivation.  `frame_derivative` and `basic_derivative` are the
 full pass and the pass on the basic frame, over generator images that this

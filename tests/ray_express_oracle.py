@@ -9,11 +9,13 @@ were built.  The graded kernel collapses each weight block at t = 1 and
 keeps its span across targets; on every bundled system it must give the
 same terms, coefficient for coefficient, the same residual flag and the
 same failing cells.  The body below is that kernel, unchanged but for its
-local weight helper.
+local helpers: it weighs the radial powers itself and multiplies the
+entries' ray images by wedge.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations_with_replacement
 
 from equiform.dictionary import (
@@ -22,9 +24,8 @@ from equiform.dictionary import (
     EngineError,
     GeneratorCombination,
     _dilation_weigher,
-    _form_to_vector,
 )
-from equiform.forms import Form, bidegree_split, map_form
+from equiform.forms import Form, bidegree_split, map_form, wedge
 from equiform.homogeneous import (
     HomogeneousSetup,
     InvariantForm,
@@ -34,9 +35,15 @@ from equiform.homogeneous import (
 from equiform.linalg import VectorSpan
 from equiform.scalars import Scalar
 
+from unfiltered_express_oracle import _form_to_vector
+
 
 def _weights(weigh, x: Form) -> set[int | None]:
     return {weigh(mask, mono) for mask, sc in x.terms.items() for mono in sc.coeffs}
+
+
+def _single(weights: set[int | None]) -> int | None:
+    return weights.pop() if len(weights) == 1 else None
 
 
 def express_in_generators(
@@ -66,14 +73,25 @@ def express_in_generators(
     hi, lo = degree_bounds
     if lo > hi:
         raise EngineError(f"empty Laurent window ({hi}, {lo})")
-    powers, power_weights, ray_powers = dictionary._radial_window(lo, hi)
+    powers, ray_powers = dictionary._radial_window(lo, hi)
     # restriction to the ray is injective on invariant forms only
     if not isinstance(target, InvariantForm) and not is_invariant(setup, target):
         raise EngineError("target is not an invariant basic form")
     entries = dictionary.entries
     positive = [i for i, e in enumerate(entries) if e.word.length > 0]
     weigh = _dilation_weigher(setup)
+    power_weights = [
+        _single(_weights(weigh, setup.frame.scalar_form(sc))) for _, sc in powers
+    ]
     entry_weights = dictionary._entry_weights()
+    restrict = setup.ring.ray_restriction
+    images: dict[int, Form] = {}
+
+    def ray_image(i: int) -> Form:
+        if i not in images:
+            images[i] = map_form(entries[i].translation, restrict)
+        return images[i]
+
     graded = None not in entry_weights and None not in power_weights
     terms: list[CombinationTerm] = []
     residual = False
@@ -109,7 +127,7 @@ def express_in_generators(
                 usable = ray_powers
             if not usable:
                 continue
-            form = dictionary._ray_product(tag)
+            form = reduce(wedge, (ray_image(i) for i in tag))
             for ex, sc in usable:
                 col = sc * form
                 if col.is_zero:

@@ -184,6 +184,26 @@ class TestExitStatus:
         assert out.read_bytes() == golden.read_bytes()
 
     @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (
+                ["d_table", "--max-degree", "4", "--laurent-bounds=0,16"],
+                "d_table-degree4",
+            ),
+            (["express", "--laurent-bounds=-4,32"], "express-wide"),
+        ],
+    )
+    def test_su2_ray_solve_matches_golden(self, tmp_path, argv, name):
+        # captured from `equiform <argv> --config su2_ts2 --format json`: the
+        # t = 1 blocks of su2_ts2 beyond the degree-2 table of its run
+        out = tmp_path / "report.json"
+        assert main([
+            *argv, "--config", "su2_ts2", "--format", "json", "--output", str(out),
+        ]) == 0
+        golden = Path(__file__).parent / "golden" / f"su2_ts2-{name}.json"
+        assert out.read_bytes() == golden.read_bytes()
+
+    @pytest.mark.parametrize(
         "kind",
         [
             "generate", "dim_table", "d_table", "verify_closed", "verify_equation",

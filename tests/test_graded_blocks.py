@@ -1,16 +1,20 @@
 """Graded blocks of express_in_generators, against both older kernels.
 
-On su3_tcp2 every entry and radial power has one dilation weight and the
-one radical s squares to aa, so each cell splits by weight, each block is
-collapsed at a1 = s = 1 with the parameters kept, and its span is built
-once per (cell, weight, Laurent window, triples) and kept on the
-Dictionary.  su2_ts2, whose radical squares to k+aa, keeps the uncollapsed
-columns s^e * product, in spans kept the same way.  The results must
-equal, term for term, the ray solve that kept a1 and s apart
+On both bundled configs every entry has one dilation weight and the ray
+ring has the one fiber coordinate a1, so each cell splits by weight and
+each block is solved at t = 1: a1 and every radical whose ray square is
+a1^2 are dropped, the parameters and the other radicals' slots kept.  On
+su3_tcp2 that merges s with a1; on su2_ts2, whose radical squares to k+aa,
+it only relabels the columns s^e * product.  Two su2_ts2 rings test the
+other cases: u^2 = k*aa, whose slots a block keeps, and s^2 = aa beside
+it, which merges.  Each span is built once per (cell, weight, Laurent
+window, triples) and kept on the Dictionary.  The results must equal,
+term for term, the ray solve that kept a1 and every radical apart
 (ray_express_oracle.py) and the full-fiber solve over every column
 (unfiltered_express_oracle.py).
 """
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -75,10 +79,55 @@ def test_su2_rows_match_both_oracles(su2_setup, su2_dictionary):
     fresh = replace(su2_dictionary)
     for target in _row_targets(su2_setup, fresh, 2):
         _assert_matches_oracles(su2_setup, fresh, target)
-    # u^2 = k+aa cannot be set to 1 with a1: no block is collapsed, but
-    # each weight block's uncollapsed span is kept
-    assert not fresh._collapses
+    # u^2 = k+aa is not a1^2: blocks drop a1 alone, and each tag's t = 1
+    # column is built once for every power
+    assert fresh._columns
     assert fresh._spans and all(key[1] is not None for key in fresh._spans)
+
+
+# su2_ts2 with other radicals, each with the slots _ray_key keeps from a
+# ray monomial (a1, k, u[, s], 1/u^2[, 1/s^2]) and targets that are expressed
+# or left residual: u = sqrt(k)*t on the ray, which no power s^e supplies
+RADICAL_VARIANTS = {
+    "u=k*aa": (
+        [{"name": "u", "square": "k*aa"}],
+        (1, 2, 3),
+        [("det(a,b)+aa*det(a,b)", False), ("u*det(a,b)", True)],
+    ),
+    "u=k*aa,s=aa": (
+        [{"name": "u", "square": "k*aa"}, {"name": "s", "square": "aa"}],
+        (1, 2, 4),
+        [
+            ("s*det(a,b)+aa*det(a,b)", False),
+            ("s^(-1)*dot(a,b)-2*dot(a,b)", False),
+            ("u*det(a,b)", True),
+            ("u*det(a,b)+s*det(a,b)", True),
+        ],
+    ),
+}
+
+
+@pytest.fixture(scope="module", params=list(RADICAL_VARIANTS))
+def su2_radical_variant(request):
+    doc = json.loads(resolve_config("su2_ts2")[1])
+    doc["ring"]["radicals"] = RADICAL_VARIANTS[request.param][0]
+    return request.param, realize_config(parse_config(json.dumps(doc)))
+
+
+def test_su2_radical_variant_rows_match_both_oracles(su2_radical_variant):
+    name, rc = su2_radical_variant
+    fresh = replace(rc.dictionary())
+    ray_ring = rc.setup.ring.ray_restriction.target
+    assert fresh._ray_key(tuple(range(ray_ring.width))) == RADICAL_VARIANTS[name][1]
+    for target in _row_targets(rc.setup, fresh, 3):
+        _assert_matches_oracles(rc.setup, fresh, target)
+        _assert_matches_oracles(rc.setup, fresh, target, degree_bounds=(12, 0))
+    assert fresh._columns
+    assert fresh._spans and all(key[1] is not None for key in fresh._spans)
+    for text, residual in RADICAL_VARIANTS[name][2]:
+        target = parse_form_expression(text, rc.context)
+        got = _assert_matches_oracles(rc.setup, fresh, target)
+        assert got.residual == residual, text
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,6 @@ floor, so that both the unreduced path and the per-product fallback run.
 """
 
 from dataclasses import replace
-from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -44,8 +43,7 @@ def _outcome(fn, *args):
 
 
 def _basic_derivative(setup, x):
-    rule = partial(setup._d_coefficient, gauge=False)
-    return _derivation(x, rule, setup.basic_images())
+    return _derivation(x, setup.basic_images(), setup._vertical)
 
 
 @given(st.integers(0, 2**12 - 1), st.integers(0, 2**12 - 1))

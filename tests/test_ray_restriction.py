@@ -8,13 +8,16 @@ full-fiber kernel in unfiltered_express_oracle.py, term for term: on the
 bundled configs, on a ring whose radical square k+a1*a1 is not invariant,
 and on a ring whose extra radical square k+a2*a2 restricts to a square the
 one-fiber ring refuses, so the restriction is the identity.  On the same
-rings, an entry's column is composed from its syllables without
-translating it: its ray image is the restricted prefix wedged with the
-restricted last syllable, and its weight is the sum of its syllables'.
+rings, a column is composed from syllables without translating a word: the
+ray image of an entry, or of a product of two (on su2_ts2, three)
+entries, is the restricted prefix of their syllables wedged with the
+restricted last one, and an entry's weight is the sum of its syllables'.
 """
 
 import json
 from fractions import Fraction
+from functools import reduce
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +33,7 @@ from equiform.dictionary import (
     generate_dictionary,
 )
 from equiform.expressions import parse_form_expression
-from equiform.forms import map_form
+from equiform.forms import map_form, wedge
 from equiform.homogeneous import exterior_derivative
 from equiform.scalars import Point, RadicalSpec, Ring, RingSpec
 
@@ -181,28 +184,38 @@ def test_variants_restrict_as_declared(su2_variant):
     assert restrict.is_identity == (name == "v=k+a2*a2")
 
 
-def _assert_columns_are_composed(rc):
+def _assert_columns_are_composed(rc, factors):
     # a fresh dictionary, none of whose kept words is translated yet
     fresh = generate_dictionary(
         rc.setup, list(rc.letters.values()), list(rc.contractions.values())
     )
+    entries = fresh.entries
     translated = set(fresh.alphabet._translations)
     weights = fresh._entry_weights()
-    images = [fresh._ray_product((i,)) for i in range(len(fresh.entries))]
+    # products of up to `factors` entries of positive length within the fiber
+    tags = [(i,) for i in range(len(entries))]
+    positive = [i for i, e in enumerate(entries) if e.word.length]
+    for r in range(2, factors + 1):
+        for tag in combinations_with_replacement(positive, r):
+            if sum(entries[i].bidegree[1] for i in tag) <= rc.setup.fiber_dim:
+                tags.append(tag)
+    images = {tag: fresh._ray_product(tag) for tag in tags}
     assert set(fresh.alphabet._translations) == translated
     weigh = _dilation_weigher(rc.setup)
     restrict = rc.setup.ring.ray_restriction
-    for e, weight, image in zip(fresh.entries, weights, images):
-        assert image == map_form(e.translation, restrict), e.word.render()
+    for tag, image in images.items():
+        product = reduce(wedge, (entries[i].translation for i in tag))
+        assert image == map_form(product, restrict), tag
+    for e, weight in zip(entries, weights):
         assert weight == _single_weight(weigh, e.translation), e.word.render()
 
 
 def test_su2_variant_columns_are_composed_from_syllables(su2_variant):
-    _assert_columns_are_composed(su2_variant[1])
+    _assert_columns_are_composed(su2_variant[1], 3)
 
 
 def test_su3_columns_are_composed_from_syllables():
-    _assert_columns_are_composed(_realize("su3_tcp2"))
+    _assert_columns_are_composed(_realize("su3_tcp2"), 2)
 
 
 def test_su2_variant_rows_match_oracle(su2_variant):

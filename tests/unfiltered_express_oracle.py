@@ -17,13 +17,21 @@ from equiform.dictionary import (
     Dictionary,
     EngineError,
     GeneratorCombination,
-    _form_to_vector,
     _radial_powers,
 )
 from equiform.forms import Form, bidegree_split, wedge
 from equiform.homogeneous import HomogeneousSetup, is_invariant
 from equiform.linalg import VectorSpan
 from equiform.scalars import Scalar
+
+
+def _form_to_vector(x: Form) -> dict:
+    """x as a sparse vector keyed by (basis word, monomial)."""
+    return {
+        (mask, mono): c
+        for mask, sc in x.terms.items()
+        for mono, c in sc.coeffs.items()
+    }
 
 
 def express_in_generators(
