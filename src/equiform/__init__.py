@@ -22,7 +22,7 @@ The usual entry points, bottom of the tower first:
 * `build_context`, `parse_form_expression`: the expression language.
 * `verify_closed`, `verify_equation`: closedness checks, optionally on the
   unit sphere bundle.
-* `load_config`, `realize_config`, and the `equiform` command line for the
+* `parse_config`, `realize_config`, and the `equiform` command line for the
   declarative route.
 """
 
@@ -30,7 +30,6 @@ from equiform.config import (
     ConfigDocument,
     ConfigError,
     RealizedConfig,
-    load_config,
     parse_config,
     realize_config,
 )
@@ -38,7 +37,6 @@ from equiform.dictionary import (
     Alphabet,
     CompletenessReport,
     Dictionary,
-    DictionaryOptions,
     EngineError,
     Word,
     completeness_check,
@@ -114,7 +112,6 @@ __all__ = [
     "ConfigError",
     "Contraction",
     "Dictionary",
-    "DictionaryOptions",
     "EngineError",
     "ExpressionContext",
     "ExpressionError",
@@ -164,7 +161,6 @@ __all__ = [
     "letter_b",
     "letter_from_T_valued_map",
     "letter_from_bilinear_map",
-    "load_config",
     "make_algebra",
     "make_contraction",
     "make_letter",

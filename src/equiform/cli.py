@@ -50,12 +50,11 @@ class UsageError(ValueError):
 
 @dataclass(frozen=True)
 class Overrides:
-    max_length: int | None = None
     max_degree: int | None = None
     bounds: tuple[int, int] | None = None  # engine order
-    # length caps at which a generate task of the run reads the whole
-    # dictionary, so that a task before it does not generate a bounded one
-    full_caps: frozenset = frozenset()
+    # a generate task of the run reads the whole dictionary, so that a task
+    # before it does not generate a bounded one
+    full_dictionary: bool = False
 
 
 # -- config resolution -------------------------------------------------------
@@ -101,12 +100,9 @@ def _bounds_for(task: TaskSpec, ov: Overrides) -> tuple[int, int]:
     return DEFAULT_BOUNDS
 
 
-def _dictionary_for(
-    rc: RealizedConfig, task: TaskSpec, ov: Overrides, max_degree: int | None = None
-):
+def _dictionary_for(rc: RealizedConfig, ov: Overrides, max_degree: int | None = None):
     """The dictionary up to the degree a task reads, None for all of it."""
-    cap = ov.max_length or task.max_length
-    return rc.dictionary(cap, None if cap in ov.full_caps else max_degree)
+    return rc.dictionary(None if ov.full_dictionary else max_degree)
 
 
 def _report(task: TaskSpec, passed: bool, details: dict) -> TaskReport:
@@ -119,7 +115,7 @@ def _cell_key(bidegree: tuple[int, int]) -> str:
 
 
 def _run_generate(rc: RealizedConfig, task: TaskSpec, ov: Overrides) -> TaskReport:
-    dictionary = _dictionary_for(rc, task, ov)
+    dictionary = _dictionary_for(rc, ov)
     comp = completeness_check(rc.setup, dictionary)
     cells = [vars(c) for c in sorted(comp.cells, key=lambda c: c.bidegree)]
     details = {
@@ -195,7 +191,7 @@ def _run_d_table(rc: RealizedConfig, task: TaskSpec, ov: Overrides) -> TaskRepor
     if max_degree is None:
         raise UsageError(f"task {task.name}: d_table needs max_degree")
     # d raises degree by one
-    dictionary = _dictionary_for(rc, task, ov, max_degree + 1)
+    dictionary = _dictionary_for(rc, ov, max_degree + 1)
     rows = differential_table(
         rc.setup,
         dictionary,
@@ -267,7 +263,7 @@ def _run_verify_equation(
 
 def _run_express(rc: RealizedConfig, task: TaskSpec, ov: Overrides) -> TaskReport:
     form = _parse(rc, task.expression, f"task {task.name}: expression")
-    dictionary = _dictionary_for(rc, task, ov, max(form.degrees(), default=0))
+    dictionary = _dictionary_for(rc, ov, max(form.degrees(), default=0))
     comb = express_in_generators(
         rc.setup,
         dictionary,
@@ -334,8 +330,7 @@ def run_config(
     tasks: list[TaskSpec],
     ov: Overrides,
 ) -> ReportDocument:
-    caps = (ov.max_length or t.max_length for t in tasks if t.kind == "generate")
-    ov = replace(ov, full_caps=frozenset(caps))
+    ov = replace(ov, full_dictionary=any(t.kind == "generate" for t in tasks))
     reports = [run_task(rc, t, ov) for t in tasks]
     return ReportDocument(
         source=source,
@@ -367,8 +362,15 @@ def _positive_flag(flag: str, value: int | None) -> int | None:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as every other input error: one line, exit 2."""
+
+    def error(self, message):
+        self.exit(2, f"equiform: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="equiform",
         description="exact invariant-form calculus on associated bundles",
     )
@@ -387,7 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(kind)
         p.add_argument("--config", required=True, help="path or bundled name")
         p.add_argument("--task", help="only the task with this name")
-        p.add_argument("--max-length", type=int, dest="max_length")
         p.add_argument("--max-degree", type=int, dest="max_degree")
         p.add_argument("--laurent-bounds", dest="laurent_bounds")
         p.add_argument("--output", help="write the report to this file")
@@ -431,7 +432,6 @@ def main(argv=None) -> int:
         document = parse_config(text)
         rc = realize_config(document)
         ov = Overrides(
-            max_length=_positive_flag("--max-length", args.max_length),
             max_degree=_positive_flag("--max-degree", args.max_degree),
             bounds=(
                 _parse_bounds_flag(args.laurent_bounds)

@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
-from equiform.dictionary import DictionaryOptions, generate_dictionary
+from equiform.dictionary import generate_dictionary
 from equiform.expressions import (
     ExpressionContext,
     ExpressionError,
@@ -73,7 +73,7 @@ TASK_KINDS = (
 )
 
 _TASK_FIELDS: dict[str, tuple[frozenset, frozenset]] = {
-    "generate": (frozenset(), frozenset({"max_length"})),
+    "generate": (frozenset(), frozenset()),
     "dim_table": (frozenset(), frozenset()),
     "d_table": (
         frozenset({"max_degree"}),
@@ -117,7 +117,6 @@ class ContractionSection:
 class TaskSpec:
     kind: str
     name: str
-    max_length: int | None = None
     max_degree: int | None = None
     laurent_bounds: tuple[int, int] | None = None
     on_sphere: bool = False
@@ -472,11 +471,6 @@ def _parse_tasks(raw) -> tuple[TaskSpec, ...]:
         spec = TaskSpec(
             kind=kind,
             name=name,
-            max_length=(
-                _as_int(entry["max_length"], f"{where}.max_length", low=1)
-                if "max_length" in entry
-                else None
-            ),
             max_degree=(
                 _as_int(entry["max_degree"], f"{where}.max_degree", low=1)
                 if "max_degree" in entry
@@ -637,15 +631,6 @@ def parse_config(text: str) -> ConfigDocument:
     )
 
 
-def load_config(path: str) -> ConfigDocument:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as e:
-        raise ConfigError(f"cannot read config {path}: {e}") from None
-    return parse_config(text)
-
-
 # -- realization -------------------------------------------------------------
 
 
@@ -665,28 +650,23 @@ class RealizedConfig:
         self.letters = dict(letters)
         self.contractions = dict(contractions)
         self.context = context
-        self._dictionaries: dict[int, object] = {}
+        self._dictionary = None
 
-    def dictionary(
-        self, max_length: int | None = None, max_degree: int | None = None
-    ):
+    def dictionary(self, max_degree: int | None = None):
         """The dictionary of words up to max_degree, None for all of them.
-        One dictionary is kept per length cap: it serves every request up
-        to its own degree bound, and a request above it generates afresh."""
-        key = (
-            max_length if max_length is not None else DictionaryOptions().max_length
-        )
-        cached = self._dictionaries.get(key)
+        One dictionary is kept: it serves every request up to its own degree
+        bound, and a request above it generates afresh."""
+        cached = self._dictionary
         covered = cached is not None and (
             cached.max_degree is None
             or (max_degree is not None and max_degree <= cached.max_degree)
         )
         if not covered:
-            cached = self._dictionaries[key] = generate_dictionary(
+            cached = self._dictionary = generate_dictionary(
                 self.setup,
                 list(self.letters.values()),
                 list(self.contractions.values()),
-                DictionaryOptions(max_length=key, max_degree=max_degree),
+                max_degree,
             )
         return cached
 

@@ -40,12 +40,17 @@ the target carries, each solved at t = 1: on the ray a1 = t, and so does
 every radical whose ray square is a1^2, so a weighted coordinate keeps its
 basis word, its parameters and the other radicals' slots, which fix its
 power of t within the block.  A block has one column per product, with
-s^e read back into its coefficient.  Otherwise the system is one block of
-the columns s^e * product, keyed by full monomials, as is a target's
-weightless part.  No span depends on the target, so each is kept on the
+s^e read back into its coefficient; a target's weightless part has no
+column there.  Otherwise the system is one block of the columns
+s^e * product, keyed by full monomials.  No span depends on the target, so each is kept on the
 Dictionary per (cell, weight, Laurent window, triples).
 
-Generation can stop at a total degree (DictionaryOptions.max_degree).  A
+Generation ends by itself.  A syllable of degree 0 is a scalar at a
+point, so a word that contains it is a multiple of the word without it,
+which is pooled: it is never kept.  With bidegree overflow pruned, a kept
+word has at most horizontal_dim + fiber_dim syllables.
+
+Generation can stop at a total degree (generate_dictionary's max_degree).  A
 word's subwords have at most its degree, and values of different
 bidegrees have disjoint supports, so the bounded dictionary's entries,
 radial invariant and verdicts are the full dictionary's of degree up to
@@ -246,16 +251,6 @@ class DictionaryEntry:
         return self.alphabet.translate(self.word)
 
 
-@dataclass(frozen=True)
-class DictionaryOptions:
-    """max_length caps the length of the words generation extends;
-    max_degree, when set, bounds the total degree of every word, None
-    meaning the full dictionary."""
-
-    max_length: int = 8
-    max_degree: int | None = None
-
-
 @dataclass
 class Dictionary:
     setup: HomogeneousSetup
@@ -344,12 +339,12 @@ class Dictionary:
 
     @cached_property
     def _ray_weigher(self):
-        """The dilation weight of a ray coordinate, or None throughout when
-        the system is ungraded: when the ray ring kept more fiber coordinates
-        than a1, or an entry has no single weight."""
+        """The dilation weigher of ray coordinates, or None when the system
+        is ungraded: when the ray ring kept more fiber coordinates than a1,
+        or an entry has no single weight."""
         ring = self.setup.ring.ray_restriction.target
         if ring.nf != 1 or None in self._entry_weights():
-            return lambda mask, mono: None
+            return None
         return _dilation_weigher(self.setup, ring)
 
     @cached_property
@@ -372,7 +367,7 @@ class Dictionary:
         blocks: dict[int | None, dict] = {}
         for mask, sc in x.terms.items():
             for mono, c in sc.coeffs.items():
-                w = weigh(mask, mono)
+                w = None if weigh is None else weigh(mask, mono)
                 k = (mask, mono if w is None else key(mono))
                 vec_iadd_scaled(blocks.setdefault(w, {}), {k: c}, 1)
         return blocks
@@ -388,9 +383,9 @@ class Dictionary:
     def _span(self, cell, weight, window, triples: bool) -> VectorSpan:
         """The tracked span of one block of a cell, kept, with columns tagged
         (tag, e).  A weight block takes a tag's t = 1 column for the power
-        s^e that brings it to the weight; the None block takes the blocks
-        s^e times the ray product for every power, none of them in a graded
-        system."""
+        s^e that brings it to the weight.  The None block of an ungraded
+        system takes s^e times the ray product for every power; in a graded
+        system every column has a weight, so its None block has none."""
         key = (cell, weight, window, triples)
         span = self._spans.get(key)
         if span is not None:
@@ -398,7 +393,9 @@ class Dictionary:
         span = VectorSpan(track=True)
         _, powers = self._radial_window(*window)
         weights = self._entry_weights()
-        for tag in self._tags(cell, triples):
+        graded = self._ray_weigher is not None
+        tags = [] if weight is None and graded else self._tags(cell, triples)
+        for tag in tags:
             if weight is None:
                 prod = self._ray_product(tag)
                 cols = [(ex, self._blocks(sc * prod).get(None)) for ex, sc in powers]
@@ -517,7 +514,6 @@ def _phase(
     on_ray: _WordImages,
     seeds: Sequence[tuple[int, ...]],
     transcript: list,
-    max_length: int,
     collect_radial: bool,
 ):
     """Extend the seeds, words as syllable-index tuples, by the words whose
@@ -566,10 +562,6 @@ def _phase(
 
     l = 1
     while pool.get(l - 1):
-        if l > max_length:
-            raise EngineError(
-                f"dictionary generation exceeded the word-length cap {max_length}"
-            )
         # a candidate extends one pooled word w, its prefix, so it is met
         # once; w is pooled, and every other subword must be
         cands: list[tuple[int, ...]] = []
@@ -626,10 +618,9 @@ def generate_dictionary(
     setup: HomogeneousSetup,
     letters: Sequence[Letter],
     contractions: Sequence[Contraction],
-    options: DictionaryOptions | None = None,
+    max_degree: int | None = None,
 ) -> Dictionary:
-    options = options or DictionaryOptions()
-    alphabet = Alphabet(setup, letters, contractions, options.max_degree)
+    alphabet = Alphabet(setup, letters, contractions, max_degree)
     _check_transitive_sphere(setup)
     at_origin = _WordImages.at_point(alphabet, setup.point([0] * setup.fiber_dim))
     at_generic = _WordImages.at_point(
@@ -637,11 +628,9 @@ def generate_dictionary(
     )
     on_ray = _WordImages.on_ray(alphabet)
     transcript: list[tuple[str, str, str]] = []
-    c0, k0, _ = _phase(
-        alphabet, "origin", at_origin, on_ray, [], transcript, options.max_length, False
-    )
+    c0, k0, _ = _phase(alphabet, "origin", at_origin, on_ray, [], transcript, False)
     new, k1, radial = _phase(
-        alphabet, "generic", at_generic, on_ray, k0, transcript, options.max_length, True
+        alphabet, "generic", at_generic, on_ray, k0, transcript, True
     )
     dictionary = Dictionary(
         setup=setup,

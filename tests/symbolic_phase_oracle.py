@@ -5,10 +5,11 @@ translated symbolically, one wedge per syllable, and its translation was
 evaluated at the phase point.  The point-value kernel must give the same
 transcript, entries, translations, radial invariant and images.  The bodies
 of `SymbolicAlphabet.translate`, `_phase` and `generate_dictionary` below
-are that kernel, unchanged but for one mechanical edit: an entry is built
+are that kernel, unchanged but for two mechanical edits: an entry is built
 from its word and the alphabet, which translates it on each read, where
-the kernel passed the translation.  The first overrides the memoized
-translation.
+the kernel passed the translation; and the word-length cap, since deleted
+from the kernel, is gone with its parameter.  `SymbolicAlphabet.translate`
+overrides the memoized translation.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from equiform.dictionary import (
     Alphabet,
     Dictionary,
     DictionaryEntry,
-    DictionaryOptions,
     EngineError,
     Word,
     _check_transitive_sphere,
@@ -52,7 +52,6 @@ def _phase(
     point: Point,
     seeds: Sequence[DictionaryEntry],
     transcript: list,
-    max_length: int,
     collect_radial: bool,
 ):
     setup = alphabet.setup
@@ -89,10 +88,6 @@ def _phase(
     sylls = alphabet.syllables()
     l = 1
     while pool.get(l - 1):
-        if l > max_length:
-            raise EngineError(
-                f"dictionary generation exceeded the word-length cap {max_length}"
-            )
         seen: set[Word] = set()
         cands: list[Word] = []
         for w in pool.get(l - 1, []):
@@ -156,19 +151,15 @@ def generate_dictionary(
     setup: HomogeneousSetup,
     letters: Sequence[Letter],
     contractions: Sequence[Contraction],
-    options: DictionaryOptions | None = None,
 ) -> Dictionary:
-    options = options or DictionaryOptions()
     alphabet = SymbolicAlphabet(setup, letters, contractions)
     _check_transitive_sphere(setup)
     origin_pt = setup.point([setup.field.zero] * setup.fiber_dim)
     v_pt = setup.point(setup.generic_point_vector())
     transcript: list[tuple[str, str, str]] = []
-    c0, _, at_origin = _phase(
-        alphabet, "origin", origin_pt, [], transcript, options.max_length, False
-    )
+    c0, _, at_origin = _phase(alphabet, "origin", origin_pt, [], transcript, False)
     new, radial, at_generic = _phase(
-        alphabet, "generic", v_pt, c0, transcript, options.max_length, True
+        alphabet, "generic", v_pt, c0, transcript, True
     )
     dictionary = Dictionary(
         setup=setup,

@@ -5,13 +5,22 @@ The heavy eight-dimensional config only gets its cheap subcommands here
 acceptance suite.
 """
 
+import argparse
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from equiform import homogeneous
-from equiform.cli import Overrides, main, resolve_config, run_config, UsageError
+from equiform.cli import (
+    Overrides,
+    UsageError,
+    build_parser,
+    main,
+    resolve_config,
+    run_config,
+)
 from equiform.config import TaskSpec, parse_config, realize_config
 from equiform.report import SCHEMA
 
@@ -374,7 +383,7 @@ class TestExitStatus:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--max-degree", "-3"), ("--max-degree", "0"), ("--max-length", "-1")],
+        [("--max-degree", "-3"), ("--max-degree", "0")],
     )
     def test_size_flag_below_one_exits_two(self, capsys, flag, value):
         assert main(["d_table", "--config", "su2_ts2", flag, value]) == 2
@@ -412,6 +421,41 @@ class TestExitStatus:
     def test_missing_config_exits_two(self, capsys):
         assert main(["run", "--config", "no_such_thing"]) == 2
         assert "bundled" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            (["d_table", "--config", "su2_ts2", "--max-degree", "abc"], "--max-degree"),
+            (["run"], "required: --config"),
+            (["run", "--config", "su2_ts2", "--format", "xml"], "'xml'"),
+            (["frob", "--config", "su2_ts2"], "'frob'"),
+            (["run", "--config", "su2_ts2", "--bogus"], "unrecognized arguments: --bogus"),
+            (
+                ["generate", "--config", "su2_ts2", "--max-length", "3"],
+                "unrecognized arguments: --max-length 3",
+            ),
+        ],
+    )
+    def test_argument_error_is_one_line(self, capsys, argv, needle):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("equiform: ") and needle in captured.err
+        assert len(captured.err.splitlines()) == 1
+
+    def test_help_is_the_usage(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["run", "--help"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: equiform run ")
+
+    def test_generate_length_key_is_unknown(self, tmp_path, capsys):
+        doc = small_doc([{"kind": "generate", "max_length": 3}])
+        assert main(["run", "--config", write_config(tmp_path, doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "equiform: tasks[0]: unknown key 'max_length'\n"
 
 
 class TestTaskSelection:
@@ -527,3 +571,18 @@ class TestReports:
         out = capsys.readouterr().out
         assert "algebra_dimension: 8" in out
         assert "b_convention" in out
+
+
+def test_readme_lists_the_parser_flags():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"--[a-z][a-z-]*", section))
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {
+        flag
+        for p in sub.choices.values()
+        for action in p._actions
+        for flag in action.option_strings
+    }
+    assert documented == flags - {"-h", "--help"}

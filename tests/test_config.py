@@ -319,7 +319,14 @@ class TestRealize:
     def test_dictionary_is_cached(self):
         rc = realize_config(parse_patched())
         assert rc.dictionary() is rc.dictionary()
-        assert rc.dictionary() is rc.dictionary(8)
+        # the full dictionary covers every degree; a bounded one covers its
+        # own degree and below, and a request above it generates afresh
+        assert rc.dictionary() is rc.dictionary(2)
+        rc = realize_config(parse_patched())
+        bounded = rc.dictionary(2)
+        assert rc.dictionary(1) is bounded and bounded.max_degree == 2
+        assert rc.dictionary(3) is not bounded and rc.dictionary(3).max_degree == 3
+        assert rc.dictionary().max_degree is None
 
     def test_expressions_parse_in_realized_context(self):
         rc = realize_config(parse_patched())

@@ -10,17 +10,15 @@ each renders byte-identically on a bounded and on a full dictionary.
 """
 
 import importlib.util
-import json
 import sys
 from pathlib import Path
 
 import pytest
 
 import equiform.config as config_module
-from equiform.cli import Overrides, main, resolve_config, run_config
+from equiform.cli import Overrides, resolve_config, run_config
 from equiform.config import TaskSpec, parse_config, realize_config
 from equiform.dictionary import (
-    DictionaryOptions,
     EngineError,
     completeness_check,
     generate_dictionary,
@@ -51,7 +49,7 @@ def _generate(rc, bound):
         rc.setup,
         list(rc.letters.values()),
         list(rc.contractions.values()),
-        DictionaryOptions(max_degree=bound),
+        bound,
     )
 
 
@@ -103,7 +101,7 @@ def test_d_table_reports_match_on_a_full_dictionary(name):
         _, rc = _realized(name)
         got = run_config(rc, source, [task], Overrides()).to_json()
         assert got == want, max_degree
-        assert rc.dictionary(None, max_degree + 1).max_degree == max_degree + 1
+        assert rc.dictionary(max_degree + 1).max_degree == max_degree + 1
 
 
 @pytest.mark.parametrize("name", ["su3_tcp2", "su2_ts2"])
@@ -118,7 +116,7 @@ def test_express_tasks_match_on_a_full_dictionary(name):
     degrees = [
         max(parse_form_expression(t.expression, rc.context).degrees()) for t in tasks
     ]
-    assert rc.dictionary(None, max(degrees)).max_degree == max(degrees)
+    assert rc.dictionary(max(degrees)).max_degree == max(degrees)
 
 
 def test_completeness_refuses_a_bounded_dictionary():
@@ -133,9 +131,9 @@ def _count_generations(monkeypatch):
     bounds = []
     generate = config_module.generate_dictionary
 
-    def counted(setup, letters, contractions, options):
-        bounds.append(options.max_degree)
-        return generate(setup, letters, contractions, options)
+    def counted(setup, letters, contractions, max_degree):
+        bounds.append(max_degree)
+        return generate(setup, letters, contractions, max_degree)
 
     monkeypatch.setattr(config_module, "generate_dictionary", counted)
     return bounds
@@ -187,18 +185,3 @@ def test_bundled_run_generates_once(monkeypatch):
         assert rc.document.tasks[0].kind == "generate"
         report = run_config(rc, source, list(rc.document.tasks), Overrides())
         assert report.passed and bounds == [None]
-
-
-def test_length_cap_bounds_only_generated_words(capsys):
-    base = ["d_table", "--config", "su3_tcp2", "--max-degree", "1"]
-    assert main(base + ["--format", "json"]) == 0
-    want = json.loads(capsys.readouterr().out)
-    assert main(base + ["--max-length", "3", "--format", "json"]) == 0
-    assert json.loads(capsys.readouterr().out) == want
-    assert main(base + ["--max-length", "1"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "equiform: task d_table: dictionary generation exceeded the word-length "
-        "cap 1\n"
-    )

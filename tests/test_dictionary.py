@@ -18,7 +18,6 @@ from equiform.cli import resolve_config
 from equiform.config import parse_config, realize_config
 from equiform.dictionary import (
     Alphabet,
-    DictionaryOptions,
     EngineError,
     Word,
     _check_transitive_sphere,
@@ -365,17 +364,6 @@ def test_rank_test_agrees_with_spot_check_oracle(name):
     verdict = _verdict(_check_transitive_sphere, setup)
     assert verdict == _verdict(spot_check_transitive_sphere, setup)
     assert verdict == {"su2_ts2": 0, "su3_tcp2": 1}.get(name, "refused")
-
-
-def test_length_cap_is_enforced(su3_setup, su3_alphabet):
-    letters, contractions = su3_alphabet
-    with pytest.raises(EngineError, match="word-length cap"):
-        generate_dictionary(
-            su3_setup,
-            list(letters.values()),
-            list(contractions.values()),
-            DictionaryOptions(max_length=1),
-        )
 
 
 # -- expressing over the dictionary ------------------------------------------

@@ -8,7 +8,9 @@ su3_tcp2 that merges s with a1; on su2_ts2, whose radical squares to k+aa,
 it only relabels the columns s^e * product.  Two su2_ts2 rings test the
 other cases: u^2 = k*aa, whose slots a block keeps, and s^2 = aa beside
 it, which merges.  Each span is built once per (cell, weight, Laurent
-window, triples) and kept on the Dictionary.  The results must equal,
+window, triples) and kept on the Dictionary; the weightless block of a
+graded system, such as u*det(b,b) on su2_ts2, gets no column and fails
+without forming a product.  The results must equal,
 term for term, the ray solve that kept a1 and every radical apart
 (ray_express_oracle.py) and the full-fiber solve over every column
 (unfiltered_express_oracle.py).
@@ -220,3 +222,27 @@ def test_entry_weights_weigh_each_syllable_once(su3_dictionary, monkeypatch):
     assert len(weighed) == len(set(syllables)) < len(syllables)
     weigh = dictionary_module._dilation_weigher(fresh.setup)
     assert weights == [single_weight(weigh, e.translation) for e in fresh.entries]
+
+
+def test_a_weightless_block_of_a_graded_system_forms_no_product(
+    su2_setup, su2_dictionary, su2_context, monkeypatch
+):
+    # u^2 = k+aa is inhomogeneous, so u*det(b,b) is one weightless block,
+    # which no column of the graded su2_ts2 system can reach: it fails
+    # without a product or a radial power being formed
+    target = parse_form_expression("u*det(b,b)", su2_context)
+    _assert_matches_oracles(su2_setup, replace(su2_dictionary), target)
+    fresh = replace(su2_dictionary)
+    assert fresh._ray_weigher is not None
+    blocked = []
+    blocks = dictionary_module.Dictionary._blocks
+
+    def counted(self, x):
+        blocked.append(x)
+        return blocks(self, x)
+
+    monkeypatch.setattr(dictionary_module.Dictionary, "_blocks", counted)
+    got = express_in_generators(su2_setup, fresh, target)
+    assert len(blocked) == 1 and not fresh._columns
+    assert got.render() == "<no expression within bounds; failing cells (0, 2)>"
+    assert got.failed_cells == ((0, 2),)

@@ -9,8 +9,11 @@ being a ring homomorphism, checked here with Hypothesis on both bundled
 rings, and the result is checked against symbolic_phase_oracle.py, which
 translates and evaluates every candidate: on su2_ts2, su3_tcp2, su2_ts2
 with the radical square k+a1*a1, su3_tcp2 with two letters renamed so that
-their alphabetical order is not their degree order, under a word-length
-cap, and on a letter that has no value at the origin.
+their alphabetical order is not their degree order, and on a letter that
+has no value at the origin.  No cap on word length is needed: a kept word
+has no syllable of degree 0 and fits its bidegree cell, so it has at most
+n + k syllables, n = horizontal_dim and k = fiber_dim, and no candidate has
+more than n + k + 1.
 """
 
 import json
@@ -22,7 +25,7 @@ from hypothesis import strategies as st
 
 from equiform.cli import resolve_config
 from equiform.config import parse_config, realize_config
-from equiform.dictionary import DictionaryOptions, EngineError, generate_dictionary
+from equiform.dictionary import generate_dictionary
 from equiform.forms import evaluate_to_vector, map_form, wedge
 from equiform.homogeneous import InvariantForm
 from equiform.letters import Contraction
@@ -43,11 +46,8 @@ def _realize(name, square=None, letters=None, renames=None):
     return realize_config(parse_config(json.dumps(doc)))
 
 
-def _generate(kernel, rc, max_length=None):
-    options = DictionaryOptions() if max_length is None else DictionaryOptions(max_length)
-    return kernel(
-        rc.setup, list(rc.letters.values()), list(rc.contractions.values()), options
-    )
+def _generate(kernel, rc):
+    return kernel(rc.setup, list(rc.letters.values()), list(rc.contractions.values()))
 
 
 def _entry_facts(e):
@@ -135,17 +135,26 @@ def test_an_uncertified_alphabet_still_translates():
     assert {w.render() for w in got.alphabet._translations} == wanted
 
 
-@pytest.mark.parametrize("max_length", [1, 3])
-def test_length_cap_raises_alike(max_length):
-    rc = _realize("su3_tcp2")
-    errors = []
-    for kernel in (generate_dictionary, oracle.generate_dictionary):
-        with pytest.raises(EngineError) as info:
-            _generate(kernel, rc, max_length)
-        errors.append(str(info.value))
-    assert errors[0] == errors[1] == (
-        f"dictionary generation exceeded the word-length cap {max_length}"
-    )
+BOUNDED = {
+    **VARIANTS,
+    "u=k*aa": ("su2_ts2", "k*aa"),
+    "c=u^-1*e": ("su2_ts2", None, {"c": ["u^-1*e1", "u^-1*e2"]}),
+    "first": ("su2_ts2",),
+}
+
+
+@pytest.mark.parametrize("name", list(BOUNDED))
+def test_the_bidegree_bounds_every_word(name):
+    rc = _realize(*BOUNDED[name])
+    contractions = list(rc.contractions.values())
+    if name == "first":
+        contractions.append(Contraction("first", 2, (((0, 0), 1),)))
+    got = generate_dictionary(rc.setup, list(rc.letters.values()), contractions)
+    n, k = rc.setup.horizontal_dim, rc.setup.fiber_dim
+    assert any(s.degree == 0 for s in got.alphabet.syllables())
+    assert all(s.degree for e in got.entries for s in e.word.syllables)
+    assert max(e.word.length for e in got.entries) <= n + k
+    assert max(len(w.split("*")) for _, w, _ in got.transcript) <= n + k + 1
 
 
 def test_point_error_raises_alike():
