@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -363,7 +364,14 @@ def _positive_flag(flag: str, value: int | None) -> int | None:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as every other input error: one line, exit 2."""
+    """Reports a usage error as every other input error: one line, exit 2.
+
+    No option starts with a dash and a digit, so such a token is a value:
+    `--laurent-bounds -4,32` means `--laurent-bounds=-4,32`."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
         self.exit(2, f"equiform: {message}\n")

@@ -16,7 +16,9 @@ tuple of indices into the sorted syllables until it reaches a verdict.  A
 (0,0) word or a word of value zero takes the zero test on its ray image,
 composed the same way and exact for invariant forms under the hypothesis,
 so generation translates only the empty word unless a syllable form is
-uncertified; an entry is translated when a task first reads it.
+uncertified; an entry is translated when a task first reads it as a form.
+The differential table reads none: d of a word reaches its solve on the
+ray, composed by the Leibniz rule from its syllables' ray images and d.
 
 The (0,0) cell is special: beyond the empty word every rotation-invariant
 function evaluates to a constant at a single point, so the first nonzero
@@ -329,7 +331,8 @@ class Dictionary:
 
     @cached_property
     def _on_ray(self) -> "_WordImages":
-        """Ray images of words; generation hands over its zero tests'."""
+        """Ray images of words and of their d; generation hands over its
+        zero tests' images."""
         return _WordImages.on_ray(self.alphabet)
 
     def _ray_product(self, tag: tuple[int, ...]) -> Form:
@@ -468,14 +471,19 @@ class _WordImages:
     Alphabet.syllables() and images are sparse vectors {basis word:
     canonical coefficient}, multiplied by wedge_vectors, with {0: 1} for
     the empty word.  On the ray (on_ray) keys are a word's syllables and
-    images are Forms, multiplied by wedge.
+    images are Forms, multiplied by wedge; there derive(last) images d of a
+    syllable, once per syllable, and d of a word is composed by the graded
+    Leibniz rule (d).
     """
 
-    def __init__(self, syllable, multiply, empty):
+    def __init__(self, syllable, multiply, empty, derive=None):
         self.syllable = syllable
         self.multiply = multiply
+        self.derive = derive
         self._syllables: dict = {}
         self._words: dict[tuple, object] = {(): empty}
+        self._syllable_ds: dict = {}
+        self._word_ds: dict[tuple, object] = {}
 
     @classmethod
     def at_point(cls, alphabet: Alphabet, pt: Point) -> "_WordImages":
@@ -488,22 +496,50 @@ class _WordImages:
 
     @classmethod
     def on_ray(cls, alphabet: Alphabet) -> "_WordImages":
-        restrict = alphabet.setup.ring.ray_restriction
+        setup = alphabet.setup
+        restrict = setup.ring.ray_restriction
         return cls(
             lambda s: map_form(alphabet.syllable_form(s), restrict),
             wedge,
-            map_form(alphabet.setup.frame.one, restrict),
+            map_form(setup.frame.one, restrict),
+            # on the basic frame, refused unless the syllable is invariant
+            lambda s: map_form(
+                exterior_derivative(setup, alphabet.syllable_form(s)), restrict
+            ),
         )
+
+    def _syllable(self, last):
+        image = self._syllables.get(last)
+        if image is None:
+            image = self._syllables[last] = self.syllable(last)
+        return image
 
     def of(self, key: tuple):
         image = self._words.get(key)
         if image is None:
-            last = key[-1]
-            syll = self._syllables.get(last)
-            if syll is None:
-                syll = self._syllables[last] = self.syllable(last)
+            syll = self._syllable(key[-1])
             image = self.multiply(self.of(key[:-1]), syll)
             self._words[key] = image
+        return image
+
+    def d(self, key: tuple[Syllable, ...]):
+        """The image of d of a nonempty word of syllables: for prefix p and
+        last syllable s, d(p s) = dp s + (-1)^|p| p ds, each factor's image
+        memoized, the map being a ring homomorphism that commutes with
+        wedge.  No translation is built, and d runs on syllable forms only."""
+        image = self._word_ds.get(key)
+        if image is None:
+            head, last = key[:-1], key[-1]
+            ds = self._syllable_ds.get(last)
+            if ds is None:
+                ds = self._syllable_ds[last] = self.derive(last)
+            image = ds
+            if head:
+                image = self.multiply(self.of(head), ds)
+                if sum(s.degree for s in head) & 1:
+                    image = -image
+                image = self.multiply(self.d(head), self._syllable(last)) + image
+            self._word_ds[key] = image
         return image
 
 
@@ -854,39 +890,33 @@ def _single_weight(weigh, x: Form) -> int | None:
     return found.pop() if len(found) == 1 else None
 
 
-def express_in_generators(
-    setup: HomogeneousSetup,
-    dictionary: Dictionary,
-    target: Form,
-    degree_bounds: tuple[int, int] = (4, -2),
-    allow_triples: bool = False,
-) -> GeneratorCombination:
-    """Solve target = sum of Laurent-in-s coefficients times generator
-    products, exactly, preferring single generators over products.
-
-    Each bidegree cell of the target is solved on the ray a = t*e1, which
-    keeps every relation among invariant forms, so the target must be basic
-    and invariant: any target but an InvariantForm is checked once first.
-    Each block of the cell's ray image (Dictionary._blocks) is reduced
-    against its own span (Dictionary._span).  Coefficients are read back as
-    full-ring powers of the radius.
-    """
-    if not is_basic(setup, target):
-        raise EngineError("target is not an invariant basic form")
+def _laurent_powers(dictionary: Dictionary, degree_bounds: tuple[int, int]):
+    """The radial powers (e, s^e) of the window degree_bounds = (hi, lo),
+    refusing an empty window or one the ring cannot represent."""
     hi, lo = degree_bounds
     if lo > hi:
         raise EngineError(f"empty Laurent window ({hi}, {lo})")
-    powers = dict(dictionary._radial_window(lo, hi)[0])
-    # restriction to the ray is injective on invariant forms only
-    if not isinstance(target, InvariantForm) and not is_invariant(setup, target):
-        raise EngineError("target is not an invariant basic form")
-    ring = setup.ring
+    return dictionary._radial_window(lo, hi)[0]
+
+
+def _solve_on_ray(
+    dictionary: Dictionary,
+    on_ray: Form,
+    degree_bounds: tuple[int, int],
+    allow_triples: bool,
+) -> GeneratorCombination:
+    """Express the ray image of an invariant basic form, cell by cell: each
+    block of the cell (Dictionary._blocks) is reduced against its own span
+    (Dictionary._span), and coefficients are read back as full-ring powers
+    of the radius."""
+    powers = dict(_laurent_powers(dictionary, degree_bounds))
+    hi, lo = degree_bounds
+    ring = dictionary.setup.ring
     terms: list[CombinationTerm] = []
     failed: list[tuple[int, int]] = []
-    for cell, part in sorted(bidegree_split(target).items()):
+    for cell, part in bidegree_split(on_ray).items():
         combo: dict | None = {}
-        on_ray = map_form(part, ring.ray_restriction)
-        for weight, vec in dictionary._blocks(on_ray).items():
+        for weight, vec in dictionary._blocks(part).items():
             span = dictionary._span(cell, weight, (lo, hi), allow_triples)
             found = span.combination(vec)
             if found is None:
@@ -908,6 +938,31 @@ def express_in_generators(
     return GeneratorCombination(
         terms=tuple(terms), residual=bool(failed), failed_cells=tuple(failed)
     )
+
+
+def express_in_generators(
+    setup: HomogeneousSetup,
+    dictionary: Dictionary,
+    target: Form,
+    degree_bounds: tuple[int, int] = (4, -2),
+    allow_triples: bool = False,
+) -> GeneratorCombination:
+    """Solve target = sum of Laurent-in-s coefficients times generator
+    products, exactly, preferring single generators over products.
+
+    Each bidegree cell of the target is solved on the ray a = t*e1, which
+    keeps every relation among invariant forms, so the target must be basic
+    and invariant: any target but an InvariantForm is checked once first.
+    A cell whose ray image is zero takes no term.
+    """
+    if not is_basic(setup, target):
+        raise EngineError("target is not an invariant basic form")
+    _laurent_powers(dictionary, degree_bounds)  # a bad window is refused first
+    # restriction to the ray is injective on invariant forms only
+    if not isinstance(target, InvariantForm) and not is_invariant(setup, target):
+        raise EngineError("target is not an invariant basic form")
+    on_ray = map_form(target, setup.ring.ray_restriction)
+    return _solve_on_ray(dictionary, on_ray, degree_bounds, allow_triples)
 
 
 # -- the differential table -----------------------------------------------------
@@ -932,19 +987,20 @@ def differential_table(
 ) -> list[TableRow]:
     """d of the radial invariant and of every generator of total degree up
     to max_degree, expressed over the dictionary.  A row with no expression
-    within the bounds is kept, with a residual combination.  Only the words
-    it differentiates are translated."""
+    within the bounds is kept, with a residual combination.  No word is
+    translated: d of each row's word reaches the solve on the ray, composed
+    from its syllables' images and their d (_WordImages.d), which run on
+    the dictionary's own setup."""
     jobs: list[tuple[str, DictionaryEntry]] = []
     if dictionary.radial is not None:
         jobs.append(("radial", dictionary.radial))
     for e in dictionary.entries:
         if 1 <= e.word.degree <= max_degree:
             jobs.append(("generator", e))
+    on_ray = dictionary._on_ray
     rows: list[TableRow] = []
     for kind, e in jobs:
-        d = exterior_derivative(setup, e.translation)
-        comb = express_in_generators(
-            setup, dictionary, d, degree_bounds, allow_triples
-        )
+        d = on_ray.d(e.word.syllables)
+        comb = _solve_on_ray(dictionary, d, degree_bounds, allow_triples)
         rows.append(TableRow(kind=kind, word=e.word, differential=comb))
     return rows

@@ -19,9 +19,37 @@ class ReportError(ValueError):
     pass
 
 
-def _normalize(details):
-    # round-trip through json so tuples become lists and keys become strings
-    return json.loads(json.dumps(details, sort_keys=True))
+def _json_key(key) -> str:
+    """A mapping key as json.dumps writes it."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return json.dumps(key)
+    raise TypeError(
+        f"keys must be str, int, float, bool or None, not {type(key).__name__}"
+    )
+
+
+_PLAIN = frozenset({str, int, float, bool, type(None)})
+
+
+def _normalize(data):
+    """The value json.loads(json.dumps(data, sort_keys=True)) gives, in one
+    walk: tuples become lists, keys become strings in sorted order, and a
+    str, int or float subclass its base type."""
+    if type(data) in _PLAIN:
+        return data
+    if isinstance(data, dict):
+        return {_json_key(k): _normalize(v) for k, v in sorted(data.items())}
+    if isinstance(data, (list, tuple)):
+        return [_normalize(v) for v in data]
+    if isinstance(data, str):
+        return str.__str__(data)
+    if isinstance(data, int):
+        return int(data)
+    if isinstance(data, float):
+        return float(data)
+    raise TypeError(f"Object of type {type(data).__name__} is not JSON serializable")
 
 
 @dataclass(frozen=True)

@@ -200,6 +200,8 @@ class TestExitStatus:
                 "d_table-degree4",
             ),
             (["express", "--laurent-bounds=-4,32"], "express-wide"),
+            # a value after a space may start with a dash and a digit
+            (["express", "--laurent-bounds", "-4,32"], "express-wide"),
         ],
     )
     def test_su2_ray_solve_matches_golden(self, tmp_path, argv, name):
@@ -434,6 +436,14 @@ class TestExitStatus:
                 ["generate", "--config", "su2_ts2", "--max-length", "3"],
                 "unrecognized arguments: --max-length 3",
             ),
+            (
+                ["express", "--config", "su2_ts2", "--laurent-bounds"],
+                "argument --laurent-bounds: expected one argument",
+            ),
+            (
+                ["express", "--config", "su2_ts2", "--laurent-bounds", "--format", "json"],
+                "argument --laurent-bounds: expected one argument",
+            ),
         ],
     )
     def test_argument_error_is_one_line(self, capsys, argv, needle):
@@ -571,6 +581,13 @@ class TestReports:
         out = capsys.readouterr().out
         assert "algebra_dimension: 8" in out
         assert "b_convention" in out
+
+
+def test_readme_names_both_laurent_spellings():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    window = next(p for p in readme.split("\n\n") if "A Laurent window" in p)
+    assert "`--laurent-bounds=lo,hi`" in window
+    assert "`--laurent-bounds lo,hi`" in window
 
 
 def test_readme_lists_the_parser_flags():
