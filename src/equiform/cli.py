@@ -25,6 +25,7 @@ from importlib import resources
 
 from equiform import verify
 from equiform.config import (
+    TASK_KINDS,
     ConfigError,
     RealizedConfig,
     TaskSpec,
@@ -78,6 +79,10 @@ def resolve_config(arg: str) -> tuple[str, str]:
                 return os.path.basename(arg), fh.read()
         except OSError as e:
             raise UsageError(f"cannot read config {arg}: {e}") from None
+        except UnicodeDecodeError as e:
+            raise UsageError(
+                f"cannot read config {arg}: byte {e.start} is not UTF-8"
+            ) from None
     name = arg[: -len(".json")] if arg.endswith(".json") else arg
     root = resources.files("equiform.configs")
     candidate = root / f"{name}.json"
@@ -303,9 +308,18 @@ def run_task(rc: RealizedConfig, task: TaskSpec, ov: Overrides) -> TaskReport:
         raise UsageError(f"task {task.name}: {e}") from None
 
 
-def _subject(rc: RealizedConfig) -> dict:
+def run_config(
+    rc: RealizedConfig,
+    source: str,
+    tasks: list[TaskSpec],
+    ov: Overrides,
+) -> ReportDocument:
+    """The report of the tasks, in order, after the subject of the setup;
+    with no tasks it is the validate report."""
+    ov = replace(ov, full_dictionary=any(t.kind == "generate" for t in tasks))
+    reports = [run_task(rc, t, ov) for t in tasks]
     setup = rc.setup
-    return {
+    subject = {
         "algebra_dimension": setup.algebra.dimension,
         "horizontal_dim": setup.horizontal_dim,
         "gauge_dim": len(setup.splitting.gauge),
@@ -316,28 +330,9 @@ def _subject(rc: RealizedConfig) -> dict:
         "letters": sorted(rc.letters),
         "contractions": sorted(rc.contractions),
     }
-
-
-def _conventions(rc: RealizedConfig) -> dict:
-    return {
-        "b_convention": "row",
-        "warnings": list(rc.setup.warnings),
-    }
-
-
-def run_config(
-    rc: RealizedConfig,
-    source: str,
-    tasks: list[TaskSpec],
-    ov: Overrides,
-) -> ReportDocument:
-    ov = replace(ov, full_dictionary=any(t.kind == "generate" for t in tasks))
-    reports = [run_task(rc, t, ov) for t in tasks]
+    conventions = {"b_convention": "row", "warnings": list(setup.warnings)}
     return ReportDocument(
-        source=source,
-        subject=_subject(rc),
-        conventions=_conventions(rc),
-        tasks=tuple(reports),
+        source=source, subject=subject, conventions=conventions, tasks=tuple(reports)
     )
 
 
@@ -383,17 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact invariant-form calculus on associated bundles",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    kinds = [
-        "run",
-        "validate",
-        "generate",
-        "dim_table",
-        "d_table",
-        "verify_closed",
-        "verify_equation",
-        "express",
-    ]
-    for kind in kinds:
+    for kind in ["run", "validate", *TASK_KINDS]:
         p = sub.add_parser(kind)
         p.add_argument("--config", required=True, help="path or bundled name")
         p.add_argument("--task", help="only the task with this name")
@@ -447,16 +432,12 @@ def main(argv=None) -> int:
                 else None
             ),
         )
-        if args.command == "validate":
-            report = ReportDocument(
-                source=source,
-                subject=_subject(rc),
-                conventions=_conventions(rc),
-                tasks=(),
-            )
-        else:
-            tasks = _select_tasks(args.command, document.tasks, args.task, ov)
-            report = run_config(rc, source, tasks, ov)
+        tasks = (
+            []
+            if args.command == "validate"
+            else _select_tasks(args.command, document.tasks, args.task, ov)
+        )
+        report = run_config(rc, source, tasks, ov)
     except (ConfigError, UsageError) as e:
         print(f"equiform: {e}", file=sys.stderr)
         return 2

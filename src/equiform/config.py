@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
@@ -62,14 +63,11 @@ class ConfigError(ValueError):
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _TASK_NAME = re.compile(r"[A-Za-z0-9_\-]+\Z")
-
-TASK_KINDS = (
-    "generate",
-    "dim_table",
-    "d_table",
-    "verify_closed",
-    "verify_equation",
-    "express",
+_DIGITS = re.compile(r"[0-9]+\Z")
+# a JSON string (skipped whole), a bracket or a number, for locating where
+# json.loads gave up on a document that is not a syntax error
+_JSON_TOKEN = re.compile(
+    r'"(?:[^"\\]|\\.)*"|[][{}]|[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?'
 )
 
 _TASK_FIELDS: dict[str, tuple[frozenset, frozenset]] = {
@@ -89,6 +87,7 @@ _TASK_FIELDS: dict[str, tuple[frozenset, frozenset]] = {
         frozenset({"laurent_bounds", "allow_triples"}),
     ),
 }
+TASK_KINDS = tuple(_TASK_FIELDS)
 
 
 # -- section records ---------------------------------------------------------
@@ -205,7 +204,7 @@ def _index_list(x, where: str, dimension: int) -> tuple[int, ...]:
 
 
 def _digit_indices(s: str, where: str, top: int) -> tuple[int, ...]:
-    if not s or not s.isdigit():
+    if not _DIGITS.match(s):
         raise ConfigError(f"{where}: expected a digit string, got {s!r}")
     idx = tuple(int(ch) for ch in s)
     for i in idx:
@@ -341,11 +340,16 @@ def _parse_representation(raw, gauge: tuple[int, ...], ctx: ExpressionContext):
     entries: dict[int, tuple[tuple[str, ...], ...]] = {}
     for key, matrix in raw.items():
         where = f"representation.{key}"
-        if not isinstance(key, str) or not key.isdigit():
+        if not isinstance(key, str) or not _DIGITS.match(key):
             raise ConfigError(f"{where}: keys must be gauge indices")
-        idx = int(key)
+        try:
+            idx = int(key)
+        except ValueError:  # more digits than Python converts
+            idx = None
         if idx not in gauge:
-            raise ConfigError(f"{where}: {idx} is not a gauge index")
+            raise ConfigError(f"{where}: {key} is not a gauge index")
+        if idx in entries:
+            raise ConfigError(f"{where}: repeated gauge index {idx}")
         if not isinstance(matrix, list) or not matrix:
             raise ConfigError(f"{where}: expected a square matrix")
         k = len(matrix)
@@ -544,12 +548,32 @@ def _base_ring(section: RingSection, fiber_dim: int) -> Ring:
     )
 
 
+def _past_decoder(text: str) -> json.JSONDecodeError:
+    """Where json.loads gave up on a text that is not a syntax error: the
+    first integer with more digits than Python converts, else the deepest
+    bracket of a nesting too deep for the decoder."""
+    limit = sys.get_int_max_str_digits()
+    depth, deepest, at = 0, 0, 0
+    for m in _JSON_TOKEN.finditer(text):
+        tok = m.group()
+        if tok.isdigit() and len(tok) > limit > 0:
+            msg = f"integer of {len(tok)} digits, over the limit of {limit}"
+            return json.JSONDecodeError(msg, text, m.start())
+        depth += (tok in ("[", "{")) - (tok in ("]", "}"))
+        if depth > deepest:
+            deepest, at = depth, m.start()
+    msg = f"nesting {deepest} levels deep is too deep to decode"
+    return json.JSONDecodeError(msg, text, at)
+
+
 def parse_config(text: str) -> ConfigDocument:
     """Validate the structure and evaluate the literals; raises ConfigError
     with a path."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (RecursionError, ValueError) as e:
+        if not isinstance(e, json.JSONDecodeError):
+            e = _past_decoder(text)
         raise ConfigError(
             f"syntax error at line {e.lineno} column {e.colno}: {e.msg}"
         ) from None

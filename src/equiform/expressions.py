@@ -26,8 +26,9 @@ raises to an integer power of size at most MAX_EXPONENT; a half-integer
 power is accepted exactly when some declared radical squares to the base,
 so aa^(1/2) names that radical.  A product, at each "*" and each step of
 "^", is refused before it is formed when its operands' coefficient-term
-counts multiply to more than MAX_PRODUCT_TERMS.  The unicode minus sign
-U+2212 is treated as "-".
+counts multiply to more than MAX_PRODUCT_TERMS.  Parentheses and d(...)
+nest at most MAX_NESTING deep.  The unicode minus sign U+2212 is treated as
+"-".
 
 The result carries a certificate of invariance, as an InvariantForm, when
 every atom it is built from has one: numbers, parameters, sqrtN, aa (rho is
@@ -55,6 +56,7 @@ from equiform.scalars import Ring, RingError, Scalar
 
 MAX_EXPONENT = 32
 MAX_PRODUCT_TERMS = 2**14
+MAX_NESTING = 64
 
 
 class ExpressionError(ValueError):
@@ -181,6 +183,11 @@ def _fraction(tok: _Token) -> Fraction:
         raise ExpressionError(
             f"zero denominator in {tok.text!r} at position {tok.pos + 1}"
         ) from None
+    except ValueError:  # more digits than Python converts
+        raise ExpressionError(
+            f"number of {len(tok.text)} characters is too long at position "
+            f"{tok.pos + 1}"
+        ) from None
 
 
 def _as_scalar(x: Form) -> Scalar | None:
@@ -266,6 +273,7 @@ class _Parser:
         self.tokens = tokenize(text)
         self.k = 0
         self.ctx = context
+        self.depth = 0  # exprs entered: brackets open, plus one
 
     def peek(self, ahead: int = 0) -> _Token:
         return self.tokens[min(self.k + ahead, len(self.tokens) - 1)]
@@ -287,6 +295,12 @@ class _Parser:
     # grammar productions, one method each
 
     def expr(self) -> Form:
+        if self.depth > MAX_NESTING:
+            opened = self.tokens[self.k - 1]
+            raise ExpressionError(
+                f"nesting deeper than {MAX_NESTING} at position {opened.pos + 1}"
+            )
+        self.depth += 1
         tok = self.peek()
         negate = False
         if tok.kind in ("+", "-"):
@@ -308,6 +322,7 @@ class _Parser:
                     )
             out = left - right if op.kind == "-" else left + right
             left = _mark(out, left, right)
+        self.depth -= 1
         return left
 
     def term(self) -> Form:

@@ -14,11 +14,15 @@ Scalars are finite sums  c * a^alpha * t^gamma * u^delta  where
 
 Internally a monomial keeps the exponent of u_j in {0, 1} plus a separate
 nonnegative denominator exponent k_j (the power of 1/p_j); the visible
-exponent of u_j is their combination r - 2k.  Sums are canonicalized by
-p-adic digit expansion (unique remainders under multivariate division by
-p_j), which is what makes the zero test sound: a scalar is zero iff its
-coefficient map is empty.  Example: s*s*s^-1 normalizes back to s even
-though the middle product expands to the defining polynomial.
+exponent of u_j is their combination r - 2k.  One step, _accumulate, brings
+a term into that form (u^2 -> p, a negative u exponent into a power of 1/p,
+a positive power of p expanded): products that can reach u^2, inverses, raw
+maps, ring-map images and denominator lifts all go through it.  Sums are
+canonicalized by p-adic digit expansion (unique remainders under
+multivariate division by p_j), which is what makes the zero test sound: a
+scalar is zero iff its coefficient map is empty.  Example: s*s*s^-1
+normalizes back to s even though the middle product expands to the
+defining polynomial.
 
 Parameters are units of the ring, so division by p_j looks at fiber parts
 only.  A Ring therefore accepts a square p_j only when exactly one of its
@@ -65,14 +69,6 @@ class RingError(ValueError):
 
 class PointError(ValueError):
     pass
-
-
-def _canonical_terms(out: dict) -> dict:
-    """out with every coefficient made canonical, in place."""
-    for mono, c in out.items():
-        if type(c) is not int:
-            out[mono] = canonical(c)
-    return out
 
 
 @dataclass(frozen=True)
@@ -229,12 +225,8 @@ class Ring:
                     raise RingError(
                         f"monomial must list {self.nvars} exponents, got {mono}"
                     )
-                internal = list(mono) + [0] * self.nr
-                for j in range(self.nr):
-                    r = internal[self.nvars - self.nr + j]
-                    internal[self.nvars - self.nr + j] = r % 2
-                    internal[self.nvars + j] = -((r - r % 2) // 2)
-                _accumulate(self, out, tuple(internal), self._coefficient(c))
+                internal = mono + (0,) * self.nr
+                _accumulate(self, out, internal, self._coefficient(c))
             return _finish(self, out)
         raise RingError(f"cannot normalize {raw!r} into the ring")
 
@@ -307,10 +299,13 @@ class Ring:
 def _accumulate(ring: Ring, out: dict, mono: Monomial, c: Coefficient) -> None:
     """Add c * mono to out, normalizing radical exponent slots.
 
-    Rewrites u^2 -> p, folds negative u exponents into denominator slots and
-    expands negative denominator slots (positive powers of p) back into
-    polynomials.  Does not run the p-adic reduction and leaves coefficients
-    that may not be canonical; callers do both once per result via _finish.
+    The one normal-form step of the ring: the terms of products that can
+    reach u^2, of inverses, raw maps and ring-map images, and of denominator
+    lifts all come through here.  Rewrites u^2 -> p, folds negative u exponents into
+    denominator slots and expands negative denominator slots (positive
+    powers of p) back into polynomials.  Does not run the p-adic reduction
+    and leaves coefficients that may not be canonical; callers do both once
+    per result via _finish.
     """
     if not c:
         return
@@ -401,55 +396,28 @@ def _reduce_denominators(ring: Ring, terms: dict) -> dict:
         if not any(mono[dslot] and all(map(ge, mono, lead)) for mono in terms):
             continue
         kmax = max(mono[dslot] for mono in terms)
-        # lift everything to the common denominator p^kmax
+        # lift everything to the common denominator p^kmax: a slot of
+        # k - kmax <= 0 is the positive power p^(kmax - k), expanded
         lifted: dict = {}
         for mono, c in terms.items():
-            k = mono[dslot]
-            flat = list(mono)
-            flat[dslot] = 0
-            _mono_mul_ppow(ring, j, lifted, tuple(flat), c, kmax - k)
+            lift = list(mono)
+            lift[dslot] -= kmax
+            _accumulate(ring, lifted, tuple(lift), c)
         # peel canonical digits: lifted = sum digit_i * p^i
         digits: list[dict] = []
         work = lifted
         while work:
             work, rem = _exact_divide(ring, work, square)
             digits.append(rem)
+        # digit_i sits over p^(kmax - i), expanded where that power is >= 0
         out: dict = {}
         for i, digit in enumerate(digits):
-            k = kmax - i
-            if k <= 0:
-                # nonnegative power of p: expand back to a polynomial
-                for mono, c in digit.items():
-                    _mono_mul_ppow(ring, j, out, mono, c, -k)
-            else:
-                for mono, c in digit.items():
-                    restored = list(mono)
-                    restored[dslot] = k
-                    key = tuple(restored)
-                    s = out.get(key)
-                    s = c if s is None else s + c
-                    if not s:
-                        out.pop(key, None)
-                    else:
-                        out[key] = s
+            for mono, c in digit.items():
+                restored = list(mono)
+                restored[dslot] = kmax - i
+                _accumulate(ring, out, tuple(restored), c)
         terms = out
     return terms
-
-
-def _mono_mul_ppow(
-    ring: Ring, j: int, out: dict, mono: Monomial, c: Coefficient, power: int
-) -> None:
-    """out += c * mono * p_j^power for power >= 0 (expanded)."""
-    if power == 0:
-        s = out.get(mono)
-        s = c if s is None else s + c
-        if not s:
-            out.pop(mono, None)
-        else:
-            out[mono] = s
-        return
-    for pm, pc in ring.radical_squares[j].items():
-        _mono_mul_ppow(ring, j, out, tuple(map(add, mono, pm)), c * pc, power - 1)
 
 
 def _check_bounds(ring: Ring, coeffs: dict) -> None:
@@ -668,23 +636,18 @@ class Scalar:
         if not self.coeffs:
             return "0"
         ring = self.ring
-        names = ring.fiber + ring.params
+        names = ring.fiber + ring.params + ring.radical_names
         parts: list[str] = []
         for mono in sorted(self.coeffs):
             c = self.coeffs[mono]
-            factors = []
-            for name, e in zip(names, mono):
-                if e == 1:
-                    factors.append(name)
-                elif e:
-                    factors.append(f"{name}^{e}")
-            for j, name in enumerate(ring.radical_names):
-                e = ring.visible_radical_exponent(mono, j)
-                if e == 1:
-                    factors.append(name)
-                elif e:
-                    factors.append(f"{name}^{e}")
-            body = "*".join(factors)
+            exponents = mono[: ring.nf + ring.np] + tuple(
+                mono[r] - 2 * mono[d] for r, d, _ in ring.radical_slots
+            )
+            body = "*".join(
+                name if e == 1 else f"{name}^{e}"
+                for name, e in zip(names, exponents)
+                if e
+            )
             cs = str(c)
             neg = cs.startswith("-") and "+" not in cs and cs.count("-") == 1
             if neg:
@@ -879,7 +842,8 @@ def finish(ring: Ring, out: dict) -> Scalar:
     given."""
     out = {m: c if type(c) is int else canonical(c) for m, c in out.items() if c}
     if any(mono[dslot] for _, dslot, _ in ring.radical_slots for mono in out):
-        out = _canonical_terms(_reduce_denominators(ring, out))
+        out = _reduce_denominators(ring, out)
+        out = {m: c if type(c) is int else canonical(c) for m, c in out.items()}
     return Scalar(ring, out)
 
 

@@ -22,9 +22,14 @@ from equiform.cli import (
     run_config,
 )
 from equiform.config import TaskSpec, parse_config, realize_config
+from equiform.expressions import MAX_NESTING
 from equiform.report import SCHEMA
 
 from test_dictionary import HOPF_REFUSAL, hopf_document
+
+
+def _nested(depth, text):
+    return "(" * depth + text + ")" * depth
 
 
 def write_config(tmp_path, doc, name="test.json"):
@@ -466,6 +471,77 @@ class TestExitStatus:
         assert main(["run", "--config", write_config(tmp_path, doc)]) == 2
         captured = capsys.readouterr()
         assert captured.err == "equiform: tasks[0]: unknown key 'max_length'\n"
+
+    @pytest.mark.parametrize(
+        "case, command, pattern",
+        [
+            ("deep_expression", "express", r"task x: expression: nesting deeper than 64 at position 65$"),
+            ("deep_constant", "validate", r"constants\[0\]\[2\]: .*: nesting deeper than 64 at position 65$"),
+            ("deep_json", "validate", r"line 1 column 100000: nesting 100000 levels deep"),
+            ("latin1_file", "validate", r"test\.json: byte 22 is not UTF-8$"),
+            ("long_number", "express", r"task x: .*number of 5000 characters is too long at position 1$"),
+            ("long_constant", "validate", r"constants\[0\]\[2\]: .*: number of 5000 characters"),
+            ("long_json_integer", "validate", r"line 14 column 16: integer of 5000 digits"),
+            ("long_gauge_key", "validate", r"representation\.1{5000}: 1{5000} is not a gauge index$"),
+            ("repeated_gauge_index", "validate", r"representation\.03: repeated gauge index 3$"),
+            ("superscript_pair", "validate", r"constants\[0\]\[1\]: expected a digit string"),
+            ("superscript_key", "validate", "representation\\.\u00b3: keys must be gauge indices$"),
+        ],
+    )
+    def test_front_door_input_exits_two(self, tmp_path, capsys, case, command, pattern):
+        # each of these once ended in a traceback, and the repeated index in
+        # a later matrix silently replacing the first
+        doc = small_doc([])
+        constants = doc["lie_algebra"]["constants"]
+        express = {"kind": "express", "name": "x"}
+        if case == "deep_expression":
+            doc["tasks"] = [{**express, "expression": _nested(400, "d(det(b,b))")}]
+        elif case == "deep_constant":
+            constants[0][2] = _nested(3000, "-1")
+        elif case == "long_number":
+            doc["tasks"] = [{**express, "expression": "1" * 5000 + "*d(det(b,b))"}]
+        elif case == "long_constant":
+            constants[0][2] = "1" * 5000
+        elif case == "long_gauge_key":
+            doc["representation"] = {"1" * 5000: doc["representation"]["3"]}
+        elif case == "repeated_gauge_index":
+            doc["representation"]["03"] = [["0", "1"], ["-1", "0"]]
+        elif case == "superscript_pair":
+            constants[0][1] = "2\u00b3"  # str.isdigit, but not a digit to int()
+        elif case == "superscript_key":
+            doc["representation"] = {"\u00b3": doc["representation"]["3"]}
+        path = Path(write_config(tmp_path, doc))
+        if case == "deep_json":
+            path.write_text("[" * 10**5 + "]" * 10**5, encoding="utf-8")
+        elif case == "latin1_file":
+            # the parameter k renamed to an e-acute, in Latin-1
+            path.write_bytes(json.dumps(doc).replace('"k"', '"\xe9"', 1).encode("latin-1"))
+        elif case == "long_json_integer":
+            text = json.dumps(doc, indent=1).replace('"dimension": 3', '"dimension": ' + "1" * 5000)
+            path.write_text(text, encoding="utf-8")
+        assert main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("equiform: ") and re.search(pattern, err, re.MULTILINE)
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
+    def test_nesting_at_the_bound_is_accepted(self, tmp_path, capsys):
+        doc = small_doc([{"kind": "express", "name": "x", "expression": "d(det(b,b))"}])
+        argv = ["express", "--format", "json", "--config"]
+        assert main(argv + [write_config(tmp_path, doc)]) == 0
+        plain = json.loads(capsys.readouterr().out)["tasks"][0]["details"]
+        # MAX_NESTING brackets deep: parentheses around d(...), and a constant
+        doc["tasks"][0]["expression"] = _nested(MAX_NESTING - 1, "d(det(b,b))")
+        doc["lie_algebra"]["constants"][0][2] = _nested(MAX_NESTING, "-1")
+        assert main(argv + [write_config(tmp_path, doc)]) == 0
+        nested = json.loads(capsys.readouterr().out)["tasks"][0]["details"]
+        assert nested["expression"] == plain["expression"]
+        doc["tasks"][0]["expression"] = _nested(MAX_NESTING, "d(det(b,b))")
+        assert main(argv + [write_config(tmp_path, doc)]) == 2
+        assert capsys.readouterr().err == (
+            f"equiform: task x: expression: nesting deeper than {MAX_NESTING} "
+            f"at position {MAX_NESTING + 2}\n"
+        )
 
 
 class TestTaskSelection:

@@ -14,7 +14,8 @@ rings it must give the quotients and remainders of the old division that
 shifted Laurent exponents into a window.  Denominator reduction skips a
 radical when every term over a power of its square is already a remainder;
 on the bundled rings and on two more it must return what the full lift and
-peel returns.  A Ring refuses squares without a
+peel returns, and normalizing a raw map with any radical exponents must
+give the product of powers of the variables.  A Ring refuses squares without a
 single leading fiber term, and in the u^2 = k*aa ring, whose leading term
 carries the parameter, products associate and distribute and sums stay
 normal.
@@ -248,6 +249,38 @@ def test_denominator_reduction_matches_the_full_lift_and_peel(case):
         m[dslot] and all(e >= l for e, l in zip(m, lead)) for m in terms
     ):
         assert got == terms
+
+
+@st.composite
+def external_maps(draw):
+    """A one-radical ring and a raw map of one to three external monomials:
+    fiber exponents up to 2, Laurent exponents in [-2, 2] and radical
+    exponents in [-depth, 8], so u^2 -> p, a negative u power and an
+    expanded power of p all occur."""
+    ring = draw(st.sampled_from([SU2, SHIFTED, SKEWED]))
+    raw = {}
+    for _ in range(draw(st.integers(1, 3))):
+        fiber = tuple(draw(st.integers(0, 2)) for _ in range(ring.nf))
+        params = tuple(draw(st.integers(-2, 2)) for _ in range(ring.np))
+        radical = (draw(st.integers(-ring.depth, 8)),)
+        raw[fiber + params + radical] = draw(nonzero_rationals)
+    return ring, raw
+
+
+@settings(max_examples=100, deadline=None)
+@given(external_maps())
+def test_normalize_folds_radical_exponents_as_powers(case):
+    # Ring.normalize hands each exponent to _accumulate unsplit; the result
+    # must be the sum of the terms built as products of powers of variables
+    ring, raw = case
+    names = ring.fiber + ring.params + ring.radical_names
+    expected = ring.zero
+    for mono, c in raw.items():
+        term = ring.constant(c)
+        for name, e in zip(names, mono):
+            term = term * ring.var(name) ** e
+        expected = expected + term
+    assert ring.normalize(raw) == expected
 
 
 @pytest.mark.parametrize(
