@@ -236,7 +236,9 @@ def _parse_literal(ctx: ExpressionContext, text: str, where: str, what: str):
     try:
         form = parse_form_expression(text, ctx)
     except ExpressionError as e:
-        raise ConfigError(f"{where}: bad {what} {text!r}: {e}") from None
+        # the message names the position, so a long literal is cut short
+        shown = text if len(text) <= 40 else text[:40] + "…"
+        raise ConfigError(f"{where}: bad {what} {shown!r}: {e}") from None
     return form.terms.get(0, ctx.frame.ring.zero)
 
 

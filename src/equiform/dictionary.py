@@ -15,10 +15,12 @@ translation, evaluation being a ring homomorphism.  A candidate word is a
 tuple of indices into the sorted syllables until it reaches a verdict.  A
 (0,0) word or a word of value zero takes the zero test on its ray image,
 composed the same way and exact for invariant forms under the hypothesis,
-so generation translates only the empty word unless a syllable form is
-uncertified; an entry is translated when a task first reads it as a form.
-The differential table reads none: d of a word reaches its solve on the
-ray, composed by the Leibniz rule from its syllables' ray images and d.
+which every word is: contract_syllable takes only letters and
+contractions that make_letter and make_contraction checked.  So generation
+translates only the empty word; an entry is translated when a task first
+reads it as a form.  The differential table reads none: d of a word
+reaches its solve on the ray, composed by the Leibniz rule from its
+syllables' ray images and d.
 
 The (0,0) cell is special: beyond the empty word every rotation-invariant
 function evaluates to a constant at a single point, so the first nonzero
@@ -219,21 +221,14 @@ class Alphabet:
             self._syllable_forms[syll] = contract_syllable(m, lets)
         return self._syllable_forms[syll]
 
-    def translate(self, word: Word) -> Form:
-        """The wedge of the syllable forms, an InvariantForm when each of
+    def translate(self, word: Word) -> InvariantForm:
+        """The wedge of the syllable forms, an InvariantForm since each of
         them is one.  Memoized: a word is the translation of its prefix (the
         word without its last syllable) wedged with the last syllable form."""
         out = self._translations.get(word)
         if out is None:
             head = self.translate(Word(word.syllables[:-1]))
-            form = self.syllable_form(word.syllables[-1])
-            out = wedge(head, form)
-            if (
-                out
-                and isinstance(head, InvariantForm)
-                and isinstance(form, InvariantForm)
-            ):
-                out = InvariantForm.of(out)
+            out = InvariantForm.of(wedge(head, self.syllable_form(word.syllables[-1])))
             self._translations[word] = out
         return out
 
@@ -558,18 +553,17 @@ def _phase(
     index order is syllable order.  A candidate becomes a Word when it
     reaches a verdict.  One of bidegree (0,0) or value zero takes the zero
     test, which tells a zero translation from one that vanishes at the
-    point: on its ray image, exact for an invariant form under the
-    transitive-sphere hypothesis, or on its translation when a syllable
-    form is uncertified.  Under the alphabet's degree bound, a word is
-    extended only by the syllables that keep it within the bound: syllables
-    are sorted by degree first, so these are a prefix.  Returns the new
-    entries, their index tuples and the radial entry."""
+    point: on its ray image, exact under the transitive-sphere hypothesis
+    for an invariant form, which every word is, so no word is translated.
+    Under the alphabet's degree bound, a word is extended only by the
+    syllables that keep it within the bound: syllables are sorted by degree
+    first, so these are a prefix.  Returns the new entries, their index
+    tuples and the radial entry."""
     setup = alphabet.setup
     sylls = alphabet.syllables()
     bidegrees = [s.bidegree for s in sylls]
     degrees = [s.degree for s in sylls]
     bound = alphabet.max_degree
-    certified = [isinstance(alphabet.syllable_form(s), InvariantForm) for s in sylls]
     span = VectorSpan()
     new_entries: list[DictionaryEntry] = []
     new_keys: list[tuple[int, ...]] = []
@@ -625,11 +619,7 @@ def _phase(
                 continue
             value = None if (p, q) == (0, 0) else values.of(cw)
             if not value:
-                if all(certified[i] for i in cw):
-                    zero = not on_ray.of(word.syllables)
-                else:
-                    zero = alphabet.translate(word).is_zero
-                if zero:
+                if not on_ray.of(word.syllables):
                     verdict = "pruned: zero translation"
                 elif value is not None:
                     verdict = "dependent: evaluates to zero"

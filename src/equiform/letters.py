@@ -8,6 +8,9 @@ equivariant: the check reads the gauge part of d X plus rho(theta) X, and
 DX is the basic part of d X.  The canonical letters are the fiber
 coordinates (a) and the covariant vertical frame (b); constant horizontal
 letters and letters induced by equivariant bilinear maps cover the rest.
+Only make_letter and make_contraction, which run the checks, build the
+CheckedLetter and CheckedContraction that contract_syllable and
+covariant_derivative_DX accept.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ class LetterError(ValueError):
     pass
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Letter:
     """A named V-valued invariant form, one component per fiber index."""
 
@@ -44,14 +47,6 @@ class Letter:
     def is_zero(self) -> bool:
         return all(c.is_zero for c in self.components)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Letter)
-            and self.name == other.name
-            and self.bidegree == other.bidegree
-            and self.components == other.components
-        )
-
     def __repr__(self) -> str:
         return f"Letter({self.name}, bidegree={self.bidegree})"
 
@@ -61,7 +56,7 @@ class CheckedLetter(Letter):
     one."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Contraction:
     """An invariant r-linear functional on V, stored sparsely: its nonzero
     entries, canonical coefficients keyed by 0-based index tuples."""
@@ -69,14 +64,6 @@ class Contraction:
     name: str
     arity: int
     entries: tuple[tuple[tuple[int, ...], Coefficient], ...]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Contraction)
-            and self.name == other.name
-            and self.arity == other.arity
-            and self.entries == other.entries
-        )
 
     def __repr__(self) -> str:
         return f"Contraction({self.name}, arity={self.arity})"
@@ -293,17 +280,27 @@ def det_contraction(setup: HomogeneousSetup) -> Contraction:
     return make_contraction(setup, "det", entries, symmetry="antisymmetric")
 
 
-def contract_syllable(m: Contraction, letters: Sequence[Letter]) -> Form:
+def _require_checked(letters: Sequence[Letter], m: Contraction | None = None):
+    """Refuse a letter or contraction built by hand: the checks of
+    make_letter and make_contraction are what make a syllable invariant."""
+    if m is not None and not isinstance(m, CheckedContraction):
+        raise LetterError(f"contraction {m.name} was not built by make_contraction")
+    for x in letters:
+        if not isinstance(x, CheckedLetter):
+            raise LetterError(f"letter {x.name} was not built by make_letter")
+
+
+def contract_syllable(m: Contraction, letters: Sequence[Letter]) -> InvariantForm:
     """Wedge the letter components against the coefficient tensor.
 
     Each entry's product of components, its last factor scaled by the
     entry's coefficient, is added unreduced into one map per basis word,
-    and each word is normalized once.  When the tensor passed the
-    invariance check of make_contraction and every letter the equivariance
-    check of make_letter, the result is invariant and comes as an
-    InvariantForm; a Letter or Contraction built directly gives a plain
-    Form, whose d takes the full check.
+    and each word is normalized once.  Only a contraction built by
+    make_contraction and letters built by make_letter are accepted: the
+    tensor passed the invariance check and every letter the equivariance
+    check, so the result is invariant and comes as an InvariantForm.
     """
+    _require_checked(letters, m)
     if len(letters) != m.arity:
         raise LetterError(
             f"contraction {m.name} has arity {m.arity}, got {len(letters)} letters"
@@ -325,20 +322,16 @@ def contract_syllable(m: Contraction, letters: Sequence[Letter]) -> Form:
                     if not mx & my:
                         acc = words.setdefault(mx | my, {})
                         multiply_into(acc, cx, cy, merge_sign(mx, my), c)
-    out = finish_form(frame, words)
-    if isinstance(m, CheckedContraction) and all(
-        isinstance(x, CheckedLetter) for x in letters
-    ):
-        return InvariantForm.of(out)
-    return out
+    return InvariantForm.of(finish_form(frame, words))
 
 
 def covariant_derivative_DX(setup: HomogeneousSetup, letter: Letter) -> Letter:
     """Componentwise exterior derivative plus the representation twist.
 
-    The letter is refused unless it is equivariant; DX is then basic, and
-    since rho(theta) X is purely gauge, DX is the basic part of d X.
+    Only a letter built by make_letter is accepted.  It is equivariant, so
+    DX is basic, and since rho(theta) X is purely gauge, DX is the basic
+    part of d X.
     """
-    _check_equivariant(setup, letter.name, letter.components)
+    _require_checked([letter])
     out = [basic_derivative(setup, c) for c in letter.components]
     return make_letter(setup, f"DX({letter.name})", out)

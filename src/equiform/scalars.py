@@ -43,6 +43,7 @@ coefficients too, the same values the linear algebra works on.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -648,7 +649,13 @@ class Scalar:
                 for name, e in zip(names, exponents)
                 if e
             )
-            cs = str(c)
+            try:
+                cs = str(c)
+            except ValueError:  # Python prints no integer over its digit limit
+                raise RingError(
+                    f"a coefficient has more than {sys.get_int_max_str_digits()} "
+                    f"digits, the limit for printing an integer"
+                ) from None
             neg = cs.startswith("-") and "+" not in cs and cs.count("-") == 1
             if neg:
                 cs = cs[1:]

@@ -486,6 +486,7 @@ class TestExitStatus:
             ("repeated_gauge_index", "validate", r"representation\.03: repeated gauge index 3$"),
             ("superscript_pair", "validate", r"constants\[0\]\[1\]: expected a digit string"),
             ("superscript_key", "validate", "representation\\.\u00b3: keys must be gauge indices$"),
+            ("long_coefficient", "express", r"task x: a coefficient has more than 4300 digits, "),
         ],
     )
     def test_front_door_input_exits_two(self, tmp_path, capsys, case, command, pattern):
@@ -500,6 +501,10 @@ class TestExitStatus:
             constants[0][2] = _nested(3000, "-1")
         elif case == "long_number":
             doc["tasks"] = [{**express, "expression": "1" * 5000 + "*d(det(b,b))"}]
+        elif case == "long_coefficient":
+            # each factor is under the digit limit, their product is not
+            n = "1" + "0" * 3000
+            doc["tasks"] = [{**express, "expression": f"{n}*{n}*d(det(b,b))"}]
         elif case == "long_constant":
             constants[0][2] = "1" * 5000
         elif case == "long_gauge_key":
@@ -523,6 +528,11 @@ class TestExitStatus:
         err = capsys.readouterr().err
         assert err.startswith("equiform: ") and re.search(pattern, err, re.MULTILINE)
         assert len(err.splitlines()) == 1
+        # a refused literal is echoed cut to 40 characters; a refused key
+        # is still echoed whole in its key path
+        assert len(err) <= 300 or case == "long_gauge_key"
+        if case.endswith("_constant"):
+            assert re.search(r": bad exact constant '.{40}…': ", err)
         assert "Traceback" not in err
 
     def test_nesting_at_the_bound_is_accepted(self, tmp_path, capsys):

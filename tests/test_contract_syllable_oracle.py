@@ -2,9 +2,13 @@
 
 The two must give the same form, coefficient for coefficient, the same
 InvariantForm marking and the same refusal below the depth floor: on every
-syllable of both bundled alphabets, on the arity-4 det of su3_tcp2, on
-letters and contractions built without their checks, and on letters whose
-components sit at the floor of the first radical.
+syllable of both bundled alphabets, on the arity-4 det of su3_tcp2, and on
+letters whose components sit at the floor of the first radical.
+contract_syllable takes only what make_letter and make_contraction built,
+so a letter or contraction built directly is refused.  The kernels are
+still compared on some objects those checks refuse, such as a letter with
+a zero component; each is built as a Checked* by hand, a forged
+certificate, and marked so where it is built.
 """
 
 from itertools import combinations_with_replacement
@@ -15,11 +19,14 @@ from equiform.cli import resolve_config
 from equiform.config import parse_config, realize_config
 from equiform.homogeneous import InvariantForm
 from equiform.letters import (
+    CheckedContraction,
+    CheckedLetter,
     Contraction,
     Letter,
     LetterError,
     contract_syllable,
     det_contraction,
+    make_letter,
 )
 from equiform.scalars import RingError
 
@@ -71,21 +78,26 @@ def test_arity_four_det_on_su3_matches():
     assert any(terms for terms, _ in outcomes)
 
 
-def test_unchecked_inputs_give_plain_forms(realized):
+def test_unchecked_inputs_are_refused(realized):
     letters = [realized.letters[n] for n in sorted(realized.letters)]
-    plain_letters = [Letter(x.name, x.bidegree, x.components) for x in letters]
     for m in realized.contractions.values():
         plain = Contraction(m.name, m.arity, m.entries)
-        for lets in _tuples(letters, m.arity):
-            terms, marked = _assert_agree(plain, lets)
-            assert not marked
-        for lets in _tuples(plain_letters, m.arity):
-            terms, marked = _assert_agree(m, lets)
-            assert not marked
+        lets = (letters[0],) * m.arity
+        with pytest.raises(LetterError) as info:
+            contract_syllable(plain, lets)
+        assert str(info.value) == (
+            f"contraction {m.name} was not built by make_contraction"
+        )
+        for x in letters:
+            plain_letter = Letter(x.name, x.bidegree, x.components)
+            with pytest.raises(LetterError) as info:
+                contract_syllable(m, (x,) * (m.arity - 1) + (plain_letter,))
+            assert str(info.value) == f"letter {x.name} was not built by make_letter"
 
 
-def _floor_letter(setup, power, zero=None):
-    """u^power a for the first radical u, its component `zero` set to 0."""
+def _floor_components(setup, power, zero=None):
+    """The components of u^power a for the first radical u, component
+    `zero` set to 0."""
     ring = setup.ring
     u = ring.var(ring.radical_names[0])
     comps = [
@@ -94,28 +106,49 @@ def _floor_letter(setup, power, zero=None):
     ]
     if zero is not None:
         comps[zero] = setup.frame.zero
-    return Letter(f"a~{power}~{zero}", (0, 0), tuple(comps))
+    return tuple(comps)
+
+
+def _floor_letter(setup, power):
+    """u^power a, as make_letter builds it."""
+    return make_letter(setup, f"a~{power}", _floor_components(setup, power))
+
+
+def _forged_floor_letter(setup, power, zero=None):
+    """u^power a with component `zero` set to 0, under a forged certificate:
+    make_letter refuses it (tested below), but the kernels must still agree
+    on it."""
+    comps = _floor_components(setup, power, zero)
+    return CheckedLetter(f"a~{power}~{zero}", (0, 0), comps)
 
 
 def test_depth_floor_refusals_match(realized):
     setup = realized.setup
     depth = setup.ring.depth
-    floor, above = _floor_letter(setup, -depth), _floor_letter(setup, 2 - depth)
-    arity3 = Contraction("t3", 3, (((0, 0, 1), 1),))
+    floor = _forged_floor_letter(setup, -depth)
+    above = _floor_letter(setup, 2 - depth)
+    # a forged certificate: make_contraction refuses t3, which is not
+    # invariant, but it reaches the zero-component branches of the kernels
+    arity3 = CheckedContraction("t3", 3, (((0, 0, 1), 1),))
     cases = [
         (realized.contractions["dot"], (floor, floor)),
         (realized.contractions["dot"], (above, above)),
         (realized.contractions["dot"], (floor, realized.letters["b"])),
         # a zero third component comes after the refused wedge of the
         # first two; a zero second one ends the product before it
-        (arity3, (floor, floor, _floor_letter(setup, 0, zero=1))),
-        (arity3, (floor, _floor_letter(setup, 0, zero=0), floor)),
+        (arity3, (floor, floor, _forged_floor_letter(setup, 0, zero=1))),
+        (arity3, (floor, _forged_floor_letter(setup, 0, zero=0), floor)),
         (arity3, (floor, _floor_letter(setup, 0), floor)),
     ]
     got = [_assert_agree(m, lets) for m, lets in cases]
     assert got[0][0] == "RingError" and got[1][0] != "RingError"
-    assert got[3][0] == "RingError" and got[4] == ({}, False)
+    assert got[3][0] == "RingError" and got[4] == ({}, True)
     assert got[5][0] == "RingError"
+    # the forged letters are ones make_letter refuses
+    with pytest.raises(RingError, match="below depth bound"):
+        _floor_letter(setup, -depth)
+    with pytest.raises(LetterError, match="is not equivariant"):
+        make_letter(setup, "z", _floor_components(setup, 0, zero=1))
 
 
 def test_arity_mismatch_is_refused_alike(realized):

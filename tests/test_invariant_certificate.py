@@ -4,10 +4,10 @@ An InvariantForm takes d on the basic frame only, with no invariance check.
 frame_derivative keeps every gauge term, so on a certified form it must be
 basic and equal to that basic d.  The bundled translations and task forms
 are checked one by one, letters and contractions built without their
-checks must give uncertified forms, and Hypothesis expressions from the
-README grammar
-check the parser's certificate rules, on su2_ts2 and on a variant whose
-radical square k+a1*a1 is not invariant.
+checks are refused wherever a syllable is formed, and Hypothesis
+expressions from the README grammar check the parser's certificate rules,
+on su2_ts2 and on a variant whose radical square k+a1*a1 is not
+invariant.
 """
 
 import json
@@ -20,8 +20,12 @@ from hypothesis import strategies as st
 from equiform import expressions
 from equiform.cli import resolve_config
 from equiform.config import parse_config, realize_config
-from equiform.dictionary import Alphabet, Word
-from equiform.expressions import ExpressionError, parse_form_expression
+from equiform.dictionary import generate_dictionary
+from equiform.expressions import (
+    ExpressionError,
+    build_context,
+    parse_form_expression,
+)
 from equiform.forms import Form
 from equiform.homogeneous import (
     InvariantForm,
@@ -30,7 +34,13 @@ from equiform.homogeneous import (
     frame_derivative,
     is_basic,
 )
-from equiform.letters import Contraction, Letter, contract_syllable
+from equiform.letters import (
+    Contraction,
+    Letter,
+    LetterError,
+    contract_syllable,
+    covariant_derivative_DX,
+)
 from equiform.scalars import RingError
 
 
@@ -93,37 +103,53 @@ def test_certified_form_with_a_gauge_letter_is_refused(bundled):
         exterior_derivative(setup, x)
 
 
+def _assert_refused(message, compute, *args):
+    with pytest.raises(LetterError) as info:
+        compute(*args)
+    assert str(info.value) == message
+
+
+def _assert_syllables_refused(bundled, letters, contractions, message):
+    """contract_syllable, generation and the parser all refuse the alphabet
+    with the one message."""
+    setup = bundled.setup
+    m = contractions[-1]
+    lets = [letters[-1]] * m.arity
+    _assert_refused(message, contract_syllable, m, lets)
+    _assert_refused(message, generate_dictionary, setup, letters, contractions)
+    ctx = build_context(setup, letters, contractions)
+    call = f"{m.name}({','.join(x.name for x in lets)})"
+    _assert_refused(message, parse_form_expression, call, ctx)
+
+
 def test_hand_built_letter_is_not_certified(bundled):
-    """A Letter built without make_letter skips the equivariance check, so
-    its contractions take the full check of d."""
+    """A Letter built without make_letter skipped the equivariance check,
+    so it carries no certificate: no syllable, and no DX, is formed from
+    it."""
     setup = bundled.setup
     frame = setup.frame
     v = Letter("v", (0, 0), (frame.one,) + (frame.zero,) * (setup.fiber_dim - 1))
-    x = contract_syllable(bundled.contractions["dot"], (v, bundled.letters["b"]))
-    assert x == frame.generator("b1") and not isinstance(x, InvariantForm)
-    with pytest.raises(SetupError, match="input not invariant and basic"):
-        exterior_derivative(setup, x)
-    letters = [v, bundled.letters["b"]]
-    alphabet = Alphabet(setup, letters, [bundled.contractions["dot"]])
-    word = Word(
-        tuple(s for s in alphabet.syllables() if s.letters == ("b", "v"))
+    message = "letter v was not built by make_letter"
+    letters = [bundled.letters["b"], v]
+    _assert_syllables_refused(bundled, letters, [bundled.contractions["dot"]], message)
+    _assert_refused(message, covariant_derivative_DX, setup, v)
+    # the refusal does not depend on the letter being equivariant
+    b = bundled.letters["b"]
+    plain_b = Letter("b", b.bidegree, b.components)
+    _assert_refused(
+        "letter b was not built by make_letter", covariant_derivative_DX, setup, plain_b
     )
-    y = alphabet.translate(word)
-    assert y == x and not isinstance(y, InvariantForm)
 
 
 def test_hand_built_contraction_is_not_certified(bundled):
-    """A Contraction built without make_contraction skips the invariance
-    check, so its syllables take the full check of d."""
-    setup = bundled.setup
-    one = setup.field.one
+    """A Contraction built without make_contraction skipped the invariance
+    check, so it carries no certificate: no syllable is formed from it."""
+    one = bundled.setup.field.one
     m = Contraction("first", 2, (((0, 0), one),))
-    a, b = bundled.letters["a"], bundled.letters["b"]
-    x = contract_syllable(m, (a, b))
-    assert x == setup.ring.var("a1") * setup.frame.generator("b1")
-    assert not isinstance(x, InvariantForm)
-    with pytest.raises(SetupError, match="input not invariant and basic"):
-        exterior_derivative(setup, x)
+    letters = [bundled.letters["a"], bundled.letters["b"]]
+    contractions = [bundled.contractions["dot"], m]
+    message = "contraction first was not built by make_contraction"
+    _assert_syllables_refused(bundled, letters, contractions, message)
 
 
 # -- generated expressions ----------------------------------------------------

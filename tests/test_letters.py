@@ -1,7 +1,11 @@
 """Letters, contractions, syllables and the covariant derivative."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import equiform
 from equiform.forms import bidegree_split, map_form, wedge
 from equiform.homogeneous import exterior_derivative, is_invariant
 from equiform.letters import (
@@ -15,6 +19,7 @@ from equiform.letters import (
     letter_b,
     letter_from_T_valued_map,
     make_contraction,
+    make_letter,
 )
 
 
@@ -229,14 +234,46 @@ def test_su2_leibniz_bridge(su2_setup, su2_alphabet):
 
 def test_DX_rejects_non_equivariant_letter(su3_setup):
     """A constant fiber vector is not equivariant, so DX of it is not basic.
-    Its components have zero derivative, so only the equivariance check on
-    the input can refuse it."""
+    Its components have zero derivative, so only a check on the input can
+    refuse it: make_letter refuses to build it, and DX refuses it built by
+    hand."""
     frame = su3_setup.frame
-    constant = Letter(
-        name="v1",
-        bidegree=(0, 0),
-        components=(frame.one, frame.zero, frame.zero, frame.zero),
-    )
+    components = (frame.one, frame.zero, frame.zero, frame.zero)
+    with pytest.raises(LetterError) as err:
+        make_letter(su3_setup, "v1", components)
+    assert str(err.value) == "letter v1 is not equivariant along e1"
+    constant = Letter(name="v1", bidegree=(0, 0), components=components)
     with pytest.raises(LetterError) as err:
         covariant_derivative_DX(su3_setup, constant)
-    assert "letter v1 is not equivariant" in str(err.value)
+    assert str(err.value) == "letter v1 was not built by make_letter"
+
+
+_BUILT = {"Letter", "Contraction", "CheckedLetter", "CheckedContraction"}
+
+
+def _constructor_calls(tree, where=None):
+    """(enclosing function, class name) for each call of a _BUILT class."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _constructor_calls(node, node.name)
+            continue
+        if isinstance(node, ast.Call):
+            func = node.func  # a Name, or an Attribute such as letters.Letter
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if name in _BUILT:
+                yield where, name
+        yield from _constructor_calls(node, where)
+
+
+def test_only_the_makers_build_letters_and_contractions():
+    """contract_syllable trusts a Checked* as proof of its checks, so the
+    package builds letters and contractions in make_letter and
+    make_contraction only."""
+    calls = []
+    for path in sorted(Path(equiform.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls.extend((path.name, *call) for call in _constructor_calls(tree))
+    assert sorted(calls) == [
+        ("letters.py", "make_contraction", "CheckedContraction"),
+        ("letters.py", "make_letter", "CheckedLetter"),
+    ]

@@ -3,8 +3,8 @@
 A candidate's value at the phase point is the value of its prefix wedged
 with the value of its last syllable.  A (0,0) word or a word of value zero
 is tested for a zero translation on its ray image, so generation translates
-only the empty word, unless a syllable form is uncertified: then the word
-is translated, with its prefixes.  This rests on evaluation
+only the empty word: every syllable form is certified invariant, and a
+hand-built letter or contraction is refused.  This rests on evaluation
 being a ring homomorphism, checked here with Hypothesis on both bundled
 rings, and the result is checked against symbolic_phase_oracle.py, which
 translates and evaluates every candidate: on su2_ts2, su3_tcp2, su2_ts2
@@ -28,7 +28,7 @@ from equiform.config import parse_config, realize_config
 from equiform.dictionary import generate_dictionary
 from equiform.forms import evaluate_to_vector, map_form, wedge
 from equiform.homogeneous import InvariantForm
-from equiform.letters import Contraction
+from equiform.letters import Contraction, LetterError
 from equiform.scalars import PointError
 
 import symbolic_phase_oracle as oracle
@@ -98,11 +98,6 @@ ZERO_TESTED = {
 }
 
 
-def _prefixes(word: str) -> set[str]:
-    syllables = word.split("*")
-    return {"*".join(syllables[:i]) for i in range(1, len(syllables) + 1)}
-
-
 @pytest.mark.parametrize("name", list(VARIANTS))
 def test_only_words_that_need_a_symbolic_form_are_translated(name):
     # a fresh dictionary: reading an entry's translation builds it.  Every
@@ -114,42 +109,31 @@ def test_only_words_that_need_a_symbolic_form_are_translated(name):
     assert {w.render() for w in got.alphabet._translations} == {"1"}
 
 
-def test_an_uncertified_alphabet_still_translates():
+def test_an_uncertified_alphabet_is_refused():
     # a contraction built without make_contraction is not certified
-    # invariant, so a ray image cannot decide the zero test of a word that
-    # uses it: such words are translated, with their prefixes, and no other
+    # invariant, so a ray image could not decide the zero test of a word
+    # that uses it: both kernels refuse it when they form its syllables
     rc = _realize("su2_ts2")
     first = Contraction("first", 2, (((0, 0), 1),))
     letters = list(rc.letters.values())
     contractions = list(rc.contractions.values()) + [first]
-    got = generate_dictionary(rc.setup, letters, contractions)
-    want = oracle.generate_dictionary(rc.setup, letters, contractions)
-    assert got.transcript == want.transcript
-    uncertified = {
-        word
-        for _, word, verdict in got.transcript
-        if verdict in ZERO_TESTED and "first(" in word
-    }
-    assert uncertified
-    wanted = {"1"}.union(*(_prefixes(w) for w in uncertified))
-    assert {w.render() for w in got.alphabet._translations} == wanted
+    for kernel in (generate_dictionary, oracle.generate_dictionary):
+        with pytest.raises(LetterError) as info:
+            kernel(rc.setup, letters, contractions)
+        assert str(info.value) == "contraction first was not built by make_contraction"
 
 
 BOUNDED = {
     **VARIANTS,
     "u=k*aa": ("su2_ts2", "k*aa"),
     "c=u^-1*e": ("su2_ts2", None, {"c": ["u^-1*e1", "u^-1*e2"]}),
-    "first": ("su2_ts2",),
 }
 
 
 @pytest.mark.parametrize("name", list(BOUNDED))
 def test_the_bidegree_bounds_every_word(name):
     rc = _realize(*BOUNDED[name])
-    contractions = list(rc.contractions.values())
-    if name == "first":
-        contractions.append(Contraction("first", 2, (((0, 0), 1),)))
-    got = generate_dictionary(rc.setup, list(rc.letters.values()), contractions)
+    got = _generate(generate_dictionary, rc)
     n, k = rc.setup.horizontal_dim, rc.setup.fiber_dim
     assert any(s.degree == 0 for s in got.alphabet.syllables())
     assert all(s.degree for e in got.entries for s in e.word.syllables)

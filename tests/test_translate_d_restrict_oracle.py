@@ -107,20 +107,20 @@ def test_depth_floor_letter_rows_match(name):
     contractions = list(rc.contractions.values())
     refused, tables = set(), []
     for power in range(-setup.ring.depth, 1):
-        for zero in (None, 0):
-            letters = [_floor_letter(setup, power, zero)] + others
-            dictionary = _outcome(generate_dictionary, setup, letters, contractions, 4)
-            if isinstance(dictionary, tuple):
-                refused.add(dictionary[0])
-                continue
-            table = _assert_rows_agree(setup, dictionary, 3)[0]
-            if isinstance(table, tuple):
-                refused.add(table[0])
-            else:
-                tables.append(table)
-    # rows, and refusals at generation and in the table (a letter with a
-    # zero component is not equivariant, and is refused by d)
-    assert tables and {"RingError", "SetupError"} <= refused
+        # make_letter refuses the lowest powers: its equivariance check
+        # falls below the depth floor
+        outcome = _outcome(_floor_letter, setup, power)
+        if not isinstance(outcome, tuple):
+            letters = [outcome] + others
+            outcome = _outcome(generate_dictionary, setup, letters, contractions, 4)
+        if not isinstance(outcome, tuple):
+            outcome = _assert_rows_agree(setup, outcome, 3)[0]
+        if isinstance(outcome, tuple):
+            refused.add(outcome[0])
+        else:
+            tables.append(outcome)
+    # rows, and refusals by make_letter, at generation and in the table
+    assert tables and "RingError" in refused
 
 
 def test_the_table_translates_no_word_and_takes_d_of_syllables_only(monkeypatch):
